@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union
 
@@ -157,7 +158,10 @@ def validate_trace(records: Sequence[TraceRecord]) -> None:
 
 
 def load_trace(path) -> List[TraceRecord]:
-    """Read a ``slot,arrivals,cost`` CSV (header row required) and validate it."""
+    """Read a ``slot,arrivals,cost`` CSV (header row required) and validate
+    it. An empty file is rejected outright."""
+    if os.path.getsize(path) == 0:
+        raise ValueError(f"{path}: trace file is empty")
     records = []
     with open(path, newline="") as handle:
         reader = csv.reader(handle)

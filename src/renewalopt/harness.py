@@ -373,17 +373,6 @@ def read_metrics(path, format: Optional[str] = None) -> Dict[str, np.ndarray]:
     return out
 
 
-def ingest_trace(path) -> List[datacenter.TraceRecord]:
-    """Load and validate a ``slot,arrivals,cost`` CSV workload trace.
-
-    Slots must run contiguously from 0, arrivals be nonnegative integers and
-    costs positive; an empty file is rejected outright.
-    """
-    if os.path.getsize(path) == 0:
-        raise ValueError(f"{path}: trace file is empty")
-    return datacenter.load_trace(path)
-
-
 # ---------------------------------------------------------------------------
 # instance builders
 # ---------------------------------------------------------------------------
@@ -425,13 +414,13 @@ def _build_servers(entries) -> List[datacenter.ServerConfig]:
     return cfgs
 
 
-def _build_trace(spec, horizon: int, aux_seed: int):
+def _build_trace(spec, horizon: int, aux_seed: int, records):
     if spec is None:
         spec = {"kind": "uniform"}
     if not isinstance(spec, Mapping):
         raise ConfigError("instance key 'trace' must be an object")
     if "path" in spec:
-        return ingest_trace(spec["path"])
+        return records
     tag = spec.get("kind")
     if tag == "uniform":
         return datacenter.uniform_trace(
@@ -536,7 +525,8 @@ def oracle_value(kind: str, instance: Mapping) -> float:
 
 
 def _simulate_point(kind: str, instance: Mapping, horizon: int,
-                    params: Mapping, run_seed: int, aux_seed: int) -> dict:
+                    params: Mapping, run_seed: int, aux_seed: int,
+                    trace_records) -> dict:
     """Run one cell and return its result columns, oracle excluded."""
     if kind == "coupled-energy":
         spec = coupled.energy_scheduling_spec(int(instance.get("n_servers", 5)))
@@ -548,7 +538,8 @@ def _simulate_point(kind: str, instance: Mapping, horizon: int,
         return row
     if kind == "datacenter":
         cfgs = _build_servers(_need(instance, "servers", kind))
-        trace = _build_trace(instance.get("trace"), horizon, aux_seed)
+        trace = _build_trace(instance.get("trace"), horizon, aux_seed,
+                             trace_records)
         log = datacenter.run_datacenter(
             cfgs, trace, params["v"], mode=_parse_mode(instance.get("mode")),
             seed=run_seed, horizon=horizon,
@@ -601,9 +592,8 @@ def _simulate_point(kind: str, instance: Mapping, horizon: int,
 
 
 def _run_cell(task) -> Tuple[dict, float]:
-    kind, instance, horizon, params, run_seed, aux_seed = task
     start = time.perf_counter()
-    row = _simulate_point(kind, instance, horizon, params, run_seed, aux_seed)
+    row = _simulate_point(*task)
     return row, time.perf_counter() - start
 
 
@@ -701,6 +691,9 @@ def run_experiment(config: ExperimentConfig) -> RunSummary:
         oracle = oracle_value(target_kind, target_inst)
 
     start_all = time.perf_counter()
+    trace_spec, trace_records = config.instance.get("trace"), None
+    if isinstance(trace_spec, Mapping) and "path" in trace_spec:
+        trace_records = datacenter.load_trace(trace_spec["path"])
     tasks = []
     cells = []
     for p_idx, params in enumerate(grid):
@@ -709,7 +702,7 @@ def run_experiment(config: ExperimentConfig) -> RunSummary:
             cells.append((params, rep, run_seed))
             if config.kind != "oracle-only":
                 tasks.append((config.kind, config.instance, config.horizon,
-                              params, run_seed, aux_seed))
+                              params, run_seed, aux_seed, trace_records))
 
     if not tasks:
         results = [({}, 0.0)] * len(cells)

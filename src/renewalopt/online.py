@@ -116,12 +116,6 @@ def theta_update(state: PseudoAverageState, outcome: FrameOutcome,
                    frames_done=state.frames_done + 1, last_increment=increment)
 
 
-def frame_queue_update(queues: np.ndarray, outcome: FrameOutcome,
-                       budgets: np.ndarray) -> np.ndarray:
-    """Per-frame clamp update Q' = max(Q + z - c*T, 0)."""
-    return queue_update_frame(queues, outcome, budgets)
-
-
 def default_theta_max(model: EventModel) -> float:
     """Double a trivial penalty-rate bound (largest yhat over the shortest
     possible frame); the truncation only needs to sit above the optimum."""
@@ -204,7 +198,7 @@ def run(model: EventModel, v: float, delta: float, n_frames: int,
         action = select_action(model, event, queues, state.theta, state.v)
         outcome = model.sampler(event, action, rng)
         state = theta_update(state, outcome, queues, model.budgets)
-        queues = frame_queue_update(queues, outcome, model.budgets)
+        queues = queue_update_frame(queues, outcome, model.budgets)
 
         events[n] = event
         actions[n] = action

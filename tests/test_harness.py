@@ -234,13 +234,13 @@ def test_ingest_empty_file_rejected(tmp_path):
     path = tmp_path / "trace.csv"
     path.write_text("")
     with pytest.raises(ValueError, match="empty"):
-        harness.ingest_trace(path)
+        datacenter.load_trace(path)
 
 
 def test_ingest_three_rows(tmp_path):
     path = tmp_path / "trace.csv"
     path.write_text("slot,arrivals,cost\n0,12,2.0\n1,0,1.5\n2,30,3.0\n")
-    records = harness.ingest_trace(path)
+    records = datacenter.load_trace(path)
     assert len(records) == 3
     assert records[2] == datacenter.TraceRecord(2, 30, 3.0)
 
@@ -249,17 +249,39 @@ def test_ingest_rejects_gaps_and_negatives(tmp_path):
     path = tmp_path / "trace.csv"
     path.write_text("slot,arrivals,cost\n0,12,2.0\n2,5,1.0\n")
     with pytest.raises(ValueError, match="contiguous|run 0,1"):
-        harness.ingest_trace(path)
+        datacenter.load_trace(path)
     path.write_text("slot,arrivals,cost\n0,-3,2.0\n")
     with pytest.raises(ValueError, match="nonnegative"):
-        harness.ingest_trace(path)
+        datacenter.load_trace(path)
+
+
+def test_trace_file_is_read_once_per_experiment(tmp_path, monkeypatch):
+    path = tmp_path / "trace.csv"
+    datacenter.write_trace(path, datacenter.uniform_trace(60, seed=2))
+    mapping = {
+        "kind": "datacenter", "horizon": 60, "v_values": [5.0, 50.0],
+        "replications": 2,
+        "instance": {"servers": [{"active_power": 4.0, "mu": ["constant", 3.0],
+                                  "sleep_modes": [[0.0, 2.0, 5.0]],
+                                  "i_max": 100, "r_max": 40.0}],
+                     "trace": {"path": str(path)}}}
+    reads = []
+    load = datacenter.load_trace
+    monkeypatch.setattr(datacenter, "load_trace",
+                        lambda p: reads.append(p) or load(p))
+    serial = harness.run_experiment(harness.config_from_mapping(mapping))
+    assert len(serial.rows) == 4 and len(reads) == 1
+    parallel = harness.run_experiment(
+        harness.config_from_mapping(dict(mapping, jobs=2)))
+    assert len(reads) == 2
+    assert parallel.rows == serial.rows
 
 
 def test_generated_trace_roundtrips(tmp_path):
     records = datacenter.uniform_trace(50, seed=4)
     path = tmp_path / "trace.csv"
     datacenter.write_trace(path, records)
-    assert harness.ingest_trace(path) == records
+    assert datacenter.load_trace(path) == records
 
 
 # ---------------------------------------------------------------------------

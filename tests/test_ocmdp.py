@@ -164,6 +164,81 @@ class TestProjection:
         with pytest.raises(ValueError, match="length"):
             ocmdp.project_onto_theta(poly, np.zeros(5))
 
+    def test_lands_on_the_vertex_nearest_a_far_input(self):
+        # Dykstra's alternating projections stop on this input with an affine
+        # residual of 3.2e-2. The minimizer is the vertex theta[1] = theta[2] = 0.
+        p = np.array([
+            [[0.12027658125421935, 0.8797234187457806],
+             [0.9979898495305376, 0.002010150469462327]],
+            [[0.8776868759257099, 0.12231312407429014],
+             [0.03249123086232267, 0.9675087691376774]],
+        ])
+        poly = ocmdp.build_polyhedron(
+            ocmdp.MdpSpec(p, np.zeros((2, 2)), np.zeros((0, 2, 2))))
+        x = np.array([5.180409658216698, -0.19770725617168572,
+                      -0.9868286599239827, 10.40770874588137])
+        out = ocmdp.project_onto_theta(poly, x)
+        assert poly.membership_residual(out) <= 1e-8
+        assert out.min() >= 0.0
+        vertex = np.zeros(4)
+        vertex[[0, 3]] = np.linalg.solve(poly.aff_a[:, [0, 3]], poly.aff_b)
+        np.testing.assert_allclose(vertex, [0.0356179665, 0.0, 0.0, 0.9643820334], atol=1e-10)
+        np.testing.assert_allclose(out, vertex, rtol=0.0, atol=1e-12)
+
+    def test_zero_multipliers_do_not_make_it_revisit_faces(self):
+        # y = z + A^T lam projects onto z with every bound multiplier exactly
+        # zero; rounding leaves them at +-1e-17. Dropping a bound on such
+        # noise can re-add it with a zero-length step, over and over. These
+        # seeds did so without the rounding threshold on the multipliers.
+        for seed in (538, 846, 945, 1280):
+            rng = np.random.default_rng(seed)
+            p = rng.uniform(size=(2, 3, 3)) ** 3
+            p /= p.sum(axis=2, keepdims=True)
+            poly = ocmdp.build_polyhedron(
+                ocmdp.MdpSpec(p, np.zeros((3, 2)), np.zeros((0, 3, 2))))
+            z = ocmdp.project_onto_theta(
+                poly, poly.uniform_theta + rng.normal(scale=2.0, size=poly.dim))
+            assert (z == 0.0).any()
+            y = z + poly.aff_a.T @ rng.normal(scale=3.0, size=3)
+            visits = []
+            face = poly.face
+
+            def counted(free):
+                visits.append(free.tobytes())
+                assert len(visits) <= 2 * poly.dim, "projection keeps revisiting faces"
+                return face(free)
+
+            poly.face = counted
+            np.testing.assert_allclose(ocmdp.project_onto_theta(poly, y), z, rtol=0.0, atol=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=4),
+        st.integers(min_value=1, max_value=3),
+        st.booleans(),
+        st.sampled_from([0.1, 1.0, 5.0]),
+        st.integers(min_value=0, max_value=10 ** 6),
+    )
+    def test_output_satisfies_the_kkt_conditions(self, n_s, n_a, same_chain, sigma, seed):
+        rng = np.random.default_rng(seed)
+        p = rng.uniform(size=(n_a, n_s, n_s)) ** 3
+        if same_chain:
+            p[:] = p[0]
+        p /= p.sum(axis=2, keepdims=True)
+        poly = ocmdp.build_polyhedron(
+            ocmdp.MdpSpec(p, np.zeros((n_s, n_a)), np.zeros((0, n_s, n_a))))
+        x = poly.uniform_theta + rng.normal(scale=sigma, size=poly.dim)
+        z = ocmdp.project_onto_theta(poly, x)
+        assert poly.membership_residual(z) <= 1e-8
+        assert z.min() >= 0.0
+        # z - x = A^T lam + mu, mu zero on the support and nonnegative off it
+        support = z > 0.0
+        lam = np.linalg.lstsq(poly.aff_a[:, support].T, (z - x)[support], rcond=None)[0]
+        mu = z - x - poly.aff_a.T @ lam
+        assert np.abs(mu[support]).max() <= 1e-9
+        if not support.all():
+            assert mu[~support].min() >= -1e-9
+
     @settings(max_examples=60, deadline=None)
     @given(st.integers(min_value=0, max_value=10 ** 6), st.integers(min_value=0, max_value=10 ** 6))
     def test_projection_lands_inside_for_random_inputs(self, inst_seed, x_seed):

@@ -6,14 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from renewalopt.core import FrameOutcome
+from renewalopt.core import FrameOutcome, queue_update_frame
 from renewalopt.lp import conditional_ratio_optimal
 from renewalopt.online import (
     EventModel,
     PseudoAverageState,
     default_theta_max,
     file_download_example,
-    frame_queue_update,
     run,
     select_action,
     theta_update,
@@ -141,9 +140,9 @@ def test_select_action_matches_bruteforce(n_actions, n_constraints, theta, v, se
 def test_frame_queue_update_examples():
     budgets = np.array([2.0])
     out = FrameOutcome(frame_len=3, penalty_total=0.0, metrics_total=np.array([6.0]))
-    assert frame_queue_update(np.array([4.0]), out, budgets).tolist() == [4.0]
+    assert queue_update_frame(np.array([4.0]), out, budgets).tolist() == [4.0]
     drain = FrameOutcome(frame_len=3, penalty_total=0.0, metrics_total=np.array([0.0]))
-    assert frame_queue_update(np.array([4.0]), drain, budgets).tolist() == [0.0]
+    assert queue_update_frame(np.array([4.0]), drain, budgets).tolist() == [0.0]
 
 
 def test_theta_update_fixed_points_and_clamp():
