@@ -84,6 +84,7 @@ def bandit_near_optimality() -> CriterionResult:
         [u.lam for u in users], [u.weight for u in users],
         [u.mean_file for u in users], [u.actions for u in users],
         served_limit=4, power_budget=5.0).value)
+    oracle_s = time.perf_counter() - started
     tputs, powers = [], []
     for rep in range(10):
         out = bandit.multi_user_run(users, 70.0, 4, 5.0, 200000, seed=rep)
@@ -95,7 +96,7 @@ def bandit_near_optimality() -> CriterionResult:
     checks = [rel_gap <= 0.02, mean_power <= 5.05]
     detail = (f"mean throughput {mean_tput:.4f} vs optimum {optimum:.4f} "
               f"(rel gap {rel_gap:.4%} <= 2%), mean power {mean_power:.4f} "
-              f"<= 5.05")
+              f"<= 5.05; oracle {oracle_s:.1f}s")
     return _finish("bandit-near-optimality", started, checks, detail,
                    budget=120.0)
 

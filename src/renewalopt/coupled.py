@@ -166,7 +166,8 @@ def step(
     """Advance the coupled system one slot.
 
     Systems at frame boundaries decide (in index order) before the slot's
-    emissions; the external process is drawn last, after all decisions, from
+    emissions, which add up in frame-start order as in :func:`run`; the
+    external process is drawn last, after all decisions, from
     ``external_rng`` (or ``rng`` when not given). Returns (states, q', record).
     """
     if external_rng is None:
@@ -176,10 +177,10 @@ def step(
     metrics_row = np.zeros(spec.n_constraints)
     new_states: List[Optional[SystemFrameState]] = list(states)
     for n in range(n_sys):
+        if new_states[n] is None or new_states[n].remaining == 0:
+            new_states[n] = _start_frame(spec, n, q, v, t, rng)
+    for n in sorted(range(n_sys), key=lambda n: (new_states[n].frame_start, n)):
         st = new_states[n]
-        if st is None or st.remaining == 0:
-            st = _start_frame(spec, n, q, v, t, rng)
-            new_states[n] = st
         penalty_row[n] = st.penalty_slots[st.slot_index]
         metrics_row += st.metrics_slots[st.slot_index]
         st.slot_index += 1

@@ -494,14 +494,18 @@ def oracle_value(kind: str, instance: Mapping) -> float:
 
     coupled-energy and ocmdp price the per-slot objective, online-renewal the
     per-slot penalty of the best event-conditioned policy, bandit the
-    weighted throughput of the composite download chain (memoryless users
-    only). The datacenter kind has no attached oracle.
+    weighted throughput of the composite download chain. That chain covers
+    memoryless users only: explicit user lists and table-two users with
+    geometric files, whose served file completes with probability phi each
+    slot, exactly the chain's law; uniform and poisson files are refused.
+    The datacenter kind has no attached oracle.
     """
     if kind == "coupled-energy":
         return coupled.energy_oracle_value(int(instance.get("n_servers", 5)))
     if kind == "bandit":
         users = _build_users(instance)
-        if any(u.file_length_sampler is not None for u in users):
+        if instance.get("file_dist", "geometric") != "geometric" and any(
+                u.file_length_sampler is not None for u in users):
             raise ConfigError("the bandit oracle covers memoryless users only")
         result = lp.coupled_mdp_optimal(
             [u.lam for u in users], [u.weight for u in users],

@@ -11,7 +11,7 @@ instances solved by the same routine.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -48,15 +48,6 @@ class LpProblem:
             self.h_ub = np.asarray(self.h_ub, dtype=float).ravel()
             if self.h_ub.size != self.g_ub.shape[0]:
                 raise ValueError("h_ub length does not match g_ub rows")
-
-    @property
-    def n_variables(self) -> int:
-        """Structural variables plus one slack per inequality row."""
-        return self.c.size + self.g_ub.shape[0]
-
-    @property
-    def n_constraints(self) -> int:
-        return self.a_eq.shape[0] + self.g_ub.shape[0]
 
 
 @dataclass
@@ -377,69 +368,74 @@ class CoupledMdpResult:
 # Lagrangian dual (policy iteration plus bisection on the power multiplier)
 # instead of the dense simplex: the balance rows make the tableau walk of the
 # bigger instances pathologically degenerate, while the dual route is exact
-# for this LP (single budget row, no duality gap) and runs in seconds.
+# for this LP (single budget row, no duality gap) and takes well under a
+# second on the eight-user instance.
 _SIMPLEX_VARS_LIMIT = 2500
 
 
-def _chain_policy_gain(p_rows, rewards, starts, ends, n_states):
+def _policy_gain(p_rows, rewards, policy):
+    """Bias h and gain g of ``policy``: (I - P) h + g 1 = r, pinned by h[0] = 0.
+
+    Nonsingular for unichain policies, which are all a composite chain has:
+    with lam in (0, 1) and done = phi (1 - lam) < 1 every user's bit is 1 next
+    slot with positive probability, so the all-active state is reachable in
+    one step from every state. With powers as rewards, g is the policy's
+    stationary expected power.
+    """
+    n = policy.size
+    m = np.zeros((n + 1, n + 1))
+    m[:n, :n] = np.eye(n) - p_rows[policy]
+    m[:n, n] = 1.0
+    m[n, 0] = 1.0
+    sol = np.linalg.solve(m, np.append(rewards[policy], 0.0))
+    return sol[:n], float(sol[n])
+
+
+def _chain_policy_gain(p_rows, rewards, starts, policy):
     """Best average reward of a finite unichain MDP, by policy iteration.
 
     p_rows stacks one transition row per state-action pair, grouped by state
-    with group j occupying rows starts[j]:ends[j]. Returns (gain, policy) with
-    policy[s] the selected row index for state s.
+    with state s owning rows starts[s] up to starts[s + 1]. Iteration starts
+    from ``policy`` (one row index per state, left unchanged). Returns
+    (gain, policy) with policy[s] the selected row index for state s.
     """
-    policy = starts.copy()
+    n_rows = rewards.size
+    group = np.repeat(np.arange(starts.size), np.diff(starts, append=n_rows))
+    policy = policy.copy()
     for _ in range(500):
-        p_pi = p_rows[policy]
-        # gain/bias equations (I - P) h + g 1 = r pinned by h[0] = 0
-        m = np.zeros((n_states + 1, n_states + 1))
-        m[:n_states, :n_states] = np.eye(n_states) - p_pi
-        m[:n_states, n_states] = 1.0
-        m[n_states, 0] = 1.0
-        rhs = np.append(rewards[policy], 0.0)
-        sol, *_ = np.linalg.lstsq(m, rhs, rcond=None)
-        h, gain = sol[:n_states], float(sol[n_states])
+        h, gain = _policy_gain(p_rows, rewards, policy)
         q = rewards + p_rows @ h
-        improved = False
-        for s in range(n_states):
-            j = starts[s] + int(np.argmax(q[starts[s]:ends[s]]))
-            if q[j] > q[policy[s]] + 1e-10:
-                policy[s] = j
-                improved = True
-        if not improved:
+        best = np.maximum.reduceat(q, starts)
+        # the first row of each state attaining its maximum, as argmax picks
+        first = np.minimum.reduceat(
+            np.where(q == best[group], np.arange(n_rows), n_rows), starts)
+        improved = best > q[policy] + 1e-10
+        if not improved.any():
             return gain, policy
+        policy[improved] = first[improved]
     raise RuntimeError("policy iteration did not converge")
 
 
-def _chain_policy_power(p_rows, powers, policy):
-    """Stationary expected power of the chain induced by ``policy``."""
-    p_pi = p_rows[policy]
-    n = p_pi.shape[0]
-    m = np.vstack([p_pi.T - np.eye(n), np.ones((1, n))])
-    rhs = np.zeros(n + 1)
-    rhs[-1] = 1.0
-    pi, *_ = np.linalg.lstsq(m, rhs, rcond=None)
-    return float(pi @ powers[policy])
-
-
-def _constrained_chain_value(p_rows, rewards, powers, starts, ends, n_states,
-                             power_budget):
+def _constrained_chain_value(p_rows, rewards, powers, starts, power_budget):
     """Optimal budget-constrained average reward via the Lagrangian dual.
 
     With a single budget row the dual d(nu) = gain(reward - nu power) +
     nu * budget is convex piecewise linear with no duality gap; its minimum
     is bracketed where the optimal policy's power crosses the budget and
-    located by bisection.
+    located by bisection. Policy iteration at each multiplier starts from
+    the previous multiplier's optimal policy.
     """
+    policy = starts
     if power_budget is None:
-        gain, _ = _chain_policy_gain(p_rows, rewards, starts, ends, n_states)
+        gain, _ = _chain_policy_gain(p_rows, rewards, starts, policy)
         return gain
 
     def best(nu):
+        nonlocal policy
         gain, policy = _chain_policy_gain(
-            p_rows, rewards - nu * powers, starts, ends, n_states
+            p_rows, rewards - nu * powers, starts, policy
         )
-        return gain + nu * power_budget, _chain_policy_power(p_rows, powers, policy)
+        return gain + nu * power_budget, _policy_gain(p_rows, powers, policy)[1]
 
     value, power = best(0.0)
     if power <= power_budget + 1e-12:
@@ -510,7 +506,8 @@ def coupled_mdp_optimal(
     served users.
 
     The optimum is computed by the dense simplex up to _SIMPLEX_VARS_LIMIT
-    variables and through the equivalent Lagrangian dual beyond that; the two
+    variables and beyond that through the equivalent Lagrangian dual, which
+    needs the transition rows but not the LP's equality matrix; the two
     routes agree to well under 1e-8 wherever both run.
 
     action_sets[n] lists (phi, power) pairs; the first entry must be the do
@@ -535,83 +532,84 @@ def coupled_mdp_optimal(
             if not (0.0 <= phi <= 1.0) or power < 0:
                 raise ValueError("action success must be in [0,1], power nonnegative")
 
-    n_states = 2 ** n_users
-    variables = []  # (state, assignment) with assignment[n] = action index
-    rewards = []
-    powers = []
-    columns = []
-    idle_next = np.array([[1.0 - l, l] for l in lam])  # idle: [P(F'=0), P(F'=1)]
-    for s in range(n_states):
+    state_of, rows, rewards, powers = _composite_chain(
+        lam, w, bf, action_sets, served_limit
+    )
+    n_vars, n_states = rows.shape
+    has_budget = power_budget is not None
+    if n_vars <= _SIMPLEX_VARS_LIMIT:
+        a_eq = np.zeros((n_states + 1, n_vars))
+        a_eq[:n_states] = rows.T
+        a_eq[state_of, np.arange(n_vars)] -= 1.0
+        a_eq[n_states, :] = 1.0
+        b_eq = np.zeros(n_states + 1)
+        b_eq[n_states] = 1.0
+        sol = solve_lp(LpProblem(
+            c=-rewards, a_eq=a_eq, b_eq=b_eq,
+            g_ub=powers.reshape(1, -1) if has_budget else None,
+            h_ub=np.array([float(power_budget)]) if has_budget else None,
+        ))
+        if sol.status != "optimal":
+            raise RuntimeError(f"composite chain LP ended {sol.status}")
+        value = -float(sol.objective_value)
+    else:
+        value = _constrained_chain_value(
+            rows, rewards, powers, np.searchsorted(state_of, np.arange(n_states)),
+            float(power_budget) if has_budget else None,
+        )
+    return CoupledMdpResult(
+        value=value,
+        n_variables=n_vars + has_budget,
+        n_constraints=n_states + 1 + has_budget,
+    )
+
+
+def _composite_chain(lam, w, bf, action_sets, served_limit):
+    """State-action pairs of the composite download chain, grouped by state.
+
+    Pairs are enumerated state by state, then by number of served users,
+    served subset and action picks. Returns (state_of, rows, rewards,
+    powers): rows[j] is pair j's transition row over next states, indexed
+    with user 0 in the least significant bit.
+    """
+    n_users = lam.size
+    state_of = []
+    assign = []  # assign[j][u] = action index of user u in pair j
+    for s in range(2 ** n_users):
         active = [u for u in range(n_users) if (s >> u) & 1]
         for k in range(0, min(served_limit, len(active)) + 1):
             for subset in itertools.combinations(active, k):
                 choice_pools = [range(1, len(action_sets[u])) for u in subset]
                 for picks in itertools.product(*choice_pools):
-                    assign = [0] * n_users
+                    row = [0] * n_users
                     for u, a_idx in zip(subset, picks):
-                        assign[u] = a_idx
-                    factors = []
-                    reward = 0.0
-                    power = 0.0
-                    for u in range(n_users):
-                        if (s >> u) & 1:
-                            if assign[u]:
-                                phi, pw = action_sets[u][assign[u]]
-                                done = phi * (1.0 - lam[u])
-                                factors.append(np.array([done, 1.0 - done]))
-                                reward += w[u] * bf[u] * phi
-                                power += pw
-                            else:
-                                factors.append(np.array([0.0, 1.0]))
-                        else:
-                            factors.append(idle_next[u])
-                    probs = factors[-1]
-                    for f in reversed(factors[:-1]):
-                        probs = np.kron(probs, f)
-                    # probs index has user 0 in the least significant bit
-                    variables.append((s, tuple(assign)))
-                    rewards.append(reward)
-                    powers.append(power)
-                    columns.append(probs)
-
-    n_vars = len(variables)
-    a_eq = np.zeros((n_states + 1, n_vars))
-    for j, ((s, _), probs) in enumerate(zip(variables, columns)):
-        a_eq[:n_states, j] = probs
-        a_eq[s, j] -= 1.0
-    a_eq[n_states, :] = 1.0
-    b_eq = np.zeros(n_states + 1)
-    b_eq[n_states] = 1.0
-    if power_budget is not None:
-        g_ub = np.asarray(powers, dtype=float).reshape(1, -1)
-        h_ub = np.array([float(power_budget)])
-    else:
-        g_ub = None
-        h_ub = None
-    problem = LpProblem(
-        c=-np.asarray(rewards, dtype=float), a_eq=a_eq, b_eq=b_eq, g_ub=g_ub, h_ub=h_ub
-    )
-    if n_vars <= _SIMPLEX_VARS_LIMIT:
-        sol = solve_lp(problem)
-        if sol.status != "optimal":
-            raise RuntimeError(f"composite chain LP ended {sol.status}")
-        value = -float(sol.objective_value)
-    else:
-        state_of = np.array([s for s, _ in variables])
-        starts = np.searchsorted(state_of, np.arange(n_states))
-        ends = np.searchsorted(state_of, np.arange(n_states) + 1)
-        value = _constrained_chain_value(
-            np.asarray(columns),
-            np.asarray(rewards, dtype=float),
-            np.asarray(powers, dtype=float),
-            starts, ends, n_states,
-            None if power_budget is None else float(power_budget),
-        )
-    return CoupledMdpResult(
-        value=value,
-        n_variables=problem.n_variables,
-        n_constraints=problem.n_constraints,
-    )
+                        row[u] = a_idx
+                    state_of.append(s)
+                    assign.append(row)
+    state_of = np.array(state_of)
+    assign = np.array(assign).reshape(-1, n_users)
+    n_vars = state_of.size
+    # (phi, power) of each user's action in every pair; the idle action
+    # (0, 0) adds nothing to the sums, as leaving the user out would
+    picked = [np.array(acts, dtype=float)[assign[:, u]].T
+              for u, acts in enumerate(action_sets)]
+    rewards = np.zeros(n_vars)
+    powers = np.zeros(n_vars)
+    for u, (phi, pw) in enumerate(picked):
+        rewards = rewards + w[u] * bf[u] * phi
+        powers = powers + pw
+    # outer products of the per-user next-bit laws from user n - 1 down to
+    # user 0, in np.kron's order: an active user stays active unless served
+    # and done with no fresh arrival, an idle one turns active w.p. lam
+    rows = None
+    for u in reversed(range(n_users)):
+        active = ((state_of >> u) & 1).astype(bool)
+        done = picked[u][0] * (1.0 - lam[u])
+        factor = np.stack([np.where(active, done, 1.0 - lam[u]),
+                           np.where(active, 1.0 - done, lam[u])], axis=1)
+        rows = factor if rows is None else (
+            rows[:, :, None] * factor[:, None, :]).reshape(n_vars, -1)
+    return state_of, rows, rewards, powers
 
 
 # ---------------------------------------------------------------------------

@@ -310,6 +310,51 @@ def coupled_chain_lagrangian(arrival_probs, weights, mean_files, action_sets,
     return min(dual(lo), dual(hi))
 
 
+def composite_chain_by_kron(arrival_probs, weights, mean_files, action_sets,
+                            served_limit):
+    """State-action pairs of the coupled download chain, one pair at a time.
+
+    Same enumeration order as the package's composite chain (state, number
+    served, served subset, action picks). Each transition row is the Kronecker
+    product of the per-user next-bit laws, user n-1 outermost so that user 0
+    sits in the least significant bit; rewards and powers add up user by user.
+    Returns (state_of, rows, rewards, powers) as arrays.
+    """
+    lams = [float(l) for l in arrival_probs]
+    n_users = len(lams)
+    state_of, rows, rewards, powers = [], [], [], []
+    for s in range(2 ** n_users):
+        active = [u for u in range(n_users) if (s >> u) & 1]
+        for k in range(min(served_limit, len(active)) + 1):
+            for subset in itertools.combinations(active, k):
+                pools = [range(1, len(action_sets[u])) for u in subset]
+                for picks in itertools.product(*pools):
+                    chosen = dict(zip(subset, picks))
+                    reward = 0.0
+                    power = 0.0
+                    factors = []
+                    for u in range(n_users):
+                        if u in chosen:
+                            phi, pw = action_sets[u][chosen[u]]
+                            done = phi * (1.0 - lams[u])
+                            factors.append(np.array([done, 1.0 - done]))
+                            reward += weights[u] * mean_files[u] * phi
+                            power += pw
+                        elif (s >> u) & 1:
+                            factors.append(np.array([0.0, 1.0]))
+                        else:
+                            factors.append(np.array([1.0 - lams[u], lams[u]]))
+                    row = factors[-1]
+                    for f in reversed(factors[:-1]):
+                        row = np.kron(row, f)
+                    state_of.append(s)
+                    rows.append(row)
+                    rewards.append(reward)
+                    powers.append(power)
+    return (np.array(state_of), np.array(rows), np.array(rewards),
+            np.array(powers))
+
+
 # ---------------------------------------------------------------------------
 # projection oracle: shrinking-window grid search over null-space coordinates
 # ---------------------------------------------------------------------------

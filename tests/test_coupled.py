@@ -98,6 +98,30 @@ def test_run_matches_slotwise_step_composition():
     _assert_run_matches_step(_two_action_spec(n_systems=3), v=5.0, horizon=300, seed=77)
 
 
+def test_run_matches_step_when_systems_share_a_constraint():
+    # non-integer emissions into one constraint: float addition is not
+    # associative, so step must add them in run's frame-start order
+    def emitter(value, frame_mean):
+        def sampler(rng):
+            t = int(rng.geometric(1.0 / frame_mean))
+            return FrameOutcome(frame_len=t, penalty_total=float(t),
+                                metrics_total=np.array([value * t]),
+                                penalty_slots=np.ones(t),
+                                metrics_slots=np.full((t, 1), value))
+
+        return [ActionModel(action_id=0, exp_penalty=1.0,
+                            exp_metrics=np.array([value]),
+                            exp_frame_len=frame_mean, sampler=sampler)]
+
+    spec = CoupledSystemSpec(
+        systems=[emitter(0.1, 3.0), emitter(0.2, 2.0), emitter(0.7, 5.0),
+                 emitter(0.3, 4.0)],
+        external_process=lambda rng: rng.uniform(0.5, 1.5, size=1),
+        n_constraints=1,
+    )
+    _assert_run_matches_step(spec, v=1.0, horizon=400, seed=3)
+
+
 @pytest.mark.parametrize("v", [1.0, 100.0])
 def test_run_matches_slotwise_step_composition_on_energy_spec(v):
     # sparse frames written ahead by run against dense per-slot profiles

@@ -208,6 +208,29 @@ def test_bandit_kind_with_explicit_users():
     assert set(summary.rows[0]) >= {"throughput_avg", "power_avg", "queue_max"}
 
 
+def _table_two_mapping(file_dist):
+    return {"kind": "bandit", "horizon": 50, "v_values": [20.0], "oracle": True,
+            "instance": {"users": "table-two", "file_dist": file_dist,
+                         "m_servers": 4, "beta": 5}}
+
+
+def test_bandit_oracle_covers_geometric_table_two():
+    # geometric files are memoryless: 9 users, 16,833 chain variables
+    summary = harness.run_experiment(
+        harness.config_from_mapping(_table_two_mapping("geometric")))
+    row = summary.rows[0]
+    assert 0.0 < row["oracle_value"] < np.inf
+    assert row["oracle_gap"] == pytest.approx(
+        row["oracle_value"] - row["throughput_avg"])
+
+
+@pytest.mark.parametrize("file_dist", ["uniform", "poisson"])
+def test_bandit_oracle_refuses_files_with_memory(file_dist):
+    config = harness.config_from_mapping(_table_two_mapping(file_dist))
+    with pytest.raises(harness.ConfigError, match="memoryless users only"):
+        harness.run_experiment(config)
+
+
 def test_ocmdp_kind_runs_example():
     config = harness.config_from_mapping({
         "kind": "ocmdp", "horizon": 200, "v_values": [5.0],

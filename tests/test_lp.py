@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
+from renewalopt.bandit import table_one_users
 from renewalopt.lp import (
     CoupledMdpResult,
     LpProblem,
@@ -339,6 +340,67 @@ def test_coupled_matches_lagrangian_oracle():
     res = coupled_mdp_optimal(**args)
     lag = oracles.coupled_chain_lagrangian(**args)
     assert res.value == pytest.approx(lag, abs=1e-8)
+
+
+# Howard/Lagrangian optimum of the table-one instance (M=4, beta=5), from
+# oracles.coupled_chain_lagrangian
+TABLE_ONE_OPTIMUM = 5.508943966602235
+
+
+def test_coupled_table_one_matches_stored_lagrangian_optimum():
+    users = table_one_users()
+    res = coupled_mdp_optimal(
+        [u.lam for u in users], [u.weight for u in users],
+        [u.mean_file for u in users], [u.actions for u in users],
+        served_limit=4, power_budget=5.0,
+    )
+    assert res.value == pytest.approx(TABLE_ONE_OPTIMUM, abs=1e-9)
+    assert (res.n_variables, res.n_constraints) == (5985, 258)
+
+
+@pytest.mark.parametrize("served_limit", [1, 2, 3])
+def test_composite_rows_match_kron_reference(served_limit):
+    import renewalopt.lp as lp_mod
+
+    lam = [0.23, 0.61, 0.07]
+    weights = [1.7, 0.9, 3.1]
+    mean_files = [2.5, 1.3, 4.0]
+    acts = [
+        [(0.0, 0.0), (0.37, 1.1)],
+        [(0.0, 0.0), (0.29, 0.7), (0.83, 2.9)],
+        [(0.0, 0.0), (0.0, 0.4), (0.51, 1.9)],
+    ]
+    built = lp_mod._composite_chain(
+        np.array(lam), np.array(weights), np.array(mean_files), acts, served_limit
+    )
+    reference = oracles.composite_chain_by_kron(lam, weights, mean_files, acts,
+                                                served_limit)
+    for got, want in zip(built, reference):
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_policy_iteration_gain_does_not_depend_on_the_start(seed):
+    import renewalopt.lp as lp_mod
+
+    rng = np.random.default_rng(seed)
+    n_states = int(rng.integers(3, 12))
+    counts = rng.integers(1, 4, size=n_states)
+    starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
+    n_rows = int(counts.sum())
+    # every row reaches every state, so each policy's chain is unichain
+    p_rows = rng.dirichlet(np.ones(n_states), size=n_rows)
+    rewards = rng.normal(size=n_rows)
+    gain, policy = lp_mod._chain_policy_gain(p_rows, rewards, starts, starts)
+    for _ in range(3):
+        random_start = starts + rng.integers(0, counts)
+        warm, _ = lp_mod._chain_policy_gain(p_rows, rewards, starts, random_start)
+        assert warm == pytest.approx(gain, abs=1e-10)
+    # the answer is stable: starting from it changes nothing
+    again, same = lp_mod._chain_policy_gain(p_rows, rewards, starts, policy)
+    assert np.array_equal(same, policy)
+    assert again == pytest.approx(gain, abs=1e-10)
 
 
 def test_coupled_validation():
