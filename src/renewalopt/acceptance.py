@@ -275,8 +275,9 @@ def ocmdp_scaling() -> CriterionResult:
             viols.append(violations)
             for poly, thetas in zip(polys, log.thetas):
                 affine = np.abs(thetas @ poly.aff_a.T - poly.aff_b).max()
-                worst_membership = max(worst_membership, float(affine),
-                                       float(-thetas.min()))
+                # np.max, unlike max, carries a NaN through to the check
+                worst_membership = float(np.max(
+                    [worst_membership, affine, -thetas.min()]))
         mean_regret[horizon] = float(np.mean(regrets))
         mean_viol[horizon] = np.mean(viols, axis=0)
     checks = [worst_membership <= 1e-8]

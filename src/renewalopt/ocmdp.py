@@ -15,14 +15,20 @@ projected gradient step
 and the shared virtual queues absorb the expected constraint usage of the new
 occupation vectors. Projections are exact: an active-set method walks the
 faces of the polyhedron and stops, after finitely many, when the bound
-multipliers certify optimality. True trajectories are simulated alongside the
-occupation iterates: policies are recovered from theta, actions are sampled,
-the chains advance, and realized penalties feed the regret accounting against
-the best stationary baseline from ``lp.stationary_baseline``.
+multipliers certify optimality. Membership is enforced there, once per
+update: the projection clamps theta at zero and raises unless its affine
+residual is within 1e-8; the ocmdp-scaling acceptance criterion re-checks
+every logged theta against the same bound. True trajectories are simulated alongside the
+occupation iterates: the visited state's row of theta gives the action
+distribution, actions and next states are drawn by inverting the same CDFs,
+on the same uniform draws, as ``Generator.choice``, and realized penalties
+feed the regret accounting against the best stationary baseline from
+``lp.stationary_baseline``.
 """
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 import json
 import math
@@ -35,6 +41,8 @@ from renewalopt import lp
 
 _MEMBERSHIP_TOL = 1e-8
 _ROW_SUM_TOL = 1e-12
+# Generator.choice rejects p whose sum misses 1 by more than this
+_CHOICE_ATOL = math.sqrt(np.finfo(np.float64).eps)
 
 
 @dataclass
@@ -130,17 +138,19 @@ class MdpSpec:
         return self.f_mean + math.sin(2.0 * math.pi * slot / period) * direction
 
     def sample_tables(self, slot: int, rng: np.random.Generator) -> Tuple[np.ndarray, np.ndarray]:
-        """Realized (f, g) tables for one slot: mean + uniform noise, clipped."""
-        f = self.mean_f_at(slot).copy()
-        g = self.g_means.copy()
+        """Realized (f, g) tables for one slot: mean + uniform noise, clipped.
+
+        f and g are views of one buffer, noised by one uniform draw over f
+        then g: the same stream as one draw for f followed by one for g.
+        """
+        f_mean = self.mean_f_at(slot)
+        tables = np.concatenate((f_mean.ravel(), self.g_means.ravel()))
         if self.noise > 0.0:
-            f += rng.uniform(-self.noise, self.noise, size=f.shape)
-            if g.size:
-                g += rng.uniform(-self.noise, self.noise, size=g.shape)
-        np.clip(f, -self.psi, self.psi, out=f)
-        if g.size:
-            np.clip(g, -self.psi, self.psi, out=g)
-        return f, g
+            tables += rng.uniform(-self.noise, self.noise, size=tables.size)
+        np.maximum(tables, -self.psi, out=tables)
+        np.minimum(tables, self.psi, out=tables)
+        split = f_mean.size
+        return tables[:split].reshape(f_mean.shape), tables[split:].reshape(self.g_means.shape)
 
 
 def _stationary_distribution(p: np.ndarray) -> np.ndarray:
@@ -160,7 +170,9 @@ class PolyhedronTheta:
     ``aff_a theta = aff_b`` stacks the balance equations (one redundant row
     dropped) and the simplex normalization; the orthant theta >= 0 completes
     the set. ``uniform_theta`` is the uniform policy's stationary occupation
-    vector: membership witness and the projection's start. ``faces`` memoises
+    vector: membership witness and the projection's start.
+    ``next_state_cdfs[a][s]`` is the inverse CDF of the next state after
+    action a in state s (see :func:`_choice_cdf`). ``faces`` memoises
     :meth:`face` on the object itself, so no memo outlives its polyhedron.
     """
 
@@ -170,13 +182,17 @@ class PolyhedronTheta:
     n_states: int
     n_actions: int
     uniform_theta: np.ndarray = field(repr=False)
+    next_state_cdfs: List[List[List[float]]] = field(repr=False)
     faces: dict = field(default_factory=dict, repr=False, compare=False)
 
     def membership_residual(self, theta: np.ndarray) -> float:
-        """How far a vector sits outside the polyhedron, in infinity norm."""
+        """How far a vector sits outside the polyhedron, in infinity norm;
+        infinite for a vector that is not finite."""
         theta = np.asarray(theta, dtype=float).ravel()
         if theta.size != self.dim:
             raise ValueError("vector length does not match the polyhedron")
+        if not np.isfinite(theta).all():
+            return math.inf
         affine = float(np.abs(self.aff_a @ theta - self.aff_b).max())
         negative = float(max(0.0, -theta.min()))
         return max(affine, negative)
@@ -201,7 +217,7 @@ def build_polyhedron(spec: MdpSpec) -> PolyhedronTheta:
     dropped before the simplex row is appended. The uniform policy's
     stationary occupation vector is computed and checked for membership
     within 1e-9; failure means the transition tensor is numerically broken
-    and raises.
+    and raises. Each transition row's inverse CDF is built here, once.
     """
     p = np.asarray(spec.transitions, dtype=float)
     if (p < 0.0).any() or np.abs(p.sum(axis=2) - 1.0).max() > _ROW_SUM_TOL:
@@ -225,9 +241,10 @@ def build_polyhedron(spec: MdpSpec) -> PolyhedronTheta:
         n_states=n_s,
         n_actions=n_a,
         uniform_theta=uniform_theta,
+        next_state_cdfs=[[_choice_cdf(row) for row in p[a]] for a in range(n_a)],
     )
     witness = poly.membership_residual(uniform_theta)
-    if witness > 1e-9:
+    if not witness <= 1e-9:
         raise RuntimeError(
             f"uniform stationary vector misses the polyhedron by {witness:.3e}"
         )
@@ -247,7 +264,7 @@ def project_onto_theta(poly: PolyhedronTheta, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float).ravel()
     if x.size != poly.dim:
         raise ValueError("vector length does not match the polyhedron")
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise ValueError("projection input must be finite")
     z = np.maximum(poly.uniform_theta, 0.0)
     free = z > 0.0
@@ -257,10 +274,10 @@ def project_onto_theta(poly: PolyhedronTheta, x: np.ndarray) -> np.ndarray:
     while True:
         null_proj, multipliers = poly.face(free)
         p = np.where(free, null_proj @ (x - z), 0.0)
-        shrinking = np.flatnonzero(free & (p < 0.0))
+        shrinking = (free & (p < 0.0)).nonzero()[0]
         ratios = z[shrinking] / -p[shrinking]
         if ratios.size and ratios.min() < 1.0:
-            k = int(np.argmin(ratios))
+            k = int(ratios.argmin())
             z = np.maximum(z + ratios[k] * p, 0.0)
             z[shrinking[k]] = 0.0
             free[shrinking[k]] = False
@@ -269,30 +286,52 @@ def project_onto_theta(poly: PolyhedronTheta, x: np.ndarray) -> np.ndarray:
         mu = multipliers @ (z - x)
         if not mu.size or mu.min() >= -rounding:
             break
-        free[np.flatnonzero(~free)[np.argmin(mu)]] = True
+        free[(~free).nonzero()[0][mu.argmin()]] = True
     z = np.maximum(z, 0.0)
     affine = float(np.abs(poly.aff_a @ z - poly.aff_b).max())
-    if affine > _MEMBERSHIP_TOL:
+    if not affine <= _MEMBERSHIP_TOL:
         raise RuntimeError(
             f"projection affine residual {affine:.3e} exceeds {_MEMBERSHIP_TOL}"
         )
     return z
 
 
-def recover_policy(theta: np.ndarray, n_states: int, n_actions: int) -> np.ndarray:
-    """Conditional action distribution encoded by an occupation vector.
+def _choice_cdf(p: np.ndarray) -> List[float]:
+    """The inverse CDF that ``Generator.choice(p.size, p=p)`` searches.
 
-    Rows are theta(s, .) divided by the state marginal. A state with zero
-    marginal carries no probability mass under theta, so any distribution
-    works there; the uniform one is substituted to keep every row a
-    distribution for the simulator.
+    Raises unless p passes choice's own check: nonnegative, with a Kahan sum
+    within sqrt(eps) of 1. ``bisect_right(cdf, rng.random())`` then draws
+    the index choice would draw, from the same uniform.
     """
-    table = np.asarray(theta, dtype=float).reshape(n_states, n_actions)
-    marginals = table.sum(axis=1)
-    policy = np.full((n_states, n_actions), 1.0 / n_actions)
-    positive = marginals > 0.0
-    policy[positive] = table[positive] / marginals[positive, None]
-    return policy
+    values = p.tolist()
+    total, carry = values[0], 0.0
+    for value in values[1:]:
+        y = value - carry
+        t = total + y
+        carry = (t - total) - y
+        total = t
+    if not abs(total - 1.0) <= _CHOICE_ATOL or min(values) < 0.0:
+        raise ValueError("probabilities must be nonnegative and sum to 1")
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return cdf.tolist()
+
+
+def _play(poly: PolyhedronTheta, theta: np.ndarray, s: int,
+          rng: np.random.Generator) -> Tuple[int, int]:
+    """Draw an action at state s under the policy theta encodes, then the
+    next state.
+
+    The action distribution is theta(s, .) over its marginal, renormalised;
+    a state with no positive marginal carries no mass under theta, so any
+    distribution works there and the uniform one is used.
+    """
+    n_a = poly.n_actions
+    row = theta[s * n_a : (s + 1) * n_a]
+    marginal = row.sum()
+    row = row / marginal if marginal > 0.0 else np.full(n_a, 1.0 / n_a)
+    a = bisect.bisect_right(_choice_cdf(row / row.sum()), rng.random())
+    return a, bisect.bisect_right(poly.next_state_cdfs[a][s], rng.random())
 
 
 @dataclass
@@ -326,49 +365,35 @@ def ocmdp_step(
     """Advance every system by one slot using the previous slot's tables.
 
     Per system: fold the revealed tables into w = v*f + sum_i Q_i * g_i,
-    project theta - w/(2*alpha) back onto the polyhedron, recover the
-    policy, sample an action at the current true state and advance the
-    chain. The virtual queues then absorb the expected constraint usage of
-    the new occupation vectors. Returns the successor state and the sampled
-    actions. Each new theta is hard-checked for membership within 1e-8.
+    project theta - w/(2*alpha) back onto the polyhedron, then draw an action
+    at the current true state from the new theta and advance the chain. The
+    virtual queues then absorb the expected constraint usage of the new
+    occupation vectors. Returns the successor state and the sampled actions.
+    Membership of each new theta is enforced by :func:`project_onto_theta`,
+    which clamps it at zero and raises if its affine residual exceeds 1e-8,
+    and re-checked per logged slot by the ocmdp-scaling acceptance criterion.
     """
     if not alpha > 0.0:
         raise ValueError("alpha must be positive")
-    n_sys = len(specs)
     queues = state.queues
+    step = 2.0 * alpha
     new_thetas: List[np.ndarray] = []
-    actions = np.zeros(n_sys, dtype=int)
+    actions = np.zeros(len(specs), dtype=int)
     new_states = state.states.copy()
-    for k in range(n_sys):
-        spec, poly = specs[k], polys[k]
-        w = v * np.asarray(f_prev[k], dtype=float)
-        g_k = np.asarray(g_prev[k], dtype=float).reshape(spec.n_constraints, spec.n_states, spec.n_actions)
+    drift = np.zeros(queues.shape)
+    for k, poly in enumerate(polys):
+        g_flat = g_prev[k].reshape(queues.size, poly.dim)
+        w = v * f_prev[k].ravel()
         if queues.size:
-            w = w + np.tensordot(queues, g_k, axes=1)
-        theta = project_onto_theta(poly, state.thetas[k] - w.ravel() / (2.0 * alpha))
-        residual = poly.membership_residual(theta)
-        if residual > _MEMBERSHIP_TOL:
-            raise RuntimeError(
-                f"occupation vector left the polyhedron (residual {residual:.3e})"
-            )
+            w = w + queues @ g_flat
+        theta = project_onto_theta(poly, state.thetas[k] - w / step)
+        if queues.size:
+            drift += g_flat @ theta
         new_thetas.append(theta)
-        policy = recover_policy(theta, spec.n_states, spec.n_actions)
-        s_now = int(state.states[k])
-        row = policy[s_now]
-        a = int(rngs[k].choice(spec.n_actions, p=row / row.sum()))
-        actions[k] = a
-        new_states[k] = int(rngs[k].choice(spec.n_states, p=spec.transitions[a, s_now]))
-    if queues.size:
-        drift = np.zeros_like(queues)
-        for k in range(n_sys):
-            g_k = np.asarray(g_prev[k], dtype=float).reshape(specs[k].n_constraints, -1)
-            drift += g_k @ new_thetas[k]
-        new_queues = np.maximum(queues + drift, 0.0)
-    else:
-        new_queues = queues.copy()
+        actions[k], new_states[k] = _play(poly, theta, int(state.states[k]), rngs[k])
     successor = OcmdpState(
         thetas=new_thetas,
-        queues=new_queues,
+        queues=np.maximum(queues + drift, 0.0),
         states=new_states,
         slot=state.slot + 1,
         v=v,
@@ -545,7 +570,7 @@ def run_ocmdp(
         thetas = [np.asarray(t, dtype=float).ravel().copy() for t in theta0]
         for poly, theta in zip(polys, thetas):
             residual = poly.membership_residual(theta)
-            if residual > _MEMBERSHIP_TOL:
+            if not residual <= _MEMBERSHIP_TOL:
                 raise ValueError(
                     f"theta0 lies outside its polyhedron (residual {residual:.3e})"
                 )
@@ -576,49 +601,31 @@ def run_ocmdp(
         v=float(v),
         alpha=float(alpha),
     )
-    # slot 0: play theta0 as-is; the first projected update happens at slot 1
-    # and the queue stays at zero through it (Q(0) = Q(1) = 0).
-    visited0 = states.copy()
-    actions0 = np.zeros(n_sys, dtype=int)
-    for k, (spec, rng) in enumerate(zip(specs, rngs)):
-        policy = recover_policy(state.thetas[k], spec.n_states, spec.n_actions)
-        row = policy[int(visited0[k])]
-        actions0[k] = int(rng.choice(spec.n_actions, p=row / row.sum()))
-        state.states[k] = int(
-            rng.choice(spec.n_states, p=spec.transitions[actions0[k], int(visited0[k])])
-        )
-    tables = [spec.sample_tables(0, rng) for spec, rng in zip(specs, rngs)]
-    states_log[0] = visited0
-    actions_log[0] = actions0
-    for k in range(n_sys):
-        thetas_log[k][0] = state.thetas[k]
-        f_tab, g_tab = tables[k]
-        realized_f[0] += f_tab[visited0[k], actions0[k]]
-        if m:
-            realized_g[0] += g_tab[:, visited0[k], actions0[k]]
-
-    for t in range(1, horizon):
-        visited = state.states.copy()
-        state, acts = ocmdp_step(
-            specs,
-            polys,
-            state,
-            [tab[0] for tab in tables],
-            [tab[1] for tab in tables],
-            float(v),
-            float(alpha),
-            rngs,
-        )
-        tables = [spec.sample_tables(t, rng) for spec, rng in zip(specs, rngs)]
+    for t in range(horizon):
+        visited = state.states
+        if t:
+            state, acts = ocmdp_step(
+                specs, polys, state, f_tabs, g_tabs, float(v), float(alpha), rngs
+            )
+        else:
+            # slot 0 plays theta0 as-is; the first projected update happens at
+            # slot 1 and the queue stays at zero through it (Q(0) = Q(1) = 0).
+            acts = np.zeros(n_sys, dtype=int)
+            state.states = visited.copy()
+            for k in range(n_sys):
+                acts[k], state.states[k] = _play(polys[k], state.thetas[k], int(visited[k]), rngs[k])
+        f_tabs, g_tabs = zip(*[spec.sample_tables(t, rng) for spec, rng in zip(specs, rngs)])
         queues_log[t + 1] = state.queues
         states_log[t] = visited
         actions_log[t] = acts
+        penalty = 0.0
         for k in range(n_sys):
+            s, a = visited[k], acts[k]
             thetas_log[k][t] = state.thetas[k]
-            f_tab, g_tab = tables[k]
-            realized_f[t] += f_tab[visited[k], acts[k]]
+            penalty += f_tabs[k][s, a]
             if m:
-                realized_g[t] += g_tab[:, visited[k], acts[k]]
+                realized_g[t] += g_tabs[k][:, s, a]
+        realized_f[t] = penalty
 
     return OcmdpLog(
         v=float(v),
@@ -632,74 +639,6 @@ def run_ocmdp(
         states=states_log,
         actions=actions_log,
         thetas=thetas_log,
-    )
-
-
-def run_fixed_policy(
-    specs: Sequence[MdpSpec],
-    thetas: Sequence[np.ndarray],
-    horizon: int,
-    seed: int = 0,
-    initial_states: Optional[Sequence[int]] = None,
-) -> OcmdpLog:
-    """Play fixed occupation vectors on the true chains, no adaptation.
-
-    Used to replay a stationary benchmark in the real system; the log has
-    all-zero queues and constant theta rows so it can feed the same
-    measurement code as an adaptive run.
-    """
-    if horizon < 1:
-        raise ValueError("horizon must be at least 1")
-    m = _common_constraint_count(specs)
-    n_sys = len(specs)
-    if len(thetas) != n_sys:
-        raise ValueError("need one occupation vector per system")
-    polys = [build_polyhedron(spec) for spec in specs]
-    fixed = [np.asarray(t, dtype=float).ravel() for t in thetas]
-    for poly, theta in zip(polys, fixed):
-        residual = poly.membership_residual(theta)
-        if residual > _MEMBERSHIP_TOL:
-            raise ValueError(
-                f"occupation vector outside its polyhedron (residual {residual:.3e})"
-            )
-    policies = [
-        recover_policy(theta, spec.n_states, spec.n_actions)
-        for spec, theta in zip(specs, fixed)
-    ]
-    if initial_states is None:
-        states = np.zeros(n_sys, dtype=int)
-    else:
-        states = np.asarray(initial_states, dtype=int).copy()
-    rngs = _spawn_rngs(seed, n_sys)
-
-    realized_f = np.zeros(horizon)
-    realized_g = np.zeros((horizon, m))
-    states_log = np.zeros((horizon, n_sys), dtype=int)
-    actions_log = np.zeros((horizon, n_sys), dtype=int)
-    for t in range(horizon):
-        for k, (spec, rng) in enumerate(zip(specs, rngs)):
-            s_now = int(states[k])
-            row = policies[k][s_now]
-            a = int(rng.choice(spec.n_actions, p=row / row.sum()))
-            states[k] = int(rng.choice(spec.n_states, p=spec.transitions[a, s_now]))
-            f_tab, g_tab = spec.sample_tables(t, rng)
-            states_log[t, k] = s_now
-            actions_log[t, k] = a
-            realized_f[t] += f_tab[s_now, a]
-            if m:
-                realized_g[t] += g_tab[:, s_now, a]
-    return OcmdpLog(
-        v=0.0,
-        alpha=math.inf,
-        horizon=horizon,
-        seed=seed,
-        fingerprint=instance_fingerprint(specs),
-        queues=np.zeros((horizon + 1, m)),
-        realized_f=realized_f,
-        realized_g=realized_g,
-        states=states_log,
-        actions=actions_log,
-        thetas=[np.tile(theta, (horizon, 1)) for theta in fixed],
     )
 
 

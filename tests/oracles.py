@@ -3,6 +3,8 @@
 Everything in this file is deliberately written from first principles (exhaustive
 enumeration, grid search, direct linear solves) and must not call into the package
 implementations it is used to check. Slow is fine here; these run on small instances.
+The exception is the last section: earlier, plainer versions of package code, kept
+so the tests can require the package to reproduce them bit for bit.
 """
 
 from __future__ import annotations
@@ -11,6 +13,8 @@ import itertools
 import math
 
 import numpy as np
+
+from renewalopt import ocmdp
 
 
 # ---------------------------------------------------------------------------
@@ -533,3 +537,100 @@ def online_select_bruteforce(y_row, t_row, z_rows, budgets, queues, theta, v):
         if best_val is None or val < best_val:
             best, best_val = a, val
     return best
+
+
+# ---------------------------------------------------------------------------
+# ocmdp reference versions: numpy's Generator.choice and a two-draw table sampler
+# ---------------------------------------------------------------------------
+
+def sample_tables_two_draws(spec, slot, rng):
+    """Realized (f, g) tables of ``spec`` for one slot, noising f and g with
+    one uniform draw each."""
+    f = spec.mean_f_at(slot).copy()
+    g = spec.g_means.copy()
+    if spec.noise > 0.0:
+        f += rng.uniform(-spec.noise, spec.noise, size=f.shape)
+        if g.size:
+            g += rng.uniform(-spec.noise, spec.noise, size=g.shape)
+    np.clip(f, -spec.psi, spec.psi, out=f)
+    if g.size:
+        np.clip(g, -spec.psi, spec.psi, out=g)
+    return f, g
+
+
+def recover_policy(theta, n_states, n_actions):
+    """Conditional action distribution encoded by an occupation vector.
+
+    Rows are theta(s, .) divided by the state marginal. A state with zero
+    marginal carries no probability mass under theta, so any distribution
+    works there; the uniform one is substituted to keep every row a
+    distribution for the simulator.
+    """
+    table = np.asarray(theta, dtype=float).reshape(n_states, n_actions)
+    marginals = table.sum(axis=1)
+    policy = np.full((n_states, n_actions), 1.0 / n_actions)
+    positive = marginals > 0.0
+    policy[positive] = table[positive] / marginals[positive, None]
+    return policy
+
+
+def run_fixed_policy(specs, thetas, horizon, seed=0, initial_states=None):
+    """Play fixed occupation vectors on the true chains, no adaptation.
+
+    Used to replay a stationary benchmark in the real system; the log has
+    all-zero queues and constant theta rows so it can feed the same
+    measurement code as an adaptive run.
+    """
+    if horizon < 1:
+        raise ValueError("horizon must be at least 1")
+    m = ocmdp._common_constraint_count(specs)
+    n_sys = len(specs)
+    if len(thetas) != n_sys:
+        raise ValueError("need one occupation vector per system")
+    polys = [ocmdp.build_polyhedron(spec) for spec in specs]
+    fixed = [np.asarray(t, dtype=float).ravel() for t in thetas]
+    for poly, theta in zip(polys, fixed):
+        residual = poly.membership_residual(theta)
+        if not residual <= ocmdp._MEMBERSHIP_TOL:
+            raise ValueError(
+                f"occupation vector outside its polyhedron (residual {residual:.3e})"
+            )
+    policies = [
+        recover_policy(theta, spec.n_states, spec.n_actions)
+        for spec, theta in zip(specs, fixed)
+    ]
+    if initial_states is None:
+        states = np.zeros(n_sys, dtype=int)
+    else:
+        states = np.asarray(initial_states, dtype=int).copy()
+    rngs = ocmdp._spawn_rngs(seed, n_sys)
+
+    realized_f = np.zeros(horizon)
+    realized_g = np.zeros((horizon, m))
+    states_log = np.zeros((horizon, n_sys), dtype=int)
+    actions_log = np.zeros((horizon, n_sys), dtype=int)
+    for t in range(horizon):
+        for k, (spec, rng) in enumerate(zip(specs, rngs)):
+            s_now = int(states[k])
+            row = policies[k][s_now]
+            a = int(rng.choice(spec.n_actions, p=row / row.sum()))
+            states[k] = int(rng.choice(spec.n_states, p=spec.transitions[a, s_now]))
+            f_tab, g_tab = spec.sample_tables(t, rng)
+            states_log[t, k] = s_now
+            actions_log[t, k] = a
+            realized_f[t] += f_tab[s_now, a]
+            if m:
+                realized_g[t] += g_tab[:, s_now, a]
+    return ocmdp.OcmdpLog(
+        v=0.0,
+        alpha=math.inf,
+        horizon=horizon,
+        seed=seed,
+        fingerprint=ocmdp.instance_fingerprint(specs),
+        queues=np.zeros((horizon + 1, m)),
+        realized_f=realized_f,
+        realized_g=realized_g,
+        states=states_log,
+        actions=actions_log,
+        thetas=[np.tile(theta, (horizon, 1)) for theta in fixed],
+    )

@@ -1,4 +1,7 @@
+import bisect
+import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
@@ -6,7 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from renewalopt import lp, ocmdp
-from oracles import coupled_baseline_dual_scan, grid_project
+from oracles import (
+    coupled_baseline_dual_scan,
+    grid_project,
+    recover_policy,
+    run_fixed_policy,
+    sample_tables_two_draws,
+)
 
 
 def _spec_2x2(seed, noise=0.0, m=1):
@@ -60,6 +69,23 @@ class TestMdpSpec:
             assert np.abs(f).max() <= spec.psi + 1e-12
             assert np.abs(g).max() <= spec.psi + 1e-12
 
+    @pytest.mark.parametrize("noise, m, drift", [
+        (0.0, 1, False), (0.4, 1, False), (0.4, 0, False), (0.4, 2, True), (0.0, 0, True),
+    ])
+    def test_one_draw_tables_equal_two_draws(self, noise, m, drift):
+        rng = np.random.default_rng(m)
+        p = np.full((3, 2, 2), 0.5)
+        direction = (rng.uniform(-1.0, 1.0, size=(2, 3)), 17.0) if drift else None
+        spec = ocmdp.MdpSpec(p, rng.uniform(-1.0, 1.0, size=(2, 3)),
+                             rng.uniform(-1.0, 1.0, size=(m, 2, 3)),
+                             noise=noise, f_drift=direction)
+        ours, twin = np.random.default_rng(9), np.random.default_rng(9)
+        for t in range(60):
+            for new, old in zip(spec.sample_tables(t, ours), sample_tables_two_draws(spec, t, twin)):
+                assert new.shape == old.shape
+                assert new.tobytes() == old.tobytes()
+        assert ours.bit_generator.state == twin.bit_generator.state
+
     def test_drift_moves_the_mean(self):
         p = np.full((2, 2, 2), 0.5)
         direction = np.array([[1.0, 0.0], [0.0, -1.0]])
@@ -104,6 +130,13 @@ class TestPolyhedron:
         theta = np.repeat(d, 2) / 2.0
         assert poly.membership_residual(theta) < 1e-9
         np.testing.assert_allclose(poly.uniform_theta, theta, atol=1e-12)
+
+    def test_nonfinite_vector_is_infinitely_far(self):
+        poly = ocmdp.build_polyhedron(_spec_2x2(4))
+        for bad in (np.nan, np.inf, -np.inf):
+            theta = poly.uniform_theta.copy()
+            theta[2] = bad
+            assert poly.membership_residual(theta) == math.inf
 
     def test_build_rejects_mutated_transitions(self):
         spec = _spec_2x2(3)
@@ -253,14 +286,14 @@ class TestProjection:
 class TestPolicyRecovery:
     def test_rows_sum_to_one_where_marginal_positive(self):
         theta = np.array([0.1, 0.3, 0.0, 0.6])
-        policy = ocmdp.recover_policy(theta, 2, 2)
+        policy = recover_policy(theta, 2, 2)
         np.testing.assert_allclose(policy.sum(axis=1), [1.0, 1.0])
         np.testing.assert_allclose(policy[0], [0.25, 0.75])
         np.testing.assert_allclose(policy[1], [0.0, 1.0])
 
     def test_zero_marginal_gets_uniform_row(self):
         theta = np.array([0.0, 0.0, 0.4, 0.6])
-        policy = ocmdp.recover_policy(theta, 2, 2)
+        policy = recover_policy(theta, 2, 2)
         np.testing.assert_allclose(policy[0], [0.5, 0.5])
         np.testing.assert_allclose(policy[1], [0.4, 0.6])
 
@@ -304,9 +337,12 @@ class TestStep:
         end = log.thetas[0][-1]
         assert f.ravel() @ end < f.ravel() @ start - 0.2
 
-    def test_bad_projection_output_is_caught(self, monkeypatch):
+    @staticmethod
+    def _step_with_face(face):
         specs = ocmdp.two_mdp_example(noise=0.0)
         polys = [ocmdp.build_polyhedron(s) for s in specs]
+        for poly in polys:
+            poly.face = face
         state = ocmdp.OcmdpState(
             thetas=[p.uniform_theta.copy() for p in polys],
             queues=np.zeros(1),
@@ -317,16 +353,132 @@ class TestStep:
         )
         rngs = [np.random.default_rng(k) for k in range(2)]
         tables = [s.sample_tables(0, rngs[k]) for k, s in enumerate(specs)]
+        return ocmdp.ocmdp_step(
+            specs, polys, state,
+            [t[0] for t in tables], [t[1] for t in tables], 1.0, 10.0, rngs,
+        )
 
-        def bogus(poly, x, **kwargs):
-            return np.abs(np.asarray(x, dtype=float).ravel()) + 0.5
+    def test_bad_projection_output_is_caught(self):
+        # The projection's clamp and affine check is the one membership gate
+        # on each new theta. A face "projector" that steps straight to the
+        # input leaves the affine hull, and the step must stop there.
+        def identity_face(free):
+            return np.eye(free.size), np.zeros(((~free).sum(), free.size))
 
-        monkeypatch.setattr(ocmdp, "project_onto_theta", bogus)
-        with pytest.raises(RuntimeError, match="left the polyhedron"):
-            ocmdp.ocmdp_step(
-                specs, polys, state,
-                [t[0] for t in tables], [t[1] for t in tables], 1.0, 10.0, rngs,
-            )
+        with pytest.raises(RuntimeError, match="projection affine residual"):
+            self._step_with_face(identity_face)
+
+    def test_nan_projection_output_is_caught(self):
+        def nan_face(free):
+            return np.full((free.size, free.size), np.nan), np.zeros(((~free).sum(), free.size))
+
+        with pytest.raises(RuntimeError, match="projection affine residual nan"):
+            self._step_with_face(nan_face)
+
+
+class TestSampling:
+    """The draws must pick the index ``Generator.choice`` picks, from the
+    same stream, so seeded runs keep their trajectories."""
+
+    _weights = st.one_of(st.just(0.0), st.floats(min_value=1e-9, max_value=1e3))
+
+    @staticmethod
+    def _two_states(n_actions, seed):
+        p = np.random.default_rng(seed).uniform(size=(n_actions, 2, 2))
+        p /= p.sum(axis=2, keepdims=True)
+        spec = ocmdp.MdpSpec(p, np.zeros((2, n_actions)), np.zeros((0, 2, n_actions)))
+        return p, ocmdp.build_polyhedron(spec)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_action_draw_matches_generator_choice(self, data):
+        # n >= 8 takes numpy's pairwise summation for the state marginal
+        n = data.draw(st.integers(min_value=1, max_value=12))
+        theta = np.array(data.draw(st.lists(self._weights, min_size=2 * n, max_size=2 * n)))
+        s = data.draw(st.integers(min_value=0, max_value=1))
+        seed = data.draw(st.integers(min_value=0, max_value=2 ** 32 - 1))
+        p, poly = self._two_states(n, seed)
+        ours, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+        a, s_next = ocmdp._play(poly, theta, s, ours)
+        row = recover_policy(theta, 2, n)[s]
+        assert a == twin.choice(n, p=row / row.sum())
+        assert s_next == twin.choice(2, p=p[a, s])
+        assert ours.bit_generator.state == twin.bit_generator.state
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_transition_draw_matches_generator_choice(self, data):
+        n = data.draw(st.integers(min_value=1, max_value=12))
+        law = np.array(data.draw(st.lists(self._weights, min_size=n, max_size=n)
+                                 .filter(lambda w: sum(w) > 0.0)))
+        law /= law.sum()
+        seed = data.draw(st.integers(min_value=0, max_value=2 ** 32 - 1))
+        # one action whose next state is drawn from the same law everywhere
+        p = np.tile(law, (1, n, 1))
+        poly = ocmdp.build_polyhedron(ocmdp.MdpSpec(p, np.zeros((n, 1)), np.zeros((0, n, 1))))
+        s = data.draw(st.integers(min_value=0, max_value=n - 1))
+        ours, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert bisect.bisect_right(ocmdp._choice_cdf(law), ours.random()) == twin.choice(n, p=law)
+        a, s_next = ocmdp._play(poly, law, s, ours)
+        assert a == twin.choice(1, p=[1.0])
+        assert s_next == twin.choice(n, p=law)
+        assert ours.bit_generator.state == twin.bit_generator.state
+
+    class _Uniforms:
+        """Stands in for a Generator whose next uniforms are given."""
+
+        def __init__(self, *values):
+            self.values = list(values)
+
+        def random(self):
+            return self.values.pop(0)
+
+    @staticmethod
+    def _choice_cdf_reference(p):
+        # what Generator.choice(p.size, p=p) searches with its uniform
+        cdf = p.cumsum()
+        cdf /= cdf[-1]
+        return cdf
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_draws_split_exactly_where_choice_does(self, data):
+        # uniforms one ulp either side of each CDF step tell apart CDFs
+        # that differ in their last bit, which random uniforms almost never do
+        n = data.draw(st.integers(min_value=1, max_value=12))
+        theta = np.array(data.draw(st.lists(self._weights, min_size=2 * n, max_size=2 * n)))
+        s = data.draw(st.integers(min_value=0, max_value=1))
+        p, poly = self._two_states(n, data.draw(st.integers(min_value=0, max_value=10 ** 6)))
+        row = recover_policy(theta, 2, n)[s]
+        action_cdf = self._choice_cdf_reference(row / row.sum())
+        for edge in action_cdf:
+            for u in (np.nextafter(edge, 0.0), edge, np.nextafter(edge, 1.0)):
+                if u >= 1.0:
+                    continue
+                a = int(action_cdf.searchsorted(u, "right"))
+                state_cdf = self._choice_cdf_reference(p[a, s])
+                for w in (np.nextafter(state_cdf[0], 0.0), state_cdf[0], np.nextafter(state_cdf[0], 1.0)):
+                    drawn = ocmdp._play(poly, theta, s, self._Uniforms(float(u), float(w)))
+                    assert drawn == (a, int(state_cdf.searchsorted(w, "right")))
+
+    @pytest.mark.parametrize("p, accepted", [
+        ([0.25, 0.75 + 1e-9], True),
+        ([0.25, 0.75 + 1e-7], False),
+        ([0.5, -0.0, 0.5], True),
+        ([1.1, -0.1], False),
+        ([np.nan, 1.0], False),
+        ([np.inf, 0.0], False),
+    ])
+    def test_distribution_check_agrees_with_generator_choice(self, p, accepted):
+        p = np.array(p)
+        if accepted:
+            np.random.default_rng(0).choice(p.size, p=p)
+            ocmdp._choice_cdf(p)
+            return
+        with pytest.raises(ValueError):
+            np.random.default_rng(0).choice(p.size, p=p)
+        with pytest.raises(ValueError, match="nonnegative and sum to 1"):
+            ocmdp._choice_cdf(p)
 
 
 class TestRun:
@@ -387,6 +539,14 @@ class TestRun:
         with pytest.raises(ValueError, match="initial state"):
             ocmdp.run_ocmdp(specs, 10, 1.0, 10.0, initial_states=[0, 7])
 
+    def test_nan_theta0_is_rejected(self):
+        specs = ocmdp.two_mdp_example()
+        uniform = ocmdp.build_polyhedron(specs[1]).uniform_theta
+        for horizon in (1, 5):
+            with pytest.raises(ValueError, match="theta0 lies outside its polyhedron"):
+                ocmdp.run_ocmdp(specs, horizon, v=1.0, alpha=10.0,
+                                theta0=[np.full(4, np.nan), uniform])
+
     def test_slater_violating_instance_is_rejected(self):
         p = np.full((2, 2, 2), 0.5)
         hopeless = ocmdp.MdpSpec(p, np.zeros((2, 2)), np.full((1, 2, 2), 0.3))
@@ -410,6 +570,26 @@ class TestRun:
         assert margin > 0.1
 
 
+# sha256 of actions, states, realized_f, realized_g, queues and the thetas of
+# run_ocmdp(two_mdp_example(), 2000, v=sqrt(2000), alpha, seed), keyed by
+# (alpha, seed): any change to what a seed produces shows here
+PINNED_RUNS = {
+    (2000.0, 0): "207990451e1d62eaebc50be194c79d957f1166ef93ebf334725a7f10b955c37e",
+    (2000.0, 1): "3694bd49521570d9bda7364de428957790f43ead22533cc33138f00bc940ca98",
+    (200.0, 0): "43715d0e0a67e13305e4163f1e0fdee468b2d595330cf319516539b0c813fe67",
+    (200.0, 1): "1ffa11d26d74e6ceade292a77960d1a0bedbd2c9cb06711dda808a48fb839633",
+}
+
+
+@pytest.mark.parametrize("alpha, seed", sorted(PINNED_RUNS))
+def test_seeded_output_is_pinned(alpha, seed):
+    log = ocmdp.run_ocmdp(ocmdp.two_mdp_example(), 2000, v=math.sqrt(2000), alpha=alpha, seed=seed)
+    digest = hashlib.sha256()
+    for arr in (log.actions, log.states, log.realized_f, log.realized_g, log.queues, *log.thetas):
+        digest.update(np.ascontiguousarray(arr).tobytes())
+    assert digest.hexdigest() == PINNED_RUNS[(alpha, seed)]
+
+
 class TestRegret:
     def test_baseline_matches_dual_scan_oracle(self):
         specs = ocmdp.two_mdp_example()
@@ -425,10 +605,16 @@ class TestRegret:
         specs = ocmdp.two_mdp_example()
         base = ocmdp.solve_baseline(specs)
         horizon = 20000
-        log = ocmdp.run_fixed_policy(specs, base.thetas, horizon, seed=3)
+        log = run_fixed_policy(specs, base.thetas, horizon, seed=3)
         regret, violations = ocmdp.measure_regret(specs, log, base)
         assert abs(regret) < 0.03 * horizon
         assert abs(violations[0]) < 0.05 * horizon
+
+    def test_nan_fixed_policy_is_rejected(self):
+        specs = ocmdp.two_mdp_example()
+        base = ocmdp.solve_baseline(specs)
+        with pytest.raises(ValueError, match="outside its polyhedron"):
+            run_fixed_policy(specs, [np.full(4, np.nan), base.thetas[1]], 5)
 
     def test_fingerprint_mismatch_is_rejected(self):
         specs = ocmdp.two_mdp_example()
@@ -499,7 +685,7 @@ class TestDrift:
             f_drift=(direction, 40.0),
         )
         base = ocmdp.solve_baseline([spec])
-        log = ocmdp.run_fixed_policy([spec], base.thetas, 400, seed=0)
+        log = run_fixed_policy([spec], base.thetas, 400, seed=0)
         regret, _ = ocmdp.measure_regret([spec], log, base)
         flat = base.thetas[0]
         slots = np.arange(400)
