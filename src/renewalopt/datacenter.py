@@ -10,7 +10,11 @@ stationary point. The module also carries the virtualized single-queue
 variant, the always-on and reactive baselines, and CSV trace utilities.
 
 All decisions read only queue values and model constants; the service drawn
-in the current slot is never observed before it is used.
+in the current slot is never observed before it is used. Within a run the
+constants are fixed, so a server's frame decision is a pure function of its
+queue value: the run memoises it per server, keyed by that value, and asks
+``server_frame_decide`` only about values it has not seen, so the memo
+returns exactly the decision the call would.
 """
 
 from __future__ import annotations
@@ -102,19 +106,6 @@ class TraceRecord:
     cost: float
 
 
-@dataclass
-class DatacenterState:
-    """Mutable mid-run snapshot: decision queues, the physical backlog when it
-    is kept separately, and each server's phase with its remaining slots."""
-
-    queues: np.ndarray
-    backlog: Optional[float]
-    phase: List[str]
-    remaining: List[int]
-    mode_index: List[int]
-    slot: int
-
-
 def zipf_mean(k: int, p: float) -> float:
     """Mean of the Zipf(k, p) law on 1..k: sum(i**(1-p)) / sum(i**(-p))."""
     idx = np.arange(1, k + 1, dtype=float)
@@ -147,14 +138,16 @@ def _service_sampler(mu_dist):
 
 def validate_trace(records: Sequence[TraceRecord]) -> None:
     """Reject traces whose slots are not contiguous from 0 or whose fields are
-    out of range (negative arrivals, nonpositive costs)."""
+    out of range (negative arrivals, costs that are not finite and positive:
+    an infinite cost would lift the queue bound v*c_max + r_max away)."""
     for pos, rec in enumerate(records):
         if rec.slot != pos:
             raise ValueError(f"trace slots must run 0,1,..., got {rec.slot} at row {pos}")
         if rec.arrivals < 0 or rec.arrivals != int(rec.arrivals):
             raise ValueError(f"arrivals must be nonnegative integers, got {rec.arrivals!r}")
-        if rec.cost <= 0:
-            raise ValueError(f"rejection cost must be positive, got {rec.cost!r}")
+        if not 0 < rec.cost < math.inf:
+            raise ValueError(f"rejection cost must be finite and positive, "
+                             f"got {rec.cost!r} at row {pos}")
 
 
 def load_trace(path) -> List[TraceRecord]:
@@ -225,10 +218,12 @@ def admission_decide(arrivals, cost, queues, v, r_max):
     """
     routed = np.zeros(len(queues))
     threshold = v * cost
-    eligible = [n for n, q in enumerate(queues) if q <= threshold]
-    if not eligible:
+    target = -1
+    for n, q in enumerate(queues):
+        if q <= threshold and (target < 0 or q < queues[target]):
+            target = n
+    if target < 0:
         return float(arrivals), routed
-    target = min(eligible, key=lambda n: (queues[n], n))
     admitted = min(float(arrivals), float(r_max))
     routed[target] = admitted
     return float(arrivals) - admitted, routed
@@ -291,11 +286,6 @@ def reactive_target(recent_arrivals: Sequence[float], extra: float,
 # queue recursions
 # ---------------------------------------------------------------------------
 
-def queue_update(queues, routed, drained) -> np.ndarray:
-    """Per-queue backlog recursion max(q + in - out, 0), elementwise."""
-    return np.maximum(np.asarray(queues, dtype=float) + routed - drained, 0.0)
-
-
 def actual_queue_update(backlog: float, admitted: float, drained: float) -> float:
     """Single physical queue: admitted work in, the active servers' total
     service out, floored at zero."""
@@ -330,10 +320,6 @@ class DatacenterLog:
     @property
     def horizon(self) -> int:
         return self.power.shape[0]
-
-    def power_avg_series(self) -> np.ndarray:
-        steps = np.arange(1, self.horizon + 1, dtype=float)
-        return np.cumsum(self.power) / steps
 
     @property
     def final_power_avg(self) -> float:
@@ -416,17 +402,23 @@ def _run_algorithm(cfgs, records, v, mode, seed, min_active, initial_queues):
     r_max = _shared_r_max(cfgs)
     cost_max = max(rec.cost for rec in records)
     per_queue_bound = v * cost_max + r_max
+    limit = per_queue_bound + _BOUND_SLACK
 
-    if initial_queues is None:
-        queues = np.zeros(n)
-    else:
-        queues = np.asarray(initial_queues, dtype=float).copy()
-        if queues.shape != (n,) or (queues < 0).any():
-            raise ValueError("initial_queues must give one nonnegative value per server")
-    state = DatacenterState(queues=queues, backlog=0.0 if virtualized else None,
-                            phase=["start"] * n, remaining=[0] * n,
-                            mode_index=[0] * n, slot=0)
-
+    start = np.zeros(n) if initial_queues is None else np.asarray(initial_queues, dtype=float)
+    if start.shape != (n,) or not (start >= 0).all():
+        raise ValueError("initial_queues must give one nonnegative value per server")
+    # the slot loop runs on Python floats and takes each step below as the
+    # IEEE operation np.maximum or np.sum takes, in index order
+    queues = start.tolist()
+    max_queue = list(queues)
+    backlog = 0.0
+    # each server's phase ("start" at a frame start, "active", "idle" or
+    # "setup"), its sleep mode, the slots left in an idle or setup phase and
+    # its frame decisions by queue value
+    phase = ["start"] * n
+    sleep = [None] * n
+    remaining = [0] * n
+    decisions = [{} for _ in range(n)]
     horizon = len(records)
     power = np.zeros(horizon)
     reject_cost = np.zeros(horizon)
@@ -435,70 +427,76 @@ def _run_algorithm(cfgs, records, v, mode, seed, min_active, initial_queues):
     active_servers = np.zeros(horizon, dtype=int)
     rejected_log = np.zeros(horizon)
     arrivals_log = np.zeros(horizon, dtype=int)
-    max_queue = state.queues.copy()
 
     for t, rec in enumerate(records):
-        state.slot = t
-        rejected, routed = admission_decide(rec.arrivals, rec.cost, state.queues, v, r_max)
-
+        rejected, routed = admission_decide(rec.arrivals, rec.cost, queues, v, r_max)
+        routed = routed.tolist()
         slot_power = 0.0
-        drained = np.zeros(n)
+        drained = [0.0] * n
+        drained_total = 0.0
         n_active = 0
-        for s in range(n):
-            cfg = cfgs[s]
-            if state.phase[s] == "start":
-                if s < min_active:
-                    decision: Decision = "active"
-                else:
-                    decision = server_frame_decide(cfg, float(state.queues[s]), v)
+        for s, cfg in enumerate(cfgs):
+            if phase[s] == "start":
+                q = queues[s]
+                decision = "active" if s < min_active else decisions[s].get(q)
+                if decision is None:
+                    decision = decisions[s][q] = server_frame_decide(cfg, q, v)
                 if decision == "active":
-                    state.phase[s] = "active"
+                    phase[s] = "active"
                 else:
-                    state.mode_index[s], state.remaining[s] = decision
-                    state.phase[s] = "idle"
-            if state.phase[s] == "active":
+                    sleep[s] = cfg.sleep_modes[decision[0]]
+                    remaining[s] = decision[1]
+                    phase[s] = "idle"
+            if phase[s] == "active":
                 slot_power += cfg.active_power
-                drained[s] = samplers[s](rng)
+                drained[s] = served = samplers[s](rng)
+                drained_total += served
                 n_active += 1
-                state.phase[s] = "start"
-            elif state.phase[s] == "idle":
-                sleep = cfg.sleep_modes[state.mode_index[s]]
-                slot_power += sleep.idle_power
-                state.remaining[s] -= 1
-                if state.remaining[s] == 0:
-                    state.phase[s] = "setup"
-                    state.remaining[s] = int(rng.geometric(1.0 / sleep.setup_mean))
+                phase[s] = "start"
+            elif phase[s] == "idle":
+                slot_power += sleep[s].idle_power
+                remaining[s] -= 1
+                if remaining[s] == 0:
+                    phase[s] = "setup"
+                    remaining[s] = int(rng.geometric(1.0 / sleep[s].setup_mean))
             else:
-                sleep = cfg.sleep_modes[state.mode_index[s]]
-                slot_power += sleep.setup_power
-                state.remaining[s] -= 1
-                if state.remaining[s] == 0:
-                    state.phase[s] = "active"
+                slot_power += sleep[s].setup_power
+                remaining[s] -= 1
+                if remaining[s] == 0:
+                    phase[s] = "active"
 
-        state.queues = queue_update(state.queues, routed, drained)
-        if (state.queues > per_queue_bound + _BOUND_SLACK).any():
-            worst = int(np.argmax(state.queues))
+        total = 0.0
+        breached = False
+        for s in range(n):
+            x = (queues[s] + routed[s]) - drained[s]
+            # the floor and the running maximum as np.maximum takes them: NaN
+            # passes through, and a tie returns the second argument
+            x = x if x > 0.0 or x != x else 0.0
+            queues[s] = x
+            total += x
+            breached = breached or x > limit
+            top = max_queue[s]
+            max_queue[s] = top if top > x or top != top else x
+        if breached:
+            worst = int(np.argmax(queues))
             raise RuntimeError(
-                f"queue bound violated at slot {t}: Q_{worst}={state.queues[worst]:.6g} "
+                f"queue bound violated at slot {t}: Q_{worst}={queues[worst]:.6g} "
                 f"> {per_queue_bound:.6g}")
         if virtualized:
-            state.backlog = actual_queue_update(state.backlog, rec.arrivals - rejected,
-                                                float(drained.sum()))
-            virtual_sum = float(state.queues.sum())
-            if state.backlog > virtual_sum + _BOUND_SLACK:
+            backlog = actual_queue_update(backlog, rec.arrivals - rejected, drained_total)
+            if backlog > total + _BOUND_SLACK:
                 raise RuntimeError(
-                    f"physical backlog {state.backlog:.6g} exceeded the virtual total "
-                    f"{virtual_sum:.6g} at slot {t}")
-            if state.backlog > n * per_queue_bound + _BOUND_SLACK:
+                    f"physical backlog {backlog:.6g} exceeded the virtual total "
+                    f"{total:.6g} at slot {t}")
+            if backlog > n * per_queue_bound + _BOUND_SLACK:
                 raise RuntimeError(
-                    f"physical backlog bound violated at slot {t}: {state.backlog:.6g} "
+                    f"physical backlog bound violated at slot {t}: {backlog:.6g} "
                     f"> {n * per_queue_bound:.6g}")
 
-        np.maximum(max_queue, state.queues, out=max_queue)
         power[t] = slot_power
         reject_cost[t] = rejected * rec.cost
-        queue_total[t] = state.queues.sum()
-        backlog_log[t] = state.backlog if virtualized else queue_total[t]
+        queue_total[t] = total
+        backlog_log[t] = backlog if virtualized else total
         active_servers[t] = n_active
         rejected_log[t] = rejected
         arrivals_log[t] = rec.arrivals
@@ -506,7 +504,7 @@ def _run_algorithm(cfgs, records, v, mode, seed, min_active, initial_queues):
     return DatacenterLog(mode=mode, v=v, power=power, reject_cost=reject_cost,
                          backlog=backlog_log, queue_total=queue_total,
                          active_servers=active_servers, rejected=rejected_log,
-                         arrivals=arrivals_log, max_queue=max_queue)
+                         arrivals=arrivals_log, max_queue=np.array(max_queue))
 
 
 def _run_baseline(cfgs, records, v, mode, seed):

@@ -429,12 +429,13 @@ def _build_trace(spec, horizon: int, aux_seed: int, records):
             cost_range=tuple(spec.get("cost_range", (1, 6))),
             seed=aux_seed)
     if tag == "ramp":
-        return datacenter.ramp_trace(
-            horizon, base_rate=float(spec["base_rate"]),
-            peak_rate=float(spec["peak_rate"]),
-            ramp_start=int(spec["ramp_start"]),
-            ramp_end=int(spec["ramp_end"]),
-            cost=float(spec.get("cost", 1.0)), seed=aux_seed)
+        try:
+            shape = (float(spec["base_rate"]), float(spec["peak_rate"]),
+                     int(spec["ramp_start"]), int(spec["ramp_end"]))
+        except KeyError as err:
+            raise ConfigError(f"ramp trace needs key {err}") from None
+        return datacenter.ramp_trace(horizon, *shape,
+                                     cost=float(spec.get("cost", 1.0)), seed=aux_seed)
     raise ConfigError(f"trace kind must be 'uniform' or 'ramp', got {tag!r}")
 
 

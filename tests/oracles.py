@@ -493,7 +493,7 @@ def replay_truncated_average(increments, decay, cap):
 
 
 # ---------------------------------------------------------------------------
-# datacenter frame decision
+# datacenter frame decision and queue step
 # ---------------------------------------------------------------------------
 
 def datacenter_decide_bruteforce(active_power, mu_mean, mu_max, r_max,
@@ -520,6 +520,12 @@ def datacenter_decide_bruteforce(active_power, mu_mean, mu_max, r_max,
                 best_choice = (k, i)
                 best_val = val
     return best_choice
+
+
+def queue_update(queues, routed, drained) -> np.ndarray:
+    """Per-queue backlog recursion max(q + in - out, 0), elementwise: the
+    numpy form of the step ``datacenter.run_datacenter`` takes on floats."""
+    return np.maximum(np.asarray(queues, dtype=float) + routed - drained, 0.0)
 
 
 # ---------------------------------------------------------------------------

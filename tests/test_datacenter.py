@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from oracles import queue_update
 from renewalopt import datacenter as dc
 from renewalopt.datacenter import (
     ServerConfig,
@@ -14,7 +16,6 @@ from renewalopt.datacenter import (
     actual_queue_update,
     admission_decide,
     load_trace,
-    queue_update,
     ramp_trace,
     reactive_target,
     run_datacenter,
@@ -225,6 +226,22 @@ def test_trace_loader_rejects_bad_files(tmp_path):
         load_trace(path)
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_trace_loader_rejects_nonfinite_costs(tmp_path, bad):
+    # an infinite cost would make the queue bound v*c_max + r_max infinite
+    path = tmp_path / "bad.csv"
+    path.write_text(f"slot,arrivals,cost\n0,4,1.0\n1,4,{bad}\n2,4,1.0\n")
+    with pytest.raises(ValueError, match="finite and positive.* at row 1"):
+        load_trace(path)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_run_rejects_nonfinite_costs(bad):
+    trace = [TraceRecord(t, 20, bad if t == 3 else 1.0) for t in range(10)]
+    with pytest.raises(ValueError, match="finite and positive.* at row 3"):
+        run_datacenter([_cfg()], trace, v=1.0, mode="n-queue")
+
+
 def test_ramp_trace_shape():
     with pytest.raises(ValueError):
         ramp_trace(100, 2.0, 8.0, ramp_start=50, ramp_end=20)
@@ -304,6 +321,49 @@ def test_run_bound_check_fires_on_runaway_admission(monkeypatch):
     trace = [TraceRecord(t, 10, 1.0) for t in range(50)]
     with pytest.raises(RuntimeError):
         run_datacenter(cfgs, trace, v=0.5, mode="n-queue", seed=0)
+
+
+def _sleepy_pair():
+    # at an empty queue both servers sleep through the first slots, so the
+    # stub admission below is the only thing that moves the queues
+    cfg = ServerConfig(active_power=50.0, mu_dist=("constant", 1.0),
+                       sleep_modes=[SleepMode(0.0, 0.0, 1.0)], i_max=10, r_max=1.0)
+    assert server_frame_decide(cfg, 0.0, 1.0) != "active"
+    return [cfg, cfg]
+
+
+def test_run_virtual_total_check_fires_on_unrouted_admission(monkeypatch):
+    # admitted work that reaches no virtual queue leaves the physical backlog
+    # above the virtual total while every virtual queue stays at zero
+    def admit_without_routing(arrivals, cost, queues, v, r_max):
+        return 0.0, np.zeros(len(queues))
+
+    monkeypatch.setattr(dc, "admission_decide", admit_without_routing)
+    trace = [TraceRecord(t, 10, 1.0) for t in range(5)]
+    with pytest.raises(RuntimeError, match="exceeded the virtual total"):
+        run_datacenter(_sleepy_pair(), trace, v=1.0, mode="virtualized")
+
+
+def test_run_backlog_bound_check_fires_inside_the_slack(monkeypatch):
+    # the per-queue bound and the virtual total imply the N*bound one up to
+    # their 1e-9 slacks, so the stub lands inside them: each queue 2**-30
+    # above its bound 2, the backlog 2**-29 above N*bound = 4
+    def overshoot_by_ulps(arrivals, cost, queues, v, r_max):
+        admitted = 4.0 + 2.0 ** -29
+        return arrivals - admitted, np.full(len(queues), 2.0 + 2.0 ** -30)
+
+    monkeypatch.setattr(dc, "admission_decide", overshoot_by_ulps)
+    trace = [TraceRecord(t, 8, 1.0) for t in range(5)]
+    with pytest.raises(RuntimeError, match="physical backlog bound violated at slot 0"):
+        run_datacenter(_sleepy_pair(), trace, v=1.0, mode="virtualized")
+
+
+def test_run_rejects_nan_initial_queue():
+    # a NaN queue is never admitted to, never read as long and never trips
+    # the bound, so it would run silently
+    with pytest.raises(ValueError, match="initial_queues"):
+        run_datacenter([_cfg()], uniform_trace(10, seed=0), v=1.0,
+                       initial_queues=[math.nan])
 
 
 def test_run_argument_errors():
@@ -402,3 +462,67 @@ def test_reactive_scales_through_setup_and_back_down():
     assert log.active_servers[69] == 10
     assert log.active_servers[-1] == 1
     assert log.active_servers.max() <= 10
+
+
+# ---------------------------------------------------------------------------
+# seeded output, pinned
+# ---------------------------------------------------------------------------
+
+def _zipf_farm():
+    return [ServerConfig(active_power=1.5 + 0.5 * k, mu_dist=("zipf", 10, 1.9),
+                         sleep_modes=[SleepMode(0.0, 1.0, 5.0), SleepMode(0.2, 2.0, 2.0)],
+                         i_max=200, r_max=10.0) for k in range(4)]
+
+
+_PIN_TRACES = {
+    "uniform": lambda: uniform_trace(2000, seed=21),
+    "light": lambda: uniform_trace(2000, arrival_range=(0, 12), seed=21),
+    "ramp": lambda: ramp_trace(2000, 1.0, 6.0, ramp_start=600, ramp_end=1400, seed=9),
+}
+
+# (farm, trace, mode, v, min_active, initial_queues, all servers always on?)
+_PIN_CASES = {
+    "nqueue-const-on": (_table_like_farm, "uniform", "n-queue", 5.0, 0, None, True),
+    "nqueue-const-sleep": (_table_like_farm, "light", "n-queue", 500.0, 0,
+                           [40.0, 0.0, 7.5, 0.0, 3.0], False),
+    "virtualized-const-sleep": (_table_like_farm, "light", "virtualized", 500.0, 0,
+                                None, False),
+    "virtualized-zipf-on": (_zipf_farm, "ramp", "virtualized", 5.0, 0,
+                            [9.0, 0.0, 4.5, 7.0], True),
+    "nqueue-zipf-sleep-min-active": (_zipf_farm, "ramp", "n-queue", 500.0, 2, None, False),
+    "virtualized-zipf-sleep-min-active": (_zipf_farm, "ramp", "virtualized", 500.0, 1,
+                                          [9.0, 0.0, 4.5, 7.0], False),
+}
+
+# sha256 over every DatacenterLog array (name, dtype, shape, bytes) of
+# run_datacenter(..., seed=3), recorded before the slot loop moved to floats
+_PINNED_DIGESTS = {
+    "nqueue-const-on": "ae9bd194df29799e39471ccc78fce039fc7fa5e7c91785f096a50e6f72b83a9f",
+    "nqueue-const-sleep": "227bfe0a58b5a1a857d249266e8870efff82087aa813d215ccac185108ec129d",
+    "virtualized-const-sleep": "af26e46f10b25399418058435603069f90bca4fe6262c9891b53fd93f4a38f80",
+    "virtualized-zipf-on": "d1deb6a16478a9b1ab4a4b04ee597b0a16074a1fcf6b4e62bd1bc708b1201bea",
+    "nqueue-zipf-sleep-min-active":
+        "5775f392f4a02e16d0371b3ba10e9e40154e7a3f801cc8d863e033f0c19a409c",
+    "virtualized-zipf-sleep-min-active":
+        "fad218cc6f846020f8e1595ecf091093687145952d6d4b1e62ab42fb9ea68d11",
+}
+
+_LOG_ARRAYS = ("power", "reject_cost", "backlog", "queue_total", "active_servers",
+               "rejected", "arrivals", "max_queue")
+
+
+@pytest.mark.parametrize("case", sorted(_PIN_CASES))
+def test_run_datacenter_output_is_pinned(case):
+    farm, trace, mode, v, min_active, initial, always_on = _PIN_CASES[case]
+    cfgs = farm()
+    log = run_datacenter(cfgs, _PIN_TRACES[trace](), v, mode=mode, seed=3,
+                         min_active=min_active, initial_queues=initial)
+    # each case keeps its meaning: the "on" cases never sleep, the others do
+    assert (log.active_servers == len(cfgs)).all() == always_on
+    assert log.active_servers.min() >= min_active
+    digest = hashlib.sha256()
+    for name in _LOG_ARRAYS:
+        arr = getattr(log, name)
+        digest.update(f"{name}:{arr.dtype.str}:{arr.shape}:".encode())
+        digest.update(arr.tobytes())
+    assert digest.hexdigest() == _PINNED_DIGESTS[case]

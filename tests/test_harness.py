@@ -248,6 +248,21 @@ def test_missing_instance_key_is_a_config_error():
         harness.run_experiment(config)
 
 
+@pytest.mark.parametrize("missing", ["base_rate", "peak_rate", "ramp_start", "ramp_end"])
+def test_ramp_trace_missing_key_is_a_config_error(missing):
+    ramp = {"kind": "ramp", "base_rate": 2.0, "peak_rate": 8.0,
+            "ramp_start": 10, "ramp_end": 30}
+    del ramp[missing]
+    config = harness.config_from_mapping({
+        "kind": "datacenter", "horizon": 40, "v_values": [5.0],
+        "instance": {"servers": [{"active_power": 4.0, "mu": ["constant", 3.0],
+                                  "sleep_modes": [[0.0, 2.0, 5.0]],
+                                  "i_max": 100, "r_max": 40.0}],
+                     "trace": ramp}})
+    with pytest.raises(harness.ConfigError, match=f"ramp trace needs key '{missing}'"):
+        harness.run_experiment(config)
+
+
 # ---------------------------------------------------------------------------
 # trace ingestion
 # ---------------------------------------------------------------------------
