@@ -17,12 +17,14 @@ giving the expected frame length 1 + phi / lambda used by the index.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 _CHUNK = 4096
+_NEG_INF = -math.inf
 
 
 @dataclass(frozen=True)
@@ -72,20 +74,6 @@ class UserSpec:
         return max(p for _, p in self.actions)
 
 
-@dataclass
-class BanditState:
-    file_states: List[int]
-    q: float
-    slot: int
-
-
-@dataclass
-class SlotStats:
-    served: List[Tuple[int, int]]  # (user index, action index)
-    throughput: float  # expected weighted bits, sum of c * mean_file * phi
-    power: float
-
-
 def _index_terms(user: UserSpec, v: float):
     """Index of action a is gain[a] - Q * cost[a]; both lists share order."""
     gain, cost = [], []
@@ -121,6 +109,15 @@ def single_user_queue_bound(user: UserSpec, v: float, beta: float) -> float:
     return max(v * user.mean_file / user.p_min + user.p_max - beta, 0.0)
 
 
+def _check_v_beta(v: float, beta: float) -> None:
+    """Reject a penalty weight or budget that would void the queue bound: a
+    NaN or infinite one turns the per-slot bound check off."""
+    if not 0.0 < v < math.inf:
+        raise ValueError(f"penalty weight v must be finite and positive, got {v!r}")
+    if not 0.0 <= beta < math.inf:
+        raise ValueError(f"power budget beta must be finite and nonnegative, got {beta!r}")
+
+
 def single_user_run(
     user: UserSpec, v: float, beta: float, n_frames: int, seed: int
 ) -> dict:
@@ -132,6 +129,7 @@ def single_user_run(
     """
     if n_frames < 1:
         raise ValueError("need at least one frame")
+    _check_v_beta(v, beta)
     rng = np.random.default_rng(seed)
     bound = single_user_queue_bound(user, v, beta) + 1e-9
     actions = np.empty(n_frames, dtype=int)
@@ -173,73 +171,64 @@ def multi_user_queue_bound(users: Sequence[UserSpec], v: float, beta: float) -> 
     return max(v * c_b_max / p_min + sum(u.p_max for u in users) - beta, 0.0)
 
 
-def _schedule(users, gains, costs, file_states, q, m_servers):
-    """Pick up to m_servers active users with the greatest indices.
+def _option_table(users: Sequence[UserSpec], v: float):
+    """Per-user rows, one per action, built once per run.
 
-    Index ties break toward the lower user number, action ties toward the
-    lower action number. Returns the served (user, action) pairs with the
-    slot's power draw and expected weighted bits.
+    Row ``a`` of user ``n`` is ``(gain, cost, phi, power, weight * mean_file
+    * phi, a)`` with gain and cost from :func:`_index_terms`, so the index of
+    action ``a`` at queue ``q`` is ``gain - q * cost``.
+    """
+    table = []
+    for u in users:
+        gain, cost = _index_terms(u, v)
+        table.append(tuple(
+            (gain[a], cost[a], phi, p, u.weight * u.mean_file * phi, a)
+            for a, (phi, p) in enumerate(u.actions)
+        ))
+    return table
+
+
+def _schedule(options, active, q, m_servers):
+    """Serve up to m_servers active users with the greatest indices.
+
+    ``options`` is an :func:`_option_table`; ``active[n]`` is truthy while
+    user ``n`` holds a file. Each active user takes its best row (action
+    ties go to the lower action number); index ties between users go to the
+    lower user number. Returns the served ``(-index, n, row)`` entries in
+    service order with the slot's power draw and expected weighted bits,
+    both summed in that order.
     """
     ranked = []
-    for n, f in enumerate(file_states):
-        if not f:
-            continue
-        g, c = gains[n], costs[n]
-        best, best_val = 0, -np.inf
-        for a in range(len(g)):
-            val = g[a] - q * c[a]
-            if val > best_val:
-                best, best_val = a, val
-        ranked.append((-best_val, n, best))
+    neg_inf = _NEG_INF
+    n = 0  # a plain counter: enumerate's pairs cost more in this loop
+    for opts in options:
+        if active[n]:
+            best = opts[0]
+            best_val = neg_inf
+            for row in opts:
+                val = row[0] - q * row[1]
+                if val > best_val:
+                    best = row
+                    best_val = val
+            ranked.append((-best_val, n, best))
+        n += 1
     if len(ranked) > m_servers:
         ranked.sort()
-        ranked = ranked[:m_servers]
-    served = [(n, a) for _, n, a in ranked]
+        del ranked[m_servers:]
     power = 0.0
     tput = 0.0
-    for n, a in served:
-        phi, p = users[n].actions[a]
-        power += p
-        tput += users[n].weight * users[n].mean_file * phi
-    return served, power, tput
+    for _, _, row in ranked:
+        power += row[3]
+        tput += row[4]
+    return ranked, power, tput
 
 
-def multi_user_step(
-    users: Sequence[UserSpec],
-    state: BanditState,
-    v: float,
-    m_servers: int,
-    beta: float,
-    rng: np.random.Generator,
-) -> Tuple[BanditState, SlotStats]:
-    """One slot of the ratio indexing scheduler.
-
-    Consumes two uniform vectors per slot (completion then arrival), one
-    entry per user, regardless of which entries end up used; this keeps the
-    draw layout identical to the chunked generation in :func:`multi_user_run`.
-    """
+def _check_run_args(users, v, m_servers, beta, horizon):
+    if horizon < 1:
+        raise ValueError("horizon must be at least 1")
     if not 0 < m_servers < len(users):
         raise ValueError("server count must satisfy 0 < M < N")
-    gains, costs = zip(*(_index_terms(u, v) for u in users))
-    comp_u = rng.random(len(users))
-    arr_u = rng.random(len(users))
-    served, power, tput = _schedule(
-        users, gains, costs, state.file_states, state.q, m_servers
-    )
-    new_states = list(state.file_states)
-    served_phi = {n: users[n].actions[a][0] for n, a in served}
-    for n, user in enumerate(users):
-        if new_states[n]:
-            phi = served_phi.get(n, 0.0)
-            if phi and comp_u[n] < phi:
-                new_states[n] = 1 if arr_u[n] < user.lam else 0
-        else:
-            new_states[n] = 1 if arr_u[n] < user.lam else 0
-    q_new = max(state.q + power - beta, 0.0)
-    return (
-        BanditState(file_states=new_states, q=q_new, slot=state.slot + 1),
-        SlotStats(served=served, throughput=tput, power=power),
-    )
+    _check_v_beta(v, beta)
 
 
 def multi_user_run(
@@ -252,24 +241,23 @@ def multi_user_run(
 ) -> dict:
     """Simulate the multi-user scheduler for ``horizon`` slots, idle start.
 
-    Matches slot-by-slot composition of :func:`multi_user_step` bit for bit
-    while pregenerating the uniforms in chunks. The deterministic queue bound
+    Each slot draws two uniforms per user, completion then arrival, whether
+    or not they are used; they come from the generator in (4096, 2, N)
+    chunks. A served user's file completes when its completion uniform is
+    below phi, and an idle user (or one that just completed) gets a new file
+    when its arrival uniform is below lambda. The deterministic queue bound
     is enforced as a hard check on every slot.
     """
-    if horizon < 1:
-        raise ValueError("horizon must be at least 1")
-    if not 0 < m_servers < len(users):
-        raise ValueError("server count must satisfy 0 < M < N")
+    _check_run_args(users, v, m_servers, beta, horizon)
     n_users = len(users)
     rng = np.random.default_rng(seed)
-    gains, costs = zip(*(_index_terms(u, v) for u in users))
+    options = _option_table(users, v)
     lams = [u.lam for u in users]
-    phis = [[phi for phi, _ in u.actions] for u in users]
     bound = multi_user_queue_bound(users, v, beta) + 1e-9
     tput_arr = np.empty(horizon)
     power_arr = np.empty(horizon)
     q_arr = np.empty(horizon)
-    file_states = [0] * n_users
+    active = [0] * n_users
     q = 0.0
     pos = _CHUNK
     block = None
@@ -279,19 +267,13 @@ def multi_user_run(
             pos = 0
         comp_u, arr_u = block[pos]
         pos += 1
-        served, power, tput = _schedule(
-            users, gains, costs, file_states, q, m_servers
-        )
-        served_phi = dict.fromkeys(range(n_users), 0.0)
-        for n, a in served:
-            served_phi[n] = phis[n][a]
+        served, power, tput = _schedule(options, active, q, m_servers)
+        for _, n, row in served:
+            if comp_u[n] < row[2]:
+                active[n] = 0
         for n in range(n_users):
-            if file_states[n]:
-                phi = served_phi[n]
-                if phi and comp_u[n] < phi:
-                    file_states[n] = 1 if arr_u[n] < lams[n] else 0
-            elif arr_u[n] < lams[n]:
-                file_states[n] = 1
+            if not active[n] and arr_u[n] < lams[n]:
+                active[n] = 1
         q = q + power - beta
         if q < 0.0:
             q = 0.0
@@ -314,43 +296,6 @@ def multi_user_run(
 # ---------------------------------------------------------------------------
 # fixed-rate special case and its Markov chain oracle
 # ---------------------------------------------------------------------------
-
-
-def maxlambda_step(
-    file_states: List[int],
-    lambdas: Sequence[float],
-    m_servers: int,
-    rng: np.random.Generator,
-    prefer_small: bool = False,
-) -> Tuple[List[int], int]:
-    """One slot of strict-priority service over single-buffer queues.
-
-    Serves up to ``m_servers`` nonempty buffers, ordered by arrival rate
-    (largest first, or smallest first with ``prefer_small``; rate ties go to
-    the lower queue number). A served buffer always delivers its packet.
-    Bernoulli arrivals then fill every buffer that is empty after service.
-    Returns the new states and the number of packets delivered.
-    """
-    for lam in lambdas:
-        if not 0.0 < lam < 1.0:
-            raise ValueError("arrival probabilities must be strictly inside (0, 1)")
-    order = sorted(
-        range(len(lambdas)),
-        key=lambda n: (lambdas[n] if prefer_small else -lambdas[n], n),
-    )
-    new_states = list(file_states)
-    served = 0
-    for n in order:
-        if served == m_servers:
-            break
-        if new_states[n]:
-            new_states[n] = 0
-            served += 1
-    arr_u = rng.random(len(lambdas))
-    for n, lam in enumerate(lambdas):
-        if new_states[n] == 0 and arr_u[n] < lam:
-            new_states[n] = 1
-    return new_states, served
 
 
 def maxlambda_run(
@@ -478,10 +423,7 @@ def multi_user_run_nonmemoryless(
     per-slot check; it is a sample-path result that does not depend on the
     file length model.
     """
-    if horizon < 1:
-        raise ValueError("horizon must be at least 1")
-    if not 0 < m_servers < len(users):
-        raise ValueError("server count must satisfy 0 < M < N")
+    _check_run_args(users, v, m_servers, beta, horizon)
     n_users = len(users)
     packet_success = []
     for u in users:
@@ -495,7 +437,10 @@ def multi_user_run_nonmemoryless(
             )
         packet_success.append(probs)
     rng = np.random.default_rng(seed)
-    gains, costs = zip(*(_index_terms(u, v) for u in users))
+    options = _option_table(users, v)
+    lams = [u.lam for u in users]
+    weights = [u.weight for u in users]
+    samplers = [u.file_length_sampler for u in users]
     bound = multi_user_queue_bound(users, v, beta) + 1e-9
     residual = [0] * n_users
     q = 0.0
@@ -503,27 +448,26 @@ def multi_user_run_nonmemoryless(
     power_arr = np.empty(horizon)
     q_arr = np.empty(horizon)
     for t in range(horizon):
-        file_states = [1 if r else 0 for r in residual]
-        comp_u = rng.random(n_users)
-        arr_u = rng.random(n_users)
-        served, power, _ = _schedule(
-            users, gains, costs, file_states, q, m_servers
-        )
+        comp_u = rng.random(n_users).tolist()
+        arr_u = rng.random(n_users).tolist()
+        served, power, _ = _schedule(options, residual, q, m_servers)
+        success = [0.0] * n_users
+        for _, n, row in served:
+            success[n] = packet_success[n][row[5]]
         tput = 0.0
-        success = dict.fromkeys(range(n_users), 0.0)
-        for n, a in served:
-            success[n] = packet_success[n][a]
-        for n, u in enumerate(users):
+        for n in range(n_users):
             if residual[n]:
-                if success[n] and comp_u[n] < success[n]:
+                if comp_u[n] < success[n]:
                     residual[n] -= 1
-                    tput += u.weight
-                    if residual[n] == 0 and arr_u[n] < u.lam:
-                        residual[n] = u.file_length_sampler(rng)
-            elif arr_u[n] < u.lam:
-                residual[n] = u.file_length_sampler(rng)
-        q = max(q + power - beta, 0.0)
-        if q > bound:
+                    tput += weights[n]
+                    if residual[n] == 0 and arr_u[n] < lams[n]:
+                        residual[n] = samplers[n](rng)
+            elif arr_u[n] < lams[n]:
+                residual[n] = samplers[n](rng)
+        q = q + power - beta
+        if q < 0.0:
+            q = 0.0
+        elif q > bound:
             raise RuntimeError(
                 f"power queue {q:.6f} exceeded its deterministic bound {bound:.6f}"
             )

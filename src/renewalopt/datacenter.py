@@ -19,6 +19,7 @@ returns exactly the decision the call would.
 
 from __future__ import annotations
 
+import bisect
 import csv
 import math
 import os
@@ -118,11 +119,12 @@ class _ZipfSampler:
 
     def __init__(self, k: int, p: float) -> None:
         weights = np.arange(1, k + 1, dtype=float) ** (-p)
-        self.cdf = np.cumsum(weights / weights.sum())
-        self.cdf[-1] = 1.0
+        cdf = np.cumsum(weights / weights.sum())
+        cdf[-1] = 1.0
+        self.cdf = cdf.tolist()
 
     def __call__(self, rng: np.random.Generator) -> float:
-        return float(np.searchsorted(self.cdf, rng.random(), side="right") + 1)
+        return float(bisect.bisect_right(self.cdf, rng.random()) + 1)
 
 
 def _service_sampler(mu_dist):

@@ -11,10 +11,12 @@ from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass
+from typing import List, Tuple
 
 import numpy as np
 
-from renewalopt import ocmdp
+from renewalopt import bandit, ocmdp
 
 
 # ---------------------------------------------------------------------------
@@ -528,6 +530,12 @@ def queue_update(queues, routed, drained) -> np.ndarray:
     return np.maximum(np.asarray(queues, dtype=float) + routed - drained, 0.0)
 
 
+def zipf_draw_searchsorted(cdf, rng) -> float:
+    """One Zipf draw as ``datacenter`` took it before its CDF became a list:
+    numpy's right-sided search of one uniform in the CDF array."""
+    return float(np.searchsorted(np.asarray(cdf), rng.random(), side="right") + 1)
+
+
 # ---------------------------------------------------------------------------
 # event-conditioned action scoring
 # ---------------------------------------------------------------------------
@@ -640,3 +648,115 @@ def run_fixed_policy(specs, thetas, horizon, seed=0, initial_states=None):
         actions=actions_log,
         thetas=[np.tile(theta, (horizon, 1)) for theta in fixed],
     )
+
+
+# ---------------------------------------------------------------------------
+# bandit reference versions: one slot at a time, with the plain scheduler
+# ---------------------------------------------------------------------------
+
+@dataclass
+class BanditState:
+    file_states: List[int]
+    q: float
+    slot: int
+
+
+@dataclass
+class SlotStats:
+    served: List[Tuple[int, int]]  # (user index, action index)
+    throughput: float  # expected weighted bits, sum of c * mean_file * phi
+    power: float
+
+
+def bandit_schedule(users, gains, costs, file_states, q, m_servers):
+    """Pick up to m_servers active users with the greatest indices.
+
+    Index ties break toward the lower user number, action ties toward the
+    lower action number. Returns the served (user, action) pairs with the
+    slot's power draw and expected weighted bits.
+    """
+    ranked = []
+    for n, f in enumerate(file_states):
+        if not f:
+            continue
+        g, c = gains[n], costs[n]
+        best, best_val = 0, -np.inf
+        for a in range(len(g)):
+            val = g[a] - q * c[a]
+            if val > best_val:
+                best, best_val = a, val
+        ranked.append((-best_val, n, best))
+    if len(ranked) > m_servers:
+        ranked.sort()
+        ranked = ranked[:m_servers]
+    served = [(n, a) for _, n, a in ranked]
+    power = 0.0
+    tput = 0.0
+    for n, a in served:
+        phi, p = users[n].actions[a]
+        power += p
+        tput += users[n].weight * users[n].mean_file * phi
+    return served, power, tput
+
+
+def multi_user_step(users, state, v, m_servers, beta, rng):
+    """One slot of the ratio indexing scheduler.
+
+    Consumes two uniform vectors per slot (completion then arrival), one
+    entry per user, regardless of which entries end up used; this keeps the
+    draw layout identical to the chunked generation in
+    ``bandit.multi_user_run``.
+    """
+    if not 0 < m_servers < len(users):
+        raise ValueError("server count must satisfy 0 < M < N")
+    gains, costs = zip(*(bandit._index_terms(u, v) for u in users))
+    comp_u = rng.random(len(users))
+    arr_u = rng.random(len(users))
+    served, power, tput = bandit_schedule(
+        users, gains, costs, state.file_states, state.q, m_servers
+    )
+    new_states = list(state.file_states)
+    served_phi = {n: users[n].actions[a][0] for n, a in served}
+    for n, user in enumerate(users):
+        if new_states[n]:
+            phi = served_phi.get(n, 0.0)
+            if phi and comp_u[n] < phi:
+                new_states[n] = 1 if arr_u[n] < user.lam else 0
+        else:
+            new_states[n] = 1 if arr_u[n] < user.lam else 0
+    q_new = max(state.q + power - beta, 0.0)
+    return (
+        BanditState(file_states=new_states, q=q_new, slot=state.slot + 1),
+        SlotStats(served=served, throughput=tput, power=power),
+    )
+
+
+def maxlambda_step(file_states, lambdas, m_servers, rng, prefer_small=False):
+    """One slot of strict-priority service over single-buffer queues.
+
+    Serves up to ``m_servers`` nonempty buffers, ordered by arrival rate
+    (largest first, or smallest first with ``prefer_small``; rate ties go to
+    the lower queue number). A served buffer always delivers its packet.
+    Bernoulli arrivals then fill every buffer that is empty after service.
+    Returns the new states and the number of packets delivered.
+    """
+    for lam in lambdas:
+        if not 0.0 < lam < 1.0:
+            raise ValueError("arrival probabilities must be strictly inside (0, 1)")
+    order = sorted(
+        range(len(lambdas)),
+        key=lambda n: (lambdas[n] if prefer_small else -lambdas[n], n),
+    )
+    new_states = list(file_states)
+    served = 0
+    for n in order:
+        if served == m_servers:
+            break
+        if new_states[n]:
+            new_states[n] = 0
+            served += 1
+    arr_u = rng.random(len(lambdas))
+    for n, lam in enumerate(lambdas):
+        if new_states[n] == 0 and arr_u[n] < lam:
+            new_states[n] = 1
+    return new_states, served

@@ -1,19 +1,22 @@
+import hashlib
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
+from oracles import BanditState, maxlambda_step, multi_user_step
+from renewalopt import bandit
 from renewalopt.bandit import (
-    BanditState,
     UserSpec,
     geometric_file_sampler,
     maxlambda_run,
-    maxlambda_step,
     multi_user_queue_bound,
     multi_user_run,
     multi_user_run_nonmemoryless,
-    multi_user_step,
     poisson_file_sampler,
     single_user_queue_bound,
     single_user_queue_update,
@@ -28,6 +31,19 @@ from renewalopt.bandit import (
 
 def _user(lam=0.3, mean_file=2.5, actions=((0.0, 0.0), (0.6, 2.0)), weight=1.0):
     return UserSpec(lam=lam, mean_file=mean_file, actions=actions, weight=weight)
+
+
+def _tied_users():
+    """Three users, three actions each: users 0 and 1 are identical, so their
+    indices tie exactly, and each of them repeats one (phi, p) pair, so two
+    of its actions tie exactly. User 2 has a zero-success action."""
+    twin = dict(lam=0.35, mean_file=2.0, actions=((0.0, 0.0), (0.5, 2.0), (0.5, 2.0)),
+                weight=1.5)
+    return [
+        UserSpec(**twin),
+        UserSpec(**twin),
+        UserSpec(lam=0.25, mean_file=3.0, actions=((0.0, 0.0), (0.0, 0.5), (0.8, 3.0))),
+    ]
 
 
 def _index_value(user, a, q, v):
@@ -115,6 +131,14 @@ class TestSingleUser:
         assert np.array_equal(out["queues"], again["queues"])
 
 
+def _served_pairs(users, file_states, q, v, m_servers):
+    """(user, action) pairs the package scheduler serves, in service order."""
+    served, _, _ = bandit._schedule(
+        bandit._option_table(users, v), file_states, q, m_servers
+    )
+    return [(n, row[5]) for _, n, row in served]
+
+
 class TestMultiUser:
     def test_all_active_served_when_servers_suffice(self):
         users = [_user(lam=0.3) for _ in range(4)]
@@ -123,6 +147,7 @@ class TestMultiUser:
             users, state, v=10.0, m_servers=3, beta=5.0, rng=np.random.default_rng(0)
         )
         assert sorted(n for n, _ in stats.served) == [0, 2]
+        assert _served_pairs(users, state.file_states, 0.0, 10.0, 3) == stats.served
 
     def test_huge_queue_spends_no_power(self):
         users = [_user() for _ in range(3)]
@@ -133,6 +158,10 @@ class TestMultiUser:
         assert stats.power == 0.0
         assert all(a == 0 for _, a in stats.served)
         assert new_state.q == 1e9 - 5.0
+        _, power, tput = bandit._schedule(
+            bandit._option_table(users, 10.0), state.file_states, 1e9, 2
+        )
+        assert (power, tput) == (0.0, 0.0)
 
     def test_served_are_top_indices_with_low_user_ties(self):
         # identical users tie exactly; the two lowest numbers win
@@ -142,6 +171,7 @@ class TestMultiUser:
             users, state, v=10.0, m_servers=2, beta=5.0, rng=np.random.default_rng(0)
         )
         assert sorted(n for n, _ in stats.served) == [0, 1]
+        assert _served_pairs(users, state.file_states, 1.0, 10.0, 2) == stats.served
 
     def test_rejects_bad_server_count(self):
         users = [_user() for _ in range(3)]
@@ -152,22 +182,35 @@ class TestMultiUser:
                     users, state, v=1.0, m_servers=m, beta=5.0,
                     rng=np.random.default_rng(0),
                 )
+            with pytest.raises(ValueError):
+                multi_user_run(users, 1.0, m, 5.0, horizon=10, seed=0)
+        for m in (0, 9):
+            with pytest.raises(ValueError):
+                multi_user_run_nonmemoryless(
+                    table_two_users(), 1.0, m, 5.0, horizon=10, seed=0
+                )
 
     def test_run_matches_step_composition(self):
-        users = table_one_users()
-        horizon = 600
-        out = multi_user_run(
-            users, v=70.0, m_servers=4, beta=5.0, horizon=horizon, seed=99
-        )
-        rng = np.random.default_rng(99)
-        state = BanditState(file_states=[0] * 8, q=0.0, slot=0)
-        for t in range(horizon):
-            state, stats = multi_user_step(
-                users, state, v=70.0, m_servers=4, beta=5.0, rng=rng
+        # (users, v, m_servers, beta, seed): the benchmark, then three users
+        # with exact action ties and exact user ties
+        cases = [
+            (table_one_users(), 70.0, 4, 5.0, 99),
+            (_tied_users(), 10.0, 1, 0.6, 98),
+        ]
+        horizon = 5000
+        for users, v, m_servers, beta, seed in cases:
+            out = multi_user_run(
+                users, v=v, m_servers=m_servers, beta=beta, horizon=horizon, seed=seed
             )
-            assert stats.throughput == out["throughput"][t]
-            assert stats.power == out["power"][t]
-            assert state.q == out["queue"][t]
+            rng = np.random.default_rng(seed)
+            state = BanditState(file_states=[0] * len(users), q=0.0, slot=0)
+            for t in range(horizon):
+                state, stats = multi_user_step(
+                    users, state, v=v, m_servers=m_servers, beta=beta, rng=rng
+                )
+                assert stats.throughput == out["throughput"][t]
+                assert stats.power == out["power"][t]
+                assert state.q == out["queue"][t]
 
     def test_benchmark_run_is_bounded_and_stable(self):
         users = table_one_users()
@@ -189,6 +232,79 @@ class TestMultiUser:
         assert multi_user_queue_bound(users, v=10.0, beta=2.0) == 10.0 * 6.0 + 3.0 - 2.0
 
 
+# a small pool of rate options, so that users repeat (phi, p) pairs (exact
+# action ties); (0.0, 0.7) and (0.0, 2.0) never succeed
+_OPTION_POOL = [(0.0, 0.7), (0.0, 2.0), (0.25, 1.0), (0.5, 2.0), (0.5, 2.5), (1.0, 4.0)]
+
+_user_specs = st.builds(
+    lambda lam, mean_file, weight, picks: UserSpec(
+        lam=lam, mean_file=mean_file, weight=weight,
+        actions=((0.0, 0.0),) + tuple(_OPTION_POOL[k] for k in picks),
+    ),
+    lam=st.sampled_from([0.1, 0.35, 0.6]),
+    mean_file=st.sampled_from([1.0, 2.0, 3.5]),
+    weight=st.sampled_from([0.5, 1.0, 2.5]),
+    picks=st.lists(st.integers(0, len(_OPTION_POOL) - 1), max_size=3),
+)
+
+
+@st.composite
+def _schedule_cases(draw):
+    """Users with 1-4 actions; a repeated user makes exact index ties."""
+    users = draw(st.lists(_user_specs, min_size=2, max_size=6))
+    if draw(st.booleans()):
+        users.append(users[draw(st.integers(0, len(users) - 1))])
+    mask = draw(st.lists(st.booleans(), min_size=len(users), max_size=len(users)))
+    q = draw(st.one_of(
+        st.sampled_from([0.0, 1.0, 4.0]),
+        st.floats(0.0, 1e4, allow_nan=False, allow_infinity=False),
+    ))
+    v = draw(st.sampled_from([0.5, 10.0, 70.0]))
+    m_servers = draw(st.integers(1, len(users) - 1))
+    return users, mask, q, v, m_servers
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=_schedule_cases())
+def test_schedule_matches_reference_bit_for_bit(case):
+    users, mask, q, v, m_servers = case
+    served, power, tput = bandit._schedule(
+        bandit._option_table(users, v), mask, q, m_servers
+    )
+    gains, costs = zip(*(bandit._index_terms(u, v) for u in users))
+    ref_served, ref_power, ref_tput = oracles.bandit_schedule(
+        users, gains, costs, mask, q, m_servers
+    )
+    assert [(n, row[5]) for _, n, row in served] == ref_served
+    assert power.hex() == ref_power.hex()
+    assert tput.hex() == ref_tput.hex()
+
+
+_BAD_V_BETA = [
+    (math.nan, 5.0), (math.inf, 5.0), (-1.0, 5.0), (0.0, 5.0),
+    (70.0, math.nan), (70.0, math.inf), (70.0, -1.0),
+]
+
+
+@pytest.mark.parametrize("v, beta", _BAD_V_BETA)
+@pytest.mark.parametrize("runner", ["single", "multi", "nonmemoryless"])
+def test_runners_reject_bad_v_and_beta(runner, v, beta):
+    with pytest.raises(ValueError, match="must be finite"):
+        if runner == "single":
+            single_user_run(_user(), v, beta, n_frames=2000, seed=0)
+        elif runner == "multi":
+            multi_user_run(table_one_users(), v, 4, beta, horizon=2000, seed=0)
+        else:
+            multi_user_run_nonmemoryless(
+                table_two_users(), v, 4, beta, horizon=2000, seed=0
+            )
+
+
+def test_zero_budget_is_allowed():
+    out = multi_user_run(table_one_users(), 70.0, 4, 0.0, horizon=200, seed=0)
+    assert out["power_avg"] > 0.0
+
+
 class TestMaxLambda:
     def test_step_serves_largest_rate_first(self):
         rng = np.random.default_rng(1)
@@ -206,6 +322,20 @@ class TestMaxLambda:
         )
         assert served == 0
         assert set(states) <= {0, 1}
+
+    def test_run_matches_step_composition(self):
+        lambdas = [0.2, 0.5, 0.4, 0.5]
+        for prefer_small in (False, True):
+            rng = np.random.default_rng(6)
+            states, delivered = [0] * 4, 0
+            for _ in range(5000):
+                states, served = maxlambda_step(
+                    states, lambdas, m_servers=2, rng=rng, prefer_small=prefer_small
+                )
+                delivered += served
+            assert maxlambda_run(
+                lambdas, m_servers=2, horizon=5000, seed=6, prefer_small=prefer_small
+            ) == delivered / 5000
 
     def test_two_queue_chain_known_values(self):
         assert two_queue_markov_throughput(0.5, 0.25, priority=1) == pytest.approx(
@@ -294,3 +424,44 @@ class TestNonMemoryless:
             multi_user_run_nonmemoryless(
                 users, v=10.0, m_servers=4, beta=5.0, horizon=10, seed=0
             )
+
+
+# ---------------------------------------------------------------------------
+# seeded output, pinned
+# ---------------------------------------------------------------------------
+
+# (runner, users, v, m_servers, beta, horizon, seed)
+_PIN_RUNS = {
+    "table-one-seed-0": (multi_user_run, table_one_users, 70.0, 4, 5.0, 20_000, 0),
+    "table-one-seed-1": (multi_user_run, table_one_users, 70.0, 4, 5.0, 20_000, 1),
+    "tied-three-users": (multi_user_run, _tied_users, 10.0, 1, 0.6, 20_000, 2),
+    "nonmemoryless-geometric": (multi_user_run_nonmemoryless,
+                                lambda: table_two_users("geometric"), 70.0, 4, 5.0, 10_000, 3),
+    "nonmemoryless-uniform": (multi_user_run_nonmemoryless,
+                              lambda: table_two_users("uniform"), 70.0, 4, 5.0, 10_000, 3),
+    "nonmemoryless-poisson": (multi_user_run_nonmemoryless,
+                              lambda: table_two_users("poisson"), 70.0, 4, 5.0, 10_000, 3),
+}
+
+# sha256 over the throughput, power and queue arrays (name, dtype, shape,
+# bytes), recorded before the scheduler moved to a per-user option table
+_PINNED_DIGESTS = {
+    "nonmemoryless-geometric": "16f0f14bdb5d907518c767c2de5c6c8fcb0cc2b91659ee8e0c2bc693777f32c7",
+    "nonmemoryless-poisson": "92f9aed4a4f71065e2a79bd1c669412e0a05610484160855c1cdc99beda5a96d",
+    "nonmemoryless-uniform": "8f4c6af46c3e4cbadba0c54033acaaeefc401d0a228f994126fd84bde262986c",
+    "table-one-seed-0": "857219178c339439e17f03d55233c8993c3a345b10a501dc598e6a235e03d0db",
+    "table-one-seed-1": "fd1efe71e9f70a6f3c153454458c565e3ced0d07f24d28ff6b312a12f92662df",
+    "tied-three-users": "73b5cbb092a01896e4e322825ea655f60241c8690004cc428ba461a5f51b8cd0",
+}
+
+
+@pytest.mark.parametrize("case", sorted(_PIN_RUNS))
+def test_multi_user_output_is_pinned(case):
+    runner, users, v, m_servers, beta, horizon, seed = _PIN_RUNS[case]
+    out = runner(users(), v, m_servers, beta, horizon, seed)
+    digest = hashlib.sha256()
+    for name in ("throughput", "power", "queue"):
+        arr = out[name]
+        digest.update(f"{name}:{arr.dtype.str}:{arr.shape}:".encode())
+        digest.update(arr.tobytes())
+    assert digest.hexdigest() == _PINNED_DIGESTS[case]

@@ -80,6 +80,37 @@ def test_zipf_sampler_distribution():
     assert np.mean(draws == 1) == pytest.approx(p_one, abs=0.01)
 
 
+class _FixedUniforms:
+    """Stands in for a Generator whose ``random()`` returns given values."""
+
+    def __init__(self, values):
+        self.values = iter(values)
+
+    def random(self):
+        return next(self.values)
+
+
+@pytest.mark.parametrize("k, p", [(10, 1.9), (1, 1.9), (50, 0.5), (200, 3.0)])
+def test_zipf_sampler_matches_searchsorted(k, p):
+    sampler = dc._ZipfSampler(k, p)
+    # one ulp either side of every CDF step, and the step itself
+    uniforms = [0.0]
+    for c in sampler.cdf:
+        uniforms += [u for u in (math.nextafter(c, 0.0), c, math.nextafter(c, 1.0))
+                     if 0.0 <= u < 1.0]
+    draws = [sampler(_FixedUniforms([u])) for u in uniforms]
+    old = [oracles.zipf_draw_searchsorted(sampler.cdf, _FixedUniforms([u]))
+           for u in uniforms]
+    assert draws == old
+    assert sorted(set(draws)) == [float(i) for i in range(1, k + 1)]
+    # both take one uniform a draw, so a real generator ends in the same state
+    new_rng, old_rng = np.random.default_rng(5), np.random.default_rng(5)
+    draws = [sampler(new_rng) for _ in range(2000)]
+    old = [oracles.zipf_draw_searchsorted(sampler.cdf, old_rng) for _ in range(2000)]
+    assert draws == old
+    assert new_rng.bit_generator.state == old_rng.bit_generator.state
+
+
 # ---------------------------------------------------------------------------
 # admission
 # ---------------------------------------------------------------------------
