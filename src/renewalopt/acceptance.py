@@ -4,8 +4,9 @@ Each criterion runs a self-contained experiment against an independent
 reference computation (exact chain solves, stationary LP optima, brute-force
 enumeration) and reports one pass/fail line with the measured numbers. The
 two reference routines that exist only for checking, basic-feasible-solution
-enumeration and the grid-plus-face projection minimizer, are implemented
-here so the battery runs from an installed package alone.
+enumeration (:func:`lp_by_enumeration`) and the grid-plus-face projection
+minimizer (:func:`grid_project`), live here so the battery runs from an
+installed package alone; the test suite imports them from here too.
 
 Tolerances and horizons are fixed; a failing criterion reports its measured
 values rather than loosening them.
@@ -301,15 +302,20 @@ def ocmdp_scaling() -> CriterionResult:
 # ---------------------------------------------------------------------------
 
 
-def _reference_projection(aff_a, aff_b, x, mesh=501, span=2.5):
+def grid_project(aff_a, aff_b, x, mesh=501, span=2.5):
     """Minimize ||theta - x|| over {aff_a theta = aff_b, theta >= 0}
-    with no active set: a dense grid in null-space coordinates around the
-    minimum-norm particular solution gives an incumbent; near a boundary
-    minimizer the squared distance is flat along the active face, so the
-    incumbent can sit up to sqrt(2*sqrt(2)*h*dist) along it at spacing h,
-    which bounds the coordinates that can be active at the true minimizer.
-    Every subset of those candidates is finished in closed form as an
-    equality-constrained projection and the closest feasible one wins.
+    with no active set.
+
+    A dense grid in null-space coordinates around the minimum-norm
+    particular solution covers the whole feasible set (occupation polytopes
+    sit inside the unit ball of those coordinates) and gives an incumbent.
+    Near a boundary minimizer the squared distance is flat along the active
+    face, so the incumbent can sit up to sqrt(2*sqrt(2)*h*dist) along it at
+    grid spacing h, which bounds the coordinates that can be active at the
+    true minimizer. Every subset of those candidates is finished in closed
+    form as an equality-constrained projection, and the closest feasible one
+    wins. The face holding the true minimizer in its relative interior is
+    always among them, so the result is exact to least-squares precision.
     """
     aff_a = np.asarray(aff_a, dtype=float)
     aff_b = np.asarray(aff_b, dtype=float)
@@ -378,7 +384,7 @@ def projection_equivalence() -> CriterionResult:
         poly = ocmdp.build_polyhedron(spec)
         x = poly.uniform_theta + rng.normal(scale=1.5, size=poly.dim)
         z = ocmdp.project_onto_theta(poly, x)
-        reference = _reference_projection(poly.aff_a, poly.aff_b, x)
+        reference = grid_project(poly.aff_a, poly.aff_b, x)
         worst_gap = max(worst_gap, float(np.abs(z - reference).max()))
         again = ocmdp.project_onto_theta(poly, z)
         worst_idem = max(worst_idem, float(np.abs(again - z).max()))
@@ -395,6 +401,7 @@ def projection_equivalence() -> CriterionResult:
 
 
 def _independent_rows(a, tol=1e-9):
+    """Indices of a maximal set of linearly independent rows, greedily."""
     keep = []
     for i in range(a.shape[0]):
         trial = keep + [i]
@@ -403,24 +410,26 @@ def _independent_rows(a, tol=1e-9):
     return keep
 
 
-def _enumerate_lp(c, a_eq, b_eq, g_ub, h_ub):
-    """min c.x, a_eq x = b_eq, g_ub x <= h_ub, x >= 0 by enumerating basic
-    solutions of the slack-extended standard form. Assumes a bounded
-    feasible region with at least one vertex, which the battery's random
-    instances guarantee by construction."""
+def lp_by_enumeration(c, a_eq, b_eq, g_ub, h_ub):
+    """Solve min c.x, a_eq x = b_eq, g_ub x <= h_ub, x >= 0 by enumerating
+    the basic solutions of the slack-extended standard form.
+
+    Returns (status, x, value) with status "optimal" or "infeasible" (x and
+    value None). Assumes a feasible region, if nonempty, with at least one
+    vertex and an attained optimum, as for bounded instances.
+    """
     c = np.asarray(c, dtype=float)
     n = c.size
+    n_slack = 0 if g_ub is None or not len(g_ub) \
+        else np.asarray(g_ub).reshape(-1, n).shape[0]
     full = []
     rhs: List[float] = []
     if a_eq is not None and len(a_eq):
         a_eq = np.asarray(a_eq, dtype=float).reshape(-1, n)
         b_eq = np.asarray(b_eq, dtype=float).ravel()
-        n_slack = 0 if g_ub is None else np.asarray(g_ub).reshape(-1, n).shape[0]
         for i in range(a_eq.shape[0]):
             full.append(np.concatenate([a_eq[i], np.zeros(n_slack)]))
             rhs.append(b_eq[i])
-    n_slack = 0 if g_ub is None or not len(g_ub) \
-        else np.asarray(g_ub).reshape(-1, n).shape[0]
     if n_slack:
         g_ub = np.asarray(g_ub, dtype=float).reshape(-1, n)
         h_ub = np.asarray(h_ub, dtype=float).ravel()
@@ -432,13 +441,13 @@ def _enumerate_lp(c, a_eq, b_eq, g_ub, h_ub):
     mat = np.array(full, dtype=float)
     vec = np.array(rhs, dtype=float)
     keep = _independent_rows(mat)
+    # the dropped dependent rows must still hold at every candidate
     red = [i for i in range(mat.shape[0]) if i not in keep]
     mat_i, vec_i = mat[keep], vec[keep]
     m = len(keep)
     ntot = n + n_slack
     cost = np.concatenate([c, np.zeros(n_slack)])
-    best_val = math.inf
-    found = False
+    best_x, best_val = None, math.inf
     for cols in itertools.combinations(range(ntot), m):
         basis = mat_i[:, cols]
         try:
@@ -451,11 +460,12 @@ def _enumerate_lp(c, a_eq, b_eq, g_ub, h_ub):
         x[list(cols)] = xb
         if red and np.max(np.abs(mat[red] @ x - vec[red])) > 1e-7:
             continue
-        found = True
-        best_val = min(best_val, float(cost @ x))
-    if not found:
-        return "infeasible", None
-    return "optimal", best_val
+        val = float(cost @ x)
+        if val < best_val:
+            best_x, best_val = x[:n].copy(), val
+    if best_x is None:
+        return "infeasible", None, None
+    return "optimal", best_x, best_val
 
 
 def _random_bounded_lp(rng):
@@ -490,8 +500,8 @@ def simplex_equivalence() -> CriterionResult:
                 continue
             count += 1
             sol = lp.solve_lp(prob)
-            status, value = _enumerate_lp(prob.c, prob.a_eq, prob.b_eq,
-                                          prob.g_ub, prob.h_ub)
+            status, _, value = lp_by_enumeration(prob.c, prob.a_eq, prob.b_eq,
+                                                 prob.g_ub, prob.h_ub)
             if sol.status != "optimal" or status != "optimal":
                 status_ok = False
                 continue

@@ -15,7 +15,6 @@ from typing import Callable, NamedTuple, Optional, Sequence, Tuple, Union
 import numpy as np
 
 _FRAME_DIST_KINDS = ("deterministic", "geometric", "uniform_int")
-_VALUE_DIST_KINDS = ("deterministic", "uniform_int")
 
 
 @dataclass(frozen=True)
@@ -246,52 +245,6 @@ def dpp_linear_select(actions: Sequence[ActionModel], q, v: float):
     Ties keep the lowest list index.
     """
     return _select(actions, q, v, divide=False)
-
-
-def outcome_sampler(
-    frame_len: Dist, penalty: Dist, metrics: Sequence[Dist]
-) -> Callable[[np.random.Generator], FrameOutcome]:
-    """Build a FrameOutcome sampler from declarative distributions.
-
-    Frame lengths may be deterministic, geometric (minimum 1), or uniform
-    integer; penalties and metrics may be deterministic or uniform integer.
-    Any other kind raises a configuration error.
-    """
-    if frame_len.kind not in _FRAME_DIST_KINDS:
-        raise ValueError(f"unsupported frame length distribution: {frame_len.kind!r}")
-    if penalty.kind not in _VALUE_DIST_KINDS:
-        raise ValueError(f"unsupported penalty distribution: {penalty.kind!r}")
-    metrics = list(metrics)
-    for m in metrics:
-        if m.kind not in _VALUE_DIST_KINDS:
-            raise ValueError(f"unsupported metric distribution: {m.kind!r}")
-
-    def draw(rng: np.random.Generator) -> FrameOutcome:
-        t = frame_len.sample(rng)
-        if t < 1:
-            raise ValueError("sampled frame length below 1")
-        y = penalty.sample(rng)
-        z = np.array([m.sample(rng) for m in metrics], dtype=float)
-        return FrameOutcome(frame_len=int(t), penalty_total=y, metrics_total=z)
-
-    return draw
-
-
-def action_from_dists(
-    action_id: object,
-    frame_len: Dist,
-    penalty: Dist,
-    metrics: Sequence[Dist],
-) -> ActionModel:
-    """ActionModel whose expectations and sampler come from one declaration."""
-    metrics = list(metrics)
-    return ActionModel(
-        action_id=action_id,
-        exp_penalty=penalty.expectation,
-        exp_metrics=np.array([m.expectation for m in metrics]),
-        exp_frame_len=frame_len.expectation,
-        sampler=outcome_sampler(frame_len, penalty, metrics),
-    )
 
 
 def sample_outcome(model: ActionModel, rng: np.random.Generator) -> FrameOutcome:

@@ -12,7 +12,7 @@ oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -21,7 +21,6 @@ from renewalopt.core import (
     FrameOutcome,
     FrameProfile,
     dpp_linear_select,
-    queue_update_slot,
     sample_outcome,
 )
 from renewalopt import lp as lp_mod
@@ -68,29 +67,6 @@ class CoupledSystemSpec:
 
 
 @dataclass
-class SystemFrameState:
-    action_id: object
-    frame_start: int
-    frame_len: int
-    slot_index: int
-    penalty_slots: np.ndarray
-    metrics_slots: np.ndarray
-
-    @property
-    def remaining(self) -> int:
-        return self.frame_len - self.slot_index
-
-
-@dataclass
-class SlotRecord:
-    slot: int
-    penalty_by_system: np.ndarray
-    metrics_sum: np.ndarray
-    external: np.ndarray
-    queues: np.ndarray
-
-
-@dataclass
 class MetricsLog:
     """Per-slot trajectories of one run plus derived time averages."""
 
@@ -105,14 +81,6 @@ class MetricsLog:
     @property
     def horizon(self) -> int:
         return self.penalty.shape[0]
-
-    def penalty_avg_series(self) -> np.ndarray:
-        steps = np.arange(1, self.horizon + 1, dtype=float)
-        return np.cumsum(self.penalty.sum(axis=1)) / steps
-
-    def metrics_avg_series(self) -> np.ndarray:
-        steps = np.arange(1, self.horizon + 1, dtype=float)[:, None]
-        return np.cumsum(self.metrics, axis=0) / steps
 
     @property
     def final_penalty_avg(self) -> float:
@@ -136,64 +104,6 @@ def _profiles(outcome: FrameOutcome, n_constraints: int):
         mslots = np.zeros((outcome.frame_len, n_constraints))
         mslots[-1] = outcome.metrics_total
     return pslots, mslots
-
-
-def _start_frame(spec, n, q, v, t, rng) -> SystemFrameState:
-    actions = spec.systems[n]
-    chosen = dpp_linear_select(actions, q, v)
-    model = next(a for a in actions if a.action_id == chosen)
-    outcome = sample_outcome(model, rng)
-    pslots, mslots = _profiles(outcome, spec.n_constraints)
-    return SystemFrameState(
-        action_id=chosen,
-        frame_start=t,
-        frame_len=outcome.frame_len,
-        slot_index=0,
-        penalty_slots=pslots,
-        metrics_slots=mslots,
-    )
-
-
-def step(
-    spec: CoupledSystemSpec,
-    states: List[Optional[SystemFrameState]],
-    q: np.ndarray,
-    v: float,
-    rng: np.random.Generator,
-    t: int,
-    external_rng: Optional[np.random.Generator] = None,
-):
-    """Advance the coupled system one slot.
-
-    Systems at frame boundaries decide (in index order) before the slot's
-    emissions, which add up in frame-start order as in :func:`run`; the
-    external process is drawn last, after all decisions, from
-    ``external_rng`` (or ``rng`` when not given). Returns (states, q', record).
-    """
-    if external_rng is None:
-        external_rng = rng
-    n_sys = len(spec.systems)
-    penalty_row = np.zeros(n_sys)
-    metrics_row = np.zeros(spec.n_constraints)
-    new_states: List[Optional[SystemFrameState]] = list(states)
-    for n in range(n_sys):
-        if new_states[n] is None or new_states[n].remaining == 0:
-            new_states[n] = _start_frame(spec, n, q, v, t, rng)
-    for n in sorted(range(n_sys), key=lambda n: (new_states[n].frame_start, n)):
-        st = new_states[n]
-        penalty_row[n] = st.penalty_slots[st.slot_index]
-        metrics_row += st.metrics_slots[st.slot_index]
-        st.slot_index += 1
-    d = np.asarray(spec.external_process(external_rng), dtype=float)
-    q_new = queue_update_slot(q, metrics_row, d)
-    rec = SlotRecord(
-        slot=t,
-        penalty_by_system=penalty_row,
-        metrics_sum=metrics_row,
-        external=d,
-        queues=q_new,
-    )
-    return new_states, q_new, rec
 
 
 def _as_profile(out) -> FrameProfile:
@@ -414,18 +324,3 @@ def energy_oracle_value(n_servers: int = 5) -> float:
     if sol.status != "optimal":
         raise RuntimeError(f"energy oracle LP ended {sol.status}")
     return n_servers * float(sol.objective_value)
-
-
-def energy_table(log: MetricsLog, stride: int = 1) -> Tuple[List[str], np.ndarray]:
-    """Rows (slot, energy_avg, service_avg_1..L, q_1..L) for metric files."""
-    ell = log.metrics.shape[1]
-    cols = (
-        ["slot", "energy_avg"]
-        + [f"service_avg_{l + 1}" for l in range(ell)]
-        + [f"q_{l + 1}" for l in range(ell)]
-    )
-    slots = np.arange(log.horizon)
-    energy = log.penalty_avg_series()
-    service = -log.metrics_avg_series()
-    rows = np.column_stack([slots, energy, service, log.queues])
-    return cols, rows[::stride]

@@ -1,10 +1,10 @@
 """Experiment configs, replication fan-out, and metrics files.
 
 A plain JSON mapping describes one experiment: which simulator to drive
-(``kind``), its instance parameters, the parameter sweeps, horizon,
-replication count, and master seed. :func:`run_experiment` expands the sweep
-grid, runs every (parameter point, replication) cell, and folds the rows into
-a :class:`RunSummary` whose aggregates are exact recomputations of the rows.
+(``kind``, each described by one ``_Kind`` record), its instance, the sweeps,
+horizon, replication count, and master seed. :func:`run_experiment` expands
+the sweep grid, runs every (parameter point, replication) cell, and folds the
+rows into a :class:`RunSummary` whose aggregates recompute the rows exactly.
 
 Seeding is counter based: cell (p, r) of the grid simulates with the first
 word of ``SeedSequence(master_seed, spawn_key=(p, r))`` and uses the second
@@ -23,13 +23,16 @@ byte-for-byte reproducible.
 from __future__ import annotations
 
 import csv
+import filecmp
+import functools
 import itertools
 import json
+import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -37,51 +40,20 @@ from renewalopt import bandit, coupled, datacenter, lp, ocmdp, online
 
 
 class ConfigError(ValueError):
-    """A config file or mapping violates the experiment schema."""
+    """A config file or mapping violates the experiment schema.
+
+    ``keys`` is the path from the config's top level to the offending key,
+    which :func:`load_config` turns into a line number.
+    """
+
+    def __init__(self, message: str, keys: Tuple[str, ...] = ()):
+        super().__init__(message)
+        self.keys = keys
 
 
-_KINDS = (
-    "coupled-energy",
-    "datacenter",
-    "bandit",
-    "online-renewal",
-    "ocmdp",
-    "oracle-only",
-)
-
-# sweep keys each kind consumes, in grid order
-_PARAM_KEYS: Dict[str, Tuple[str, ...]] = {
-    "coupled-energy": ("v",),
-    "datacenter": ("v",),
-    "bandit": ("v",),
-    "online-renewal": ("v", "delta"),
-    "ocmdp": ("v", "alpha"),
-    "oracle-only": (),
-}
-
-_INSTANCE_KEYS: Dict[str, Tuple[str, ...]] = {
-    "coupled-energy": ("n_servers",),
-    "datacenter": ("servers", "mode", "min_active", "trace"),
-    "bandit": ("users", "file_dist", "m_servers", "beta"),
-    "online-renewal": ("model", "theta_max"),
-    "ocmdp": ("path", "example", "noise", "check_slater"),
-    "oracle-only": ("target", "instance"),
-}
-
-_TOP_KEYS = (
-    "kind",
-    "instance",
-    "v_values",
-    "delta_values",
-    "alpha_values",
-    "horizon",
-    "replications",
-    "seed",
-    "out_dir",
-    "format",
-    "oracle",
-    "jobs",
-)
+_TOP_KEYS = ("kind", "instance", "v_values", "delta_values", "alpha_values",
+             "horizon", "replications", "seed", "out_dir", "format", "oracle",
+             "jobs")
 
 
 @dataclass
@@ -109,18 +81,14 @@ class ExperimentConfig:
 
     @property
     def param_keys(self) -> Tuple[str, ...]:
-        return _PARAM_KEYS[self.kind]
+        return _RECORDS[self.kind].sweeps
 
     def param_grid(self) -> List[Dict[str, float]]:
         """Parameter points in row order: the cross product of the consumed
         sweep lists, v-major."""
-        lists = {"v": self.v_values, "delta": self.delta_values,
-                 "alpha": self.alpha_values}
         keys = self.param_keys
-        if not keys:
-            return [{}]
-        return [dict(zip(keys, combo))
-                for combo in itertools.product(*(lists[k] for k in keys))]
+        lists = [getattr(self, f"{key}_values") for key in keys]
+        return [dict(zip(keys, combo)) for combo in itertools.product(*lists)]
 
     def to_mapping(self) -> dict:
         """Plain JSON mapping that reconstructs this config exactly.
@@ -129,12 +97,8 @@ class ExperimentConfig:
         when given explicitly), as is an unset output directory.
         """
         data: dict = {"kind": self.kind, "instance": dict(self.instance)}
-        if "v" in self.param_keys:
-            data["v_values"] = list(self.v_values)
-        if "delta" in self.param_keys:
-            data["delta_values"] = list(self.delta_values)
-        if "alpha" in self.param_keys:
-            data["alpha_values"] = list(self.alpha_values)
+        for short in self.param_keys:
+            data[f"{short}_values"] = list(getattr(self, f"{short}_values"))
         data.update(horizon=self.horizon, replications=self.replications,
                     seed=self.seed, format=self.format, oracle=self.oracle,
                     jobs=self.jobs)
@@ -145,124 +109,112 @@ class ExperimentConfig:
     def identity_mapping(self) -> dict:
         """The part of the config that determines the written bytes: every
         field except the output location and worker count."""
-        data = self.to_mapping()
-        data.pop("out_dir", None)
-        data.pop("jobs", None)
-        return data
+        return {key: value for key, value in self.to_mapping().items()
+                if key not in ("out_dir", "jobs")}
 
 
-class _Locator:
-    """Points schema errors at the first occurrence of a key in the raw
-    config text; falls back to the bare source name for built mappings."""
-
-    def __init__(self, source: str, text: Optional[str]):
-        self.source = source
-        self.text = text
-
-    def where(self, key: Optional[str]) -> str:
-        if key is not None and self.text is not None:
-            idx = self.text.find(f'"{key}"')
-            if idx >= 0:
-                return f"{self.source}:{self.text.count(chr(10), 0, idx) + 1}"
-        return self.source
-
-    def fail(self, key: Optional[str], message: str) -> ConfigError:
-        return ConfigError(f"{self.where(key)}: {message}")
-
-
-def _as_int(loc, data, key, default, minimum):
+def _as_number(data, key, default, minimum, integer=True):
+    """``data[key]``, or ``default`` when absent: an integer, or with
+    ``integer`` false a finite number made float, at least ``minimum``."""
     value = data.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise loc.fail(key, f"{key} must be an integer")
+    what = (int, "an integer") if integer else ((int, float), "a finite number")
+    if isinstance(value, bool) or not isinstance(value, what[0]) \
+            or not -math.inf < value < math.inf:
+        raise ConfigError(f"{key} must be {what[1]}", (key,))
     if value < minimum:
-        raise loc.fail(key, f"{key} must be at least {minimum}, got {value}")
-    return value
+        raise ConfigError(f"{key} must be at least {minimum}, got {value}", (key,))
+    return value if integer else float(value)
 
 
-def _as_sweep(loc, data, key, default):
+def _as_sweep(data, key, default):
     value = data.get(key)
     if value is None:
         return default
     if not isinstance(value, (list, tuple)) or len(value) == 0:
-        raise loc.fail(key, f"{key} must be a nonempty list of numbers")
+        raise ConfigError(f"{key} must be a nonempty list of numbers", (key,))
     out = []
     for entry in value:
         if isinstance(entry, bool) or not isinstance(entry, (int, float)) \
                 or not np.isfinite(entry):
-            raise loc.fail(key, f"{key} entries must be finite numbers")
+            raise ConfigError(f"{key} entries must be finite numbers", (key,))
         out.append(float(entry))
     return tuple(out)
+
+
+def _located(err: ConfigError, source: str, text: Optional[str]) -> ConfigError:
+    """``err`` prefixed with ``source:line``, the line of the deepest key of
+    its path found in order in the raw config text (each key searched after
+    the one before it); the bare source when there is no text or no key."""
+    pos = -1
+    for key in err.keys if text is not None else ():
+        found = text.find(f'"{key}"', pos + 1)
+        if found < 0:
+            break
+        pos = found
+    where = source if pos < 0 else f"{source}:{text.count(chr(10), 0, pos) + 1}"
+    return ConfigError(f"{where}: {err}", err.keys)
 
 
 def config_from_mapping(data: Mapping, source: str = "<config>",
                         text: Optional[str] = None) -> ExperimentConfig:
     """Validate a plain mapping into an :class:`ExperimentConfig`.
 
-    Raises :class:`ConfigError` naming the offending key, with a line number
-    when the raw config text is available.
+    The kind builds the instance once and checks an oracle request against
+    it, so every schema error surfaces here, as a :class:`ConfigError` naming
+    the offending key, with its line when the raw config text is given.
     """
-    loc = _Locator(source, text)
+    try:
+        return _validated(data)
+    except ConfigError as err:
+        raise _located(err, source, text) from None
+
+
+def _validated(data: Mapping) -> ExperimentConfig:
     if not isinstance(data, Mapping):
-        raise loc.fail(None, "config must be a JSON object")
+        raise ConfigError("config must be a JSON object")
     for key in data:
         if key not in _TOP_KEYS:
-            raise loc.fail(key, f"unknown config key {key!r}")
+            raise ConfigError(f"unknown config key {key!r}", (key,))
     kind = data.get("kind")
     if kind is None:
-        raise loc.fail(None, "config needs a 'kind'")
-    if kind not in _KINDS:
-        raise loc.fail("kind", f"unknown experiment kind {kind!r}; "
-                               f"expected one of {', '.join(_KINDS)}")
-
+        raise ConfigError("config needs a 'kind'")
+    if not isinstance(kind, str) or kind not in _RECORDS:
+        raise ConfigError(f"unknown experiment kind {kind!r}; expected one "
+                          f"of {', '.join(_RECORDS)}", ("kind",))
+    record = _RECORDS[kind]
     instance = data.get("instance", {})
-    if not isinstance(instance, Mapping):
-        raise loc.fail("instance", "instance must be an object")
-    allowed = _INSTANCE_KEYS[kind]
-    for key in instance:
-        if key not in allowed:
-            raise loc.fail(key, f"instance key {key!r} does not apply to "
-                                f"kind {kind!r}")
+    built = _under("instance", _build, kind, instance)
 
-    used = _PARAM_KEYS[kind]
-    for sweep_key, short in (("v_values", "v"), ("delta_values", "delta"),
-                             ("alpha_values", "alpha")):
-        if sweep_key in data and short not in used:
-            raise loc.fail(sweep_key,
-                           f"{sweep_key} does not apply to kind {kind!r}")
     defaults = ExperimentConfig(kind=kind)
-    v_values = _as_sweep(loc, data, "v_values", defaults.v_values)
-    delta_values = _as_sweep(loc, data, "delta_values", defaults.delta_values)
-    alpha_values = _as_sweep(loc, data, "alpha_values", defaults.alpha_values)
-    if kind == "online-renewal" and min(v_values) <= 0:
-        raise loc.fail("v_values", "online-renewal needs strictly positive v")
-    if kind == "ocmdp" and min(alpha_values) <= 0:
-        raise loc.fail("alpha_values", "ocmdp needs strictly positive alpha")
+    sweeps = {}
+    for short in ("v", "delta", "alpha"):
+        key = f"{short}_values"
+        if key in data and short not in record.sweeps:
+            raise ConfigError(f"{key} does not apply to kind {kind!r}", (key,))
+        sweeps[key] = _as_sweep(data, key, getattr(defaults, key))
+        if short in record.positive and min(sweeps[key]) <= 0:
+            raise ConfigError(f"{kind} needs strictly positive {short}", (key,))
 
-    horizon = _as_int(loc, data, "horizon", defaults.horizon, 1)
-    replications = _as_int(loc, data, "replications", defaults.replications, 1)
-    seed = data.get("seed", defaults.seed)
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        raise loc.fail("seed", "seed must be an integer")
-    jobs = _as_int(loc, data, "jobs", defaults.jobs, 1)
+    counts = {key: _as_number(data, key, getattr(defaults, key), minimum)
+              for key, minimum in (("horizon", 1), ("replications", 1),
+                                   ("seed", 0), ("jobs", 1))}
 
     fmt = data.get("format", defaults.format)
     if fmt not in ("csv", "json"):
-        raise loc.fail("format", f"format must be 'csv' or 'json', got {fmt!r}")
+        raise ConfigError(f"format must be 'csv' or 'json', got {fmt!r}", ("format",))
     oracle = data.get("oracle", defaults.oracle)
     if not isinstance(oracle, bool):
-        raise loc.fail("oracle", "oracle must be true or false")
-    if kind == "oracle-only":
-        oracle = True
+        raise ConfigError("oracle must be true or false", ("oracle",))
+    # a kind with nothing to simulate only evaluates its oracle
+    oracle = oracle or record.simulate is None
+    if oracle:
+        _under("oracle", _oracle, kind, built)
     out_dir = data.get("out_dir")
     if out_dir is not None and not isinstance(out_dir, str):
-        raise loc.fail("out_dir", "out_dir must be a path string")
+        raise ConfigError("out_dir must be a path string", ("out_dir",))
 
-    return ExperimentConfig(
-        kind=kind, instance=dict(instance), v_values=v_values,
-        delta_values=delta_values, alpha_values=alpha_values,
-        horizon=horizon, replications=replications, seed=seed,
-        out_dir=out_dir, format=fmt, oracle=oracle, jobs=jobs,
-    )
+    return ExperimentConfig(kind=kind, instance=dict(instance), out_dir=out_dir,
+                            format=fmt, oracle=oracle, **sweeps, **counts)
 
 
 def load_config(path) -> ExperimentConfig:
@@ -307,31 +259,25 @@ def write_metrics(log: Mapping[str, Sequence], path, format: str = "csv") -> Non
     lengths = {arr.size for arr in arrays.values()}
     if len(lengths) > 1:
         raise ValueError(f"columns differ in length: {sorted(lengths)}")
+    if format not in ("csv", "json"):
+        raise ValueError(f"format must be 'csv' or 'json', got {format!r}")
+    cells, parse = [], {}
+    for name in columns:
+        arr = arrays[name]
+        integral = arr.size and np.issubdtype(arr.dtype, np.integer)
+        cells.append([str(int(x)) if integral else "%.12g" % x for x in arr])
+        parse[name] = int if integral else float
     if format == "csv":
-        cells = []
-        for name in columns:
-            arr = arrays[name]
-            if arr.size and np.issubdtype(arr.dtype, np.integer):
-                cells.append([str(int(x)) for x in arr])
-            else:
-                cells.append(["%.12g" % x for x in arr])
         with open(path, "w", newline="") as handle:
             writer = csv.writer(handle)
             writer.writerow(columns)
             writer.writerows(zip(*cells))
-    elif format == "json":
-        values = {}
-        for name in columns:
-            arr = arrays[name]
-            if arr.size and np.issubdtype(arr.dtype, np.integer):
-                values[name] = [int(x) for x in arr]
-            else:
-                values[name] = [float("%.12g" % x) for x in arr]
-        payload = {"columns": columns, "values": values}
-        with open(path, "w") as handle:
-            handle.write(json.dumps(payload, indent=2) + "\n")
     else:
-        raise ValueError(f"format must be 'csv' or 'json', got {format!r}")
+        values = {name: [parse[name](c) for c in col]
+                  for name, col in zip(columns, cells)}
+        with open(path, "w") as handle:
+            handle.write(json.dumps({"columns": columns, "values": values},
+                                    indent=2) + "\n")
 
 
 _INT_ONLY = frozenset("-0123456789")
@@ -374,7 +320,7 @@ def read_metrics(path, format: Optional[str] = None) -> Dict[str, np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# instance builders
+# experiment kinds
 # ---------------------------------------------------------------------------
 
 
@@ -389,54 +335,108 @@ def derive_seeds(master_seed: int, param_index: int, replication: int) -> Tuple[
     return int(words[0]), int(words[1])
 
 
+@dataclass(frozen=True)
+class _Kind:
+    """One experiment kind, described in one place.
+
+    ``sweeps``: the sweep keys it consumes, in grid order; ``positive``: those
+    that must be > 0. ``build(instance)`` validates the raw instance, raising
+    ConfigError with the offending key's path, into what ``simulate(built,
+    horizon, params, run_seed, aux_seed, trace_records)`` turns into a row.
+    ``oracle(built)`` raises ConfigError unless it covers the instance, and
+    otherwise returns the zero-argument solve of its stationary optimum.
+    ``gap``: the column compared with the optimum, and +1 for column -
+    optimum (a penalty) or -1 for optimum - column (a reward).
+    """
+
+    sweeps: Tuple[str, ...]
+    positive: Tuple[str, ...]
+    instance_keys: Tuple[str, ...]
+    build: Callable[[Mapping], object]
+    simulate: Optional[Callable[..., dict]] = None
+    oracle: Optional[Callable[[object], Callable[[], float]]] = None
+    gap: Optional[Tuple[str, int]] = None
+
+
 def _need(instance: Mapping, key: str, kind: str):
     if key not in instance:
-        raise ConfigError(f"kind {kind!r} needs instance key {key!r}")
+        raise ConfigError(f"kind {kind!r} needs instance key {key!r}", (key,))
     return instance[key]
 
 
-def _build_servers(entries) -> List[datacenter.ServerConfig]:
-    if not isinstance(entries, (list, tuple)) or not entries:
-        raise ConfigError("instance key 'servers' must be a nonempty list")
-    cfgs = []
-    for pos, entry in enumerate(entries):
-        try:
-            modes = [datacenter.SleepMode(*mode) for mode in entry["sleep_modes"]]
-            cfgs.append(datacenter.ServerConfig(
-                active_power=float(entry["active_power"]),
-                mu_dist=tuple(entry["mu"]),
-                sleep_modes=modes,
-                i_max=int(entry["i_max"]),
-                r_max=float(entry["r_max"]),
-            ))
-        except (KeyError, TypeError, ValueError) as err:
-            raise ConfigError(f"servers[{pos}]: {err}")
-    return cfgs
+def _under(key: str, fn, *args):
+    """``fn(*args)``, with the key path of its ConfigError put under ``key``."""
+    try:
+        return fn(*args)
+    except ConfigError as err:
+        raise ConfigError(str(err), (key,) + err.keys) from None
 
 
-def _build_trace(spec, horizon: int, aux_seed: int, records):
-    if spec is None:
-        spec = {"kind": "uniform"}
+def _build(kind: str, instance) -> object:
+    """Check the instance's keys against ``kind``, then build it."""
+    if not isinstance(instance, Mapping):
+        raise ConfigError("instance must be an object")
+    record = _RECORDS[kind]
+    for key in instance:
+        if key not in record.instance_keys:
+            raise ConfigError(f"instance key {key!r} does not apply to "
+                              f"kind {kind!r}", (key,))
+    return record.build(instance)
+
+
+def _oracle(kind: str, built):
+    """The zero-argument solve of ``kind``'s oracle for a built instance."""
+    record = _RECORDS[kind]
+    if record.oracle is None:
+        raise ConfigError(f"kind {kind!r} has no oracle")
+    return record.oracle(built)
+
+
+def oracle_value(kind: str, instance: Mapping) -> float:
+    """Stationary LP optimum of the instance, independent of the sweeps:
+    the per-slot objective (penalty) or, for bandit, the weighted throughput
+    of the composite download chain. The datacenter kind has none."""
+    return float(_oracle(kind, _build(kind, instance))())
+
+
+def _energy_simulate(n_servers, horizon, params, run_seed, aux_seed, records):
+    # the spec is made here, not at load: its probe draw imports numpy.random
+    spec = coupled.energy_scheduling_spec(n_servers)
+    log = coupled.run(spec, params["v"], horizon, run_seed)
+    row = {"penalty_avg": log.final_penalty_avg}
+    for i, value in enumerate(log.final_metrics_avg):
+        row[f"metric_avg_{i}"] = float(value)
+    row["queue_max"] = float(log.queues.max())
+    return row
+
+
+def _trace_maker(spec):
+    """The trace spec as ``make(horizon, aux_seed, file_records)``; a spec
+    naming a ``path`` takes the records :func:`run_experiment` read from it."""
+    spec = {"kind": "uniform"} if spec is None else spec
     if not isinstance(spec, Mapping):
-        raise ConfigError("instance key 'trace' must be an object")
-    if "path" in spec:
-        return records
-    tag = spec.get("kind")
-    if tag == "uniform":
-        return datacenter.uniform_trace(
-            horizon,
-            arrival_range=tuple(spec.get("arrival_range", (10, 30))),
-            cost_range=tuple(spec.get("cost_range", (1, 6))),
-            seed=aux_seed)
-    if tag == "ramp":
-        try:
+        raise ConfigError("instance key 'trace' must be an object", ("trace",))
+    tag = "path" if "path" in spec else spec.get("kind")
+    try:
+        if tag == "path":
+            return lambda horizon, seed, records: records
+        if tag == "uniform":
+            ranges = (tuple(spec.get("arrival_range", (10, 30))),
+                      tuple(spec.get("cost_range", (1, 6))))
+            return lambda horizon, seed, records: datacenter.uniform_trace(
+                horizon, *ranges, seed=seed)
+        if tag == "ramp":
             shape = (float(spec["base_rate"]), float(spec["peak_rate"]),
                      int(spec["ramp_start"]), int(spec["ramp_end"]))
-        except KeyError as err:
-            raise ConfigError(f"ramp trace needs key {err}") from None
-        return datacenter.ramp_trace(horizon, *shape,
-                                     cost=float(spec.get("cost", 1.0)), seed=aux_seed)
-    raise ConfigError(f"trace kind must be 'uniform' or 'ramp', got {tag!r}")
+            cost = float(spec.get("cost", 1.0))
+            return lambda horizon, seed, records: datacenter.ramp_trace(
+                horizon, *shape, cost=cost, seed=seed)
+    except KeyError as err:
+        raise ConfigError(f"ramp trace needs key {err}", ("trace",)) from None
+    except (TypeError, ValueError) as err:
+        raise ConfigError(f"trace: {err}", ("trace",)) from None
+    raise ConfigError(f"trace kind must be 'uniform' or 'ramp', got {tag!r}",
+                      ("trace", "kind"))
 
 
 def _parse_mode(raw):
@@ -445,160 +445,202 @@ def _parse_mode(raw):
     if isinstance(raw, (list, tuple)) and len(raw) == 2 \
             and raw[0] in ("always-on", "reactive"):
         return (raw[0], raw[1])
-    raise ConfigError(f"unknown datacenter mode {raw!r}")
+    raise ConfigError(f"unknown datacenter mode {raw!r}", ("mode",))
 
 
-def _build_users(instance: Mapping) -> List[bandit.UserSpec]:
+def _datacenter_build(instance: Mapping):
+    entries = _need(instance, "servers", "datacenter")
+    if not isinstance(entries, (list, tuple)) or not entries:
+        raise ConfigError("instance key 'servers' must be a nonempty list", ("servers",))
+    cfgs = []
+    for pos, entry in enumerate(entries):
+        try:
+            cfgs.append(datacenter.ServerConfig(
+                active_power=float(entry["active_power"]),
+                mu_dist=tuple(entry["mu"]),
+                sleep_modes=[datacenter.SleepMode(*m) for m in entry["sleep_modes"]],
+                i_max=_as_number(entry, "i_max", None, 1),
+                r_max=float(entry["r_max"])))
+        except (KeyError, TypeError, ValueError) as err:
+            raise ConfigError(f"servers[{pos}]: {err}", ("servers",)) from None
+    return (cfgs, _parse_mode(instance.get("mode")),
+            _as_number(instance, "min_active", 0, 0),
+            _trace_maker(instance.get("trace")))
+
+
+def _datacenter_simulate(built, horizon, params, run_seed, aux_seed, records):
+    cfgs, mode, min_active, make_trace = built
+    log = datacenter.run_datacenter(
+        cfgs, make_trace(horizon, aux_seed, records), params["v"], mode=mode,
+        seed=run_seed, horizon=horizon, min_active=min_active)
+    return {"power_avg": log.final_power_avg, "cost_avg": log.final_cost_avg,
+            "backlog_avg": log.final_backlog_avg,
+            "reject_avg": float(log.rejected.mean()),
+            "active_avg": float(log.active_servers.mean()),
+            "queue_max": float(log.max_queue.max())}
+
+
+def _bandit_build(instance: Mapping):
     users = _need(instance, "users", "bandit")
+    file_dist = instance.get("file_dist", "geometric")
+    if file_dist not in ("geometric", "uniform", "poisson"):
+        raise ConfigError("file_dist must be 'geometric', 'uniform' or "
+                          f"'poisson', got {file_dist!r}", ("file_dist",))
     if users == "table-one":
-        return bandit.table_one_users()
-    if users == "table-two":
-        return bandit.table_two_users(instance.get("file_dist", "geometric"))
-    if isinstance(users, (list, tuple)) and users:
+        built = bandit.table_one_users()
+    elif users == "table-two":
+        built = bandit.table_two_users(file_dist)
+    elif isinstance(users, (list, tuple)) and users:
         built = []
         for pos, entry in enumerate(users):
             try:
                 built.append(bandit.UserSpec(
-                    lam=float(entry["lam"]),
-                    mean_file=float(entry["mean_file"]),
+                    lam=float(entry["lam"]), mean_file=float(entry["mean_file"]),
                     actions=tuple(tuple(a) for a in entry["actions"]),
-                    weight=float(entry.get("weight", 1.0)),
-                ))
+                    weight=float(entry.get("weight", 1.0))))
             except (KeyError, TypeError, ValueError) as err:
-                raise ConfigError(f"users[{pos}]: {err}")
-        return built
-    raise ConfigError("instance key 'users' must be 'table-one', 'table-two', "
-                      "or a list of user objects")
+                raise ConfigError(f"users[{pos}]: {err}", ("users",)) from None
+    else:
+        raise ConfigError("instance key 'users' must be 'table-one', "
+                          "'table-two', or a list of user objects", ("users",))
+    _need(instance, "m_servers", "bandit")
+    _need(instance, "beta", "bandit")
+    return (built, _as_number(instance, "m_servers", None, 1),
+            _as_number(instance, "beta", None, 0, False), file_dist)
 
 
-def _build_ocmdp_specs(instance: Mapping) -> List[ocmdp.MdpSpec]:
-    if "path" in instance and "example" in instance:
-        raise ConfigError("give the ocmdp instance either a 'path' or an "
-                          "'example', not both")
-    if "path" in instance:
-        return ocmdp.load_instance(instance["path"])
-    example = instance.get("example", "two-mdp")
-    if example != "two-mdp":
-        raise ConfigError(f"unknown ocmdp example {example!r}")
-    return ocmdp.two_mdp_example(noise=float(instance.get("noise", 0.25)))
+def _bandit_simulate(built, horizon, params, run_seed, aux_seed, records):
+    users, m_servers, beta, _ = built
+    runner = bandit.multi_user_run
+    if any(u.file_length_sampler is not None for u in users):
+        runner = bandit.multi_user_run_nonmemoryless
+    out = runner(users, params["v"], m_servers, beta, horizon, run_seed)
+    return {"throughput_avg": out["throughput_avg"], "power_avg": out["power_avg"],
+            "queue_max": float(out["queue"].max())}
 
 
-def _build_online_model(instance: Mapping) -> online.EventModel:
+def _bandit_oracle(built):
+    """The composite download chain covers memoryless users only: explicit
+    user lists and table-two users with geometric files, whose served file
+    completes with probability phi each slot, exactly the chain's law."""
+    users, m_servers, beta, file_dist = built
+    if file_dist != "geometric" and any(
+            u.file_length_sampler is not None for u in users):
+        raise ConfigError("the bandit oracle covers memoryless users only")
+    return lambda: lp.coupled_mdp_optimal(
+        [u.lam for u in users], [u.weight for u in users],
+        [u.mean_file for u in users], [u.actions for u in users],
+        served_limit=m_servers, power_budget=beta).value
+
+
+def _online_build(instance: Mapping):
     model = instance.get("model", "file-download")
     if model != "file-download":
-        raise ConfigError(f"unknown renewal model {model!r}")
-    return online.file_download_example()
+        raise ConfigError(f"unknown renewal model {model!r}", ("model",))
+    theta_max = instance.get("theta_max")
+    if theta_max is not None:
+        theta_max = _as_number(instance, "theta_max", None, 0, False)
+    return online.file_download_example(), theta_max
 
 
-def oracle_value(kind: str, instance: Mapping) -> float:
-    """Stationary LP optimum of the instance, independent of the sweeps.
-
-    coupled-energy and ocmdp price the per-slot objective, online-renewal the
-    per-slot penalty of the best event-conditioned policy, bandit the
-    weighted throughput of the composite download chain. That chain covers
-    memoryless users only: explicit user lists and table-two users with
-    geometric files, whose served file completes with probability phi each
-    slot, exactly the chain's law; uniform and poisson files are refused.
-    The datacenter kind has no attached oracle.
-    """
-    if kind == "coupled-energy":
-        return coupled.energy_oracle_value(int(instance.get("n_servers", 5)))
-    if kind == "bandit":
-        users = _build_users(instance)
-        if instance.get("file_dist", "geometric") != "geometric" and any(
-                u.file_length_sampler is not None for u in users):
-            raise ConfigError("the bandit oracle covers memoryless users only")
-        result = lp.coupled_mdp_optimal(
-            [u.lam for u in users], [u.weight for u in users],
-            [u.mean_file for u in users], [u.actions for u in users],
-            served_limit=int(_need(instance, "m_servers", "bandit")),
-            power_budget=float(_need(instance, "beta", "bandit")))
-        return float(result.value)
-    if kind == "online-renewal":
-        model = _build_online_model(instance)
-        return float(lp.conditional_ratio_optimal(
-            model.event_probs, model.exp_penalty, model.exp_frame_len,
-            model.exp_metrics, model.budgets))
-    if kind == "ocmdp":
-        return float(ocmdp.solve_baseline(_build_ocmdp_specs(instance)).value)
-    raise ConfigError(f"kind {kind!r} has no oracle")
+def _online_simulate(built, horizon, params, run_seed, aux_seed, records):
+    model, theta_max = built
+    log = online.run(model, v=params["v"], delta=params["delta"],
+                     n_frames=horizon, seed=run_seed, theta_max=theta_max)
+    row = {"penalty_avg": log.penalty_time_avg}
+    for i, value in enumerate(log.metrics_time_avg):
+        row[f"metric_avg_{i}"] = float(value)
+    row["frame_len_avg"] = log.total_slots / log.n_frames
+    row["theta_final"] = float(log.theta[-1])
+    row["queue_max"] = float(log.queues.max())
+    return row
 
 
-# ---------------------------------------------------------------------------
-# one grid cell
-# ---------------------------------------------------------------------------
+def _online_oracle(built):
+    model = built[0]
+    return lambda: lp.conditional_ratio_optimal(
+        model.event_probs, model.exp_penalty, model.exp_frame_len,
+        model.exp_metrics, model.budgets)
 
 
-def _simulate_point(kind: str, instance: Mapping, horizon: int,
-                    params: Mapping, run_seed: int, aux_seed: int,
-                    trace_records) -> dict:
-    """Run one cell and return its result columns, oracle excluded."""
-    if kind == "coupled-energy":
-        spec = coupled.energy_scheduling_spec(int(instance.get("n_servers", 5)))
-        log = coupled.run(spec, params["v"], horizon, run_seed)
-        row = {"penalty_avg": log.final_penalty_avg}
-        for i, value in enumerate(log.final_metrics_avg):
-            row[f"metric_avg_{i}"] = float(value)
-        row["queue_max"] = float(log.queues.max())
-        return row
-    if kind == "datacenter":
-        cfgs = _build_servers(_need(instance, "servers", kind))
-        trace = _build_trace(instance.get("trace"), horizon, aux_seed,
-                             trace_records)
-        log = datacenter.run_datacenter(
-            cfgs, trace, params["v"], mode=_parse_mode(instance.get("mode")),
-            seed=run_seed, horizon=horizon,
-            min_active=int(instance.get("min_active", 0)))
-        return {
-            "power_avg": log.final_power_avg,
-            "cost_avg": log.final_cost_avg,
-            "backlog_avg": log.final_backlog_avg,
-            "reject_avg": float(log.rejected.mean()),
-            "active_avg": float(log.active_servers.mean()),
-            "queue_max": float(log.max_queue.max()),
-        }
-    if kind == "bandit":
-        users = _build_users(instance)
-        m_servers = int(_need(instance, "m_servers", kind))
-        beta = float(_need(instance, "beta", kind))
-        runner = bandit.multi_user_run
-        if any(u.file_length_sampler is not None for u in users):
-            runner = bandit.multi_user_run_nonmemoryless
-        out = runner(users, params["v"], m_servers, beta, horizon, run_seed)
-        return {
-            "throughput_avg": out["throughput_avg"],
-            "power_avg": out["power_avg"],
-            "queue_max": float(out["queue"].max()),
-        }
-    if kind == "online-renewal":
-        model = _build_online_model(instance)
-        theta_max = instance.get("theta_max")
-        log = online.run(model, v=params["v"], delta=params["delta"],
-                         n_frames=horizon, seed=run_seed,
-                         theta_max=None if theta_max is None else float(theta_max))
-        row = {"penalty_avg": log.penalty_time_avg}
-        for i, value in enumerate(log.metrics_time_avg):
-            row[f"metric_avg_{i}"] = float(value)
-        row["frame_len_avg"] = log.total_slots / log.n_frames
-        row["theta_final"] = float(log.theta[-1])
-        row["queue_max"] = float(log.queues.max())
-        return row
-    if kind == "ocmdp":
-        specs = _build_ocmdp_specs(instance)
-        log = ocmdp.run_ocmdp(
-            specs, horizon, v=params["v"], alpha=params["alpha"],
-            seed=run_seed, check_slater=bool(instance.get("check_slater", True)))
-        row = {"penalty_avg": float(log.realized_f.mean())}
-        for i in range(log.n_constraints):
-            row[f"violation_avg_{i}"] = float(log.realized_g[:, i].mean())
-        row["queue_max"] = float(log.queues.max())
-        return row
-    raise ConfigError(f"kind {kind!r} cannot be simulated")
+def _ocmdp_build(instance: Mapping):
+    check_slater = instance.get("check_slater", True)
+    if not isinstance(check_slater, bool):
+        raise ConfigError("check_slater must be true or false", ("check_slater",))
+    if "path" in instance and "example" in instance:
+        raise ConfigError("give the ocmdp instance either a 'path' or an "
+                          "'example', not both", ("path",))
+    if "path" in instance:
+        try:
+            return ocmdp.load_instance(instance["path"]), check_slater
+        except (OSError, KeyError, TypeError, ValueError) as err:
+            raise ConfigError(f"cannot load ocmdp instance: {err}",
+                              ("path",)) from None
+    example = instance.get("example", "two-mdp")
+    if example != "two-mdp":
+        raise ConfigError(f"unknown ocmdp example {example!r}", ("example",))
+    return (ocmdp.two_mdp_example(_as_number(instance, "noise", 0.25, 0, False)),
+            check_slater)
+
+
+def _ocmdp_simulate(built, horizon, params, run_seed, aux_seed, records):
+    specs, check_slater = built
+    log = ocmdp.run_ocmdp(specs, horizon, v=params["v"], alpha=params["alpha"],
+                          seed=run_seed, check_slater=check_slater)
+    row = {"penalty_avg": float(log.realized_f.mean())}
+    for i in range(log.n_constraints):
+        row[f"violation_avg_{i}"] = float(log.realized_g[:, i].mean())
+    row["queue_max"] = float(log.queues.max())
+    return row
+
+
+def _oracle_only_build(instance: Mapping):
+    """The target kind's oracle solve, with the nested instance checked by
+    the target's own build."""
+    target = _need(instance, "target", "oracle-only")
+    record = _RECORDS.get(target) if isinstance(target, str) else None
+    if record is None or record.simulate is None:
+        raise ConfigError(f"oracle-only target must name a simulated kind, "
+                          f"got {target!r}", ("target",))
+    built = _under("instance", _build, target, instance.get("instance", {}))
+    return _under("target", _oracle, target, built)
+
+
+_RECORDS: Dict[str, _Kind] = {
+    # sweeps, positive sweeps, instance keys, build, simulate, oracle, gap
+    "coupled-energy": _Kind(
+        ("v",), ("v",), ("n_servers",),
+        lambda instance: _as_number(instance, "n_servers", 5, 1),
+        _energy_simulate,
+        lambda n_servers: functools.partial(coupled.energy_oracle_value, n_servers),
+        ("penalty_avg", 1)),
+    "datacenter": _Kind(
+        ("v",), (), ("servers", "mode", "min_active", "trace"),
+        _datacenter_build, _datacenter_simulate),
+    "bandit": _Kind(
+        ("v",), ("v",), ("users", "file_dist", "m_servers", "beta"),
+        _bandit_build, _bandit_simulate, _bandit_oracle, ("throughput_avg", -1)),
+    "online-renewal": _Kind(
+        ("v", "delta"), ("v",), ("model", "theta_max"), _online_build,
+        _online_simulate, _online_oracle, ("penalty_avg", 1)),
+    "ocmdp": _Kind(
+        ("v", "alpha"), ("alpha",), ("path", "example", "noise", "check_slater"),
+        _ocmdp_build, _ocmdp_simulate,
+        lambda built: lambda: ocmdp.solve_baseline(built[0]).value,
+        ("penalty_avg", 1)),
+    # builds to its target's oracle solve, which is then its own oracle
+    "oracle-only": _Kind((), (), ("target", "instance"), _oracle_only_build,
+                         oracle=lambda solve: solve),
+}
 
 
 def _run_cell(task) -> Tuple[dict, float]:
+    """One grid cell. Its task carries the raw instance, built again here:
+    built instances hold closures, which do not pickle."""
     start = time.perf_counter()
-    row = _simulate_point(*task)
+    kind, instance, *args = task
+    record = _RECORDS[kind]
+    row = record.simulate(record.build(instance), *args)
     return row, time.perf_counter() - start
 
 
@@ -641,11 +683,8 @@ class RunSummary:
         return out
 
     def summary_mapping(self) -> dict:
-        return {
-            "experiment": self.config_echo,
-            "columns": self.columns,
-            "aggregates": self.aggregates,
-        }
+        return {"experiment": self.config_echo, "columns": self.columns,
+                "aggregates": self.aggregates}
 
 
 def aggregate_rows(columns: Sequence[str], rows: Sequence[Mapping],
@@ -682,18 +721,9 @@ def run_experiment(config: ExperimentConfig) -> RunSummary:
     written byte. With ``config.out_dir`` set, writes ``rows.csv`` (or
     ``rows.json`` per ``config.format``) and the nested ``summary.json``.
     """
+    record = _RECORDS[config.kind]
     grid = config.param_grid()
-    oracle = None
-    if config.oracle:
-        target_kind, target_inst = config.kind, config.instance
-        if config.kind == "oracle-only":
-            target_kind = _need(config.instance, "target", "oracle-only")
-            if target_kind not in _KINDS or target_kind == "oracle-only":
-                raise ConfigError(
-                    f"oracle-only target must name a simulated kind, "
-                    f"got {target_kind!r}")
-            target_inst = config.instance.get("instance", {})
-        oracle = oracle_value(target_kind, target_inst)
+    oracle = oracle_value(config.kind, config.instance) if config.oracle else None
 
     start_all = time.perf_counter()
     trace_spec, trace_records = config.instance.get("trace"), None
@@ -705,7 +735,7 @@ def run_experiment(config: ExperimentConfig) -> RunSummary:
         for rep in range(config.replications):
             run_seed, aux_seed = derive_seeds(config.seed, p_idx, rep)
             cells.append((params, rep, run_seed))
-            if config.kind != "oracle-only":
+            if record.simulate is not None:
                 tasks.append((config.kind, config.instance, config.horizon,
                               params, run_seed, aux_seed, trace_records))
 
@@ -726,9 +756,10 @@ def run_experiment(config: ExperimentConfig) -> RunSummary:
         row.update(result)
         if oracle is not None:
             row["oracle_value"] = oracle
-            gap = _oracle_gap(config.kind, result, oracle)
-            if gap is not None:
-                row["oracle_gap"] = gap
+            if record.gap is not None:
+                column, sign = record.gap
+                row["oracle_gap"] = (result[column] - oracle if sign > 0
+                                     else oracle - result[column])
         rows.append(row)
         timings.append(elapsed)
 
@@ -743,17 +774,6 @@ def run_experiment(config: ExperimentConfig) -> RunSummary:
     if config.out_dir is not None:
         _write_outputs(summary, config.out_dir, config.format)
     return summary
-
-
-def _oracle_gap(kind: str, result: Mapping, oracle: float) -> Optional[float]:
-    """Signed so that positive always means worse than the stationary
-    optimum: excess average penalty for the minimizing kinds, throughput
-    shortfall for the bandit."""
-    if kind == "bandit":
-        return oracle - result["throughput_avg"]
-    if "penalty_avg" in result:
-        return result["penalty_avg"] - oracle
-    return None
 
 
 def _write_outputs(summary: RunSummary, out_dir, fmt: str) -> None:
@@ -786,40 +806,20 @@ def invariants_report(config: Optional[ExperimentConfig] = None):
                                   replications=2, seed=7)
     report = []
     with tempfile.TemporaryDirectory() as scratch:
-        dir_a = os.path.join(scratch, "a")
-        dir_b = os.path.join(scratch, "b")
-        cfg_a = _with_output(config, dir_a, jobs=1)
-        cfg_b = _with_output(config, dir_b, jobs=1)
-        summary_a = run_experiment(cfg_a)
-        run_experiment(cfg_b)
-        same = True
-        detail = "reran bit-identically"
-        for name in sorted(os.listdir(dir_a)):
-            with open(os.path.join(dir_a, name), "rb") as fh:
-                bytes_a = fh.read()
-            with open(os.path.join(dir_b, name), "rb") as fh:
-                bytes_b = fh.read()
-            if bytes_a != bytes_b:
-                same = False
-                detail = f"{name} differs between identical runs"
-                break
-        report.append(("determinism", same, detail))
+        dir_a, dir_b = (os.path.join(scratch, name) for name in "ab")
+        summary_a = run_experiment(replace(config, out_dir=dir_a, jobs=1))
+        run_experiment(replace(config, out_dir=dir_b, jobs=1))
+        _, differ, missing = filecmp.cmpfiles(
+            dir_a, dir_b, sorted(os.listdir(dir_a)), shallow=False)
+        differ += missing
+        report.append(("determinism", not differ,
+                       f"{differ[0]} differs between identical runs" if differ
+                       else "reran bit-identically"))
 
-        cfg_par = _with_output(config, None, jobs=2)
-        summary_par = run_experiment(cfg_par)
+        summary_par = run_experiment(replace(config, out_dir=None, jobs=2))
         agree = summary_par.aggregates == summary_a.aggregates \
             and summary_par.rows == summary_a.rows
         report.append(("parallel-fold", agree,
                        "2-worker aggregates match serial" if agree
                        else "parallel aggregates diverged"))
     return report
-
-
-def _with_output(config: ExperimentConfig, out_dir, jobs: int) -> ExperimentConfig:
-    data = config.to_mapping()
-    data["jobs"] = jobs
-    if out_dir is None:
-        data.pop("out_dir", None)
-    else:
-        data["out_dir"] = out_dir
-    return config_from_mapping(data)

@@ -454,36 +454,6 @@ def _constrained_chain_value(p_rows, rewards, powers, starts, power_budget):
     return min(best(lo)[0], best(hi)[0])
 
 
-def coupled_chain_lp_shape(
-    n_users: int,
-    nonzero_actions: Sequence[int],
-    served_limit: int,
-    has_power_budget: bool,
-) -> Tuple[int, int]:
-    """(variables, constraints) of the composite LP without building it.
-
-    Variables count one occupation entry per (state, joint action) plus one
-    slack when the power row is present; joint actions pick at most
-    ``served_limit`` active users and one nonzero action for each.
-    """
-    counts = list(nonzero_actions)
-    if len(counts) != n_users:
-        raise ValueError("nonzero_actions must list one count per user")
-    n_vars = 0
-    for s in range(2 ** n_users):
-        active = [u for u in range(n_users) if (s >> u) & 1]
-        # coefficient generating polynomial, truncated at served_limit
-        poly = [1.0] + [0.0] * served_limit
-        for u in active:
-            nxt = poly[:]
-            for deg in range(served_limit):
-                nxt[deg + 1] += poly[deg] * counts[u]
-            poly = nxt
-        n_vars += int(round(sum(poly)))
-    n_rows = 2 ** n_users + 1 + (1 if has_power_budget else 0)
-    return n_vars + (1 if has_power_budget else 0), n_rows
-
-
 def coupled_mdp_optimal(
     arrival_probs: Sequence[float],
     weights: Sequence[float],

@@ -3,8 +3,13 @@
 Everything in this file is deliberately written from first principles (exhaustive
 enumeration, grid search, direct linear solves) and must not call into the package
 implementations it is used to check. Slow is fine here; these run on small instances.
-The exception is the last section: earlier, plainer versions of package code, kept
-so the tests can require the package to reproduce them bit for bit.
+Vertex enumeration of LPs and the grid-plus-face projection minimizer are not here:
+the acceptance battery needs them in the installed package, so the tests import
+``acceptance.lp_by_enumeration`` and ``acceptance.grid_project``.
+
+The exceptions are the reference-version sections, earlier and plainer versions of
+package code kept so the tests can require the package to reproduce them bit for
+bit, and the last section, helpers that only the tests use.
 """
 
 from __future__ import annotations
@@ -12,11 +17,20 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from renewalopt import bandit, ocmdp
+from renewalopt.core import (
+    _FRAME_DIST_KINDS,
+    ActionModel,
+    FrameOutcome,
+    dpp_linear_select,
+    queue_update_slot,
+    sample_outcome,
+)
+from renewalopt.coupled import _profiles
 
 
 # ---------------------------------------------------------------------------
@@ -48,90 +62,6 @@ def linear_select_bruteforce(actions, q, v):
             best_val = val
             best_i = i
     return best_i
-
-
-# ---------------------------------------------------------------------------
-# LP oracle: basic feasible solution enumeration
-# ---------------------------------------------------------------------------
-
-def _independent_rows(a, b, tol=1e-9):
-    """Return row indices forming a maximal independent set, or None if the
-    dropped dependent rows are inconsistent with b."""
-    m = a.shape[0]
-    keep = []
-    for i in range(m):
-        trial = keep + [i]
-        if np.linalg.matrix_rank(a[trial], tol=tol) == len(trial):
-            keep.append(i)
-    # consistency of dropped rows: solve on kept rows, later verified by caller
-    return keep
-
-
-def lp_by_enumeration(c, a_eq, b_eq, g_ub, h_ub, tol=1e-9):
-    """Solve min c.x s.t. a_eq x = b_eq, g_ub x <= h_ub, x >= 0 by enumerating
-    basic solutions of the slack-extended standard form.
-
-    Returns (status, x, value) with status in {"optimal", "infeasible"}.
-    Assumes the feasible region, if nonempty, has at least one vertex and the
-    optimum is attained (true for the bounded suite instances this checks).
-    """
-    c = np.asarray(c, dtype=float)
-    n = c.size
-    rows = []
-    rhs = []
-    if a_eq is not None and len(a_eq):
-        a_eq = np.asarray(a_eq, dtype=float).reshape(-1, n)
-        for i in range(a_eq.shape[0]):
-            rows.append(np.concatenate([a_eq[i], np.zeros(0 if g_ub is None else len(g_ub))]))
-            rhs.append(float(np.asarray(b_eq, dtype=float).ravel()[i]))
-    n_slack = 0 if g_ub is None or not len(g_ub) else np.asarray(g_ub).reshape(-1, n).shape[0]
-    # rebuild with uniform width now that slack count is known
-    full = []
-    rhs = []
-    if a_eq is not None and len(a_eq):
-        a_eq = np.asarray(a_eq, dtype=float).reshape(-1, n)
-        b_eq = np.asarray(b_eq, dtype=float).ravel()
-        for i in range(a_eq.shape[0]):
-            full.append(np.concatenate([a_eq[i], np.zeros(n_slack)]))
-            rhs.append(b_eq[i])
-    if n_slack:
-        g_ub = np.asarray(g_ub, dtype=float).reshape(-1, n)
-        h_ub = np.asarray(h_ub, dtype=float).ravel()
-        for i in range(n_slack):
-            e = np.zeros(n_slack)
-            e[i] = 1.0
-            full.append(np.concatenate([g_ub[i], e]))
-            rhs.append(h_ub[i])
-    mat = np.array(full, dtype=float)
-    vec = np.array(rhs, dtype=float)
-    keep = _independent_rows(mat, vec)
-    # dropped rows must still be satisfied by any candidate; checked per candidate
-    red = [i for i in range(mat.shape[0]) if i not in keep]
-    mat_i, vec_i = mat[keep], vec[keep]
-    m = len(keep)
-    ntot = n + n_slack
-    cost = np.concatenate([c, np.zeros(n_slack)])
-    best_x = None
-    best_val = math.inf
-    for cols in itertools.combinations(range(ntot), m):
-        basis = mat_i[:, cols]
-        try:
-            xb = np.linalg.solve(basis, vec_i)
-        except np.linalg.LinAlgError:
-            continue
-        if not np.all(np.isfinite(xb)) or np.min(xb) < -1e-8:
-            continue
-        x = np.zeros(ntot)
-        x[list(cols)] = xb
-        if red and np.max(np.abs(mat[red] @ x - vec[red])) > 1e-7:
-            continue
-        val = float(cost @ x)
-        if val < best_val - 1e-12:
-            best_val = val
-            best_x = x[:n].copy()
-    if best_x is None:
-        return "infeasible", None, None
-    return "optimal", best_x, best_val
 
 
 # ---------------------------------------------------------------------------
@@ -359,74 +289,6 @@ def composite_chain_by_kron(arrival_probs, weights, mean_files, action_sets,
                     powers.append(power)
     return (np.array(state_of), np.array(rows), np.array(rewards),
             np.array(powers))
-
-
-# ---------------------------------------------------------------------------
-# projection oracle: shrinking-window grid search over null-space coordinates
-# ---------------------------------------------------------------------------
-
-def grid_project(aff_a, aff_b, x, mesh=501, span=2.5):
-    """Minimize ||theta - x|| over {aff_a theta = aff_b, theta >= 0}.
-
-    A dense grid in null-space coordinates around the minimum-norm particular
-    solution covers the whole feasible set (occupation polytopes sit inside
-    the unit ball of those coordinates) and yields an incumbent. Near a
-    boundary minimizer the squared distance is flat along the active face,
-    so the incumbent can sit up to sqrt(2*sqrt(2)*h*dist) along it for grid
-    spacing h; that radius bounds which coordinates can be active at the
-    true minimizer. The finish enumerates every subset of those candidate
-    coordinates, solves the equality-constrained projection for each face in
-    closed form, and keeps the closest primal-feasible solution. The face
-    holding the true minimizer in its relative interior always appears in
-    the enumeration, so the result is exact to least-squares precision.
-    """
-    aff_a = np.asarray(aff_a, dtype=float)
-    aff_b = np.asarray(aff_b, dtype=float)
-    x = np.asarray(x, dtype=float)
-    n = x.size
-    part, *_ = np.linalg.lstsq(aff_a, aff_b, rcond=None)
-    u, s, vt = np.linalg.svd(aff_a)
-    rank = int(np.sum(s > 1e-10))
-    null = vt[rank:].T  # columns span the null space
-    d = null.shape[1]
-    if d == 0:
-        return part
-    mesh_eff = mesh if mesh ** d <= 1_000_000 else max(5, int(1_000_000 ** (1.0 / d)))
-    width = span
-    while True:
-        axes = [np.linspace(-width, width, mesh_eff) for _ in range(d)]
-        grids = np.meshgrid(*axes, indexing="ij")
-        coeffs = np.stack([g.ravel() for g in grids], axis=1)
-        thetas = part[None, :] + coeffs @ null.T
-        feas = np.all(thetas >= -1e-9, axis=1)
-        if np.any(feas):
-            break
-        width *= 2.0  # safety net; the default span already covers the set
-    dist2 = np.sum((thetas - x[None, :]) ** 2, axis=1)
-    dist2[~feas] = np.inf
-    k_best = int(np.argmin(dist2))
-    incumbent = thetas[k_best]
-    dist_best = float(np.sqrt(dist2[k_best]))
-    h = np.sqrt(d) * 2.0 * width / (mesh_eff - 1)  # grid diagonal in theta space
-    radius = np.sqrt(2.0 * np.sqrt(2.0) * h * dist_best + 2.0 * h * h) + h
-    pool = [i for i in range(n) if incumbent[i] <= radius]
-    best, best_d = incumbent, dist_best ** 2
-    for r in range(len(pool) + 1):
-        for active in itertools.combinations(pool, r):
-            rows = [aff_a]
-            for i in active:
-                e = np.zeros(n)
-                e[i] = 1.0
-                rows.append(e[None, :])
-            a_face = np.vstack(rows)
-            b_face = np.concatenate([aff_b, np.zeros(len(active))])
-            z = x - np.linalg.pinv(a_face) @ (a_face @ x - b_face)
-            if np.abs(a_face @ z - b_face).max() > 1e-9 or z.min() < -1e-9:
-                continue
-            dd = float(np.sum((z - x) ** 2))
-            if dd < best_d - 1e-15:
-                best_d, best = dd, z
-    return best
 
 
 # ---------------------------------------------------------------------------
@@ -760,3 +622,170 @@ def maxlambda_step(file_states, lambdas, m_servers, rng, prefer_small=False):
         if new_states[n] == 0 and arr_u[n] < lam:
             new_states[n] = 1
     return new_states, served
+
+
+# ---------------------------------------------------------------------------
+# coupled reference version: one slot at a time, from dense frame profiles
+# ---------------------------------------------------------------------------
+
+@dataclass
+class SystemFrameState:
+    action_id: object
+    frame_start: int
+    frame_len: int
+    slot_index: int
+    penalty_slots: np.ndarray
+    metrics_slots: np.ndarray
+
+    @property
+    def remaining(self) -> int:
+        return self.frame_len - self.slot_index
+
+
+@dataclass
+class SlotRecord:
+    slot: int
+    penalty_by_system: np.ndarray
+    metrics_sum: np.ndarray
+    external: np.ndarray
+    queues: np.ndarray
+
+
+def _start_frame(spec, n, q, v, t, rng) -> SystemFrameState:
+    actions = spec.systems[n]
+    chosen = dpp_linear_select(actions, q, v)
+    model = next(a for a in actions if a.action_id == chosen)
+    outcome = sample_outcome(model, rng)
+    pslots, mslots = _profiles(outcome, spec.n_constraints)
+    return SystemFrameState(
+        action_id=chosen,
+        frame_start=t,
+        frame_len=outcome.frame_len,
+        slot_index=0,
+        penalty_slots=pslots,
+        metrics_slots=mslots,
+    )
+
+
+def step(spec, states, q, v, rng, t, external_rng=None):
+    """Advance a ``coupled.CoupledSystemSpec`` one slot.
+
+    Systems at frame boundaries decide (in index order) before the slot's
+    emissions, which add up in frame-start order as in ``coupled.run``; the
+    external process is drawn last, after all decisions, from
+    ``external_rng`` (or ``rng`` when not given). Returns (states, q', record).
+    """
+    if external_rng is None:
+        external_rng = rng
+    n_sys = len(spec.systems)
+    penalty_row = np.zeros(n_sys)
+    metrics_row = np.zeros(spec.n_constraints)
+    new_states: List[Optional[SystemFrameState]] = list(states)
+    for n in range(n_sys):
+        if new_states[n] is None or new_states[n].remaining == 0:
+            new_states[n] = _start_frame(spec, n, q, v, t, rng)
+    for n in sorted(range(n_sys), key=lambda n: (new_states[n].frame_start, n)):
+        st = new_states[n]
+        penalty_row[n] = st.penalty_slots[st.slot_index]
+        metrics_row += st.metrics_slots[st.slot_index]
+        st.slot_index += 1
+    d = np.asarray(spec.external_process(external_rng), dtype=float)
+    q_new = queue_update_slot(q, metrics_row, d)
+    rec = SlotRecord(
+        slot=t,
+        penalty_by_system=penalty_row,
+        metrics_sum=metrics_row,
+        external=d,
+        queues=q_new,
+    )
+    return new_states, q_new, rec
+
+
+# ---------------------------------------------------------------------------
+# helpers only the tests use
+# ---------------------------------------------------------------------------
+
+_VALUE_DIST_KINDS = ("deterministic", "uniform_int")
+
+
+def outcome_sampler(frame_len, penalty, metrics):
+    """Build a FrameOutcome sampler from declarative ``core.Dist`` laws.
+
+    Frame lengths may be deterministic, geometric (minimum 1), or uniform
+    integer; penalties and metrics may be deterministic or uniform integer.
+    Any other kind raises a configuration error.
+    """
+    if frame_len.kind not in _FRAME_DIST_KINDS:
+        raise ValueError(f"unsupported frame length distribution: {frame_len.kind!r}")
+    if penalty.kind not in _VALUE_DIST_KINDS:
+        raise ValueError(f"unsupported penalty distribution: {penalty.kind!r}")
+    metrics = list(metrics)
+    for m in metrics:
+        if m.kind not in _VALUE_DIST_KINDS:
+            raise ValueError(f"unsupported metric distribution: {m.kind!r}")
+
+    def draw(rng: np.random.Generator) -> FrameOutcome:
+        t = frame_len.sample(rng)
+        if t < 1:
+            raise ValueError("sampled frame length below 1")
+        y = penalty.sample(rng)
+        z = np.array([m.sample(rng) for m in metrics], dtype=float)
+        return FrameOutcome(frame_len=int(t), penalty_total=y, metrics_total=z)
+
+    return draw
+
+
+def action_from_dists(action_id, frame_len, penalty, metrics) -> ActionModel:
+    """ActionModel whose expectations and sampler come from one declaration."""
+    metrics = list(metrics)
+    return ActionModel(
+        action_id=action_id,
+        exp_penalty=penalty.expectation,
+        exp_metrics=np.array([m.expectation for m in metrics]),
+        exp_frame_len=frame_len.expectation,
+        sampler=outcome_sampler(frame_len, penalty, metrics),
+    )
+
+
+def energy_table(log, stride=1) -> Tuple[List[str], np.ndarray]:
+    """Rows (slot, energy_avg, service_avg_1..L, q_1..L) of a
+    ``coupled.MetricsLog``: running averages and queues, every ``stride``
+    slots."""
+    ell = log.metrics.shape[1]
+    cols = (
+        ["slot", "energy_avg"]
+        + [f"service_avg_{l + 1}" for l in range(ell)]
+        + [f"q_{l + 1}" for l in range(ell)]
+    )
+    steps = np.arange(1, log.horizon + 1, dtype=float)
+    energy = np.cumsum(log.penalty.sum(axis=1)) / steps
+    service = -np.cumsum(log.metrics, axis=0) / steps[:, None]
+    rows = np.column_stack([np.arange(log.horizon), energy, service, log.queues])
+    return cols, rows[::stride]
+
+
+def coupled_chain_lp_shape(n_users, nonzero_actions, served_limit,
+                           has_power_budget) -> Tuple[int, int]:
+    """(variables, constraints) of the composite download-chain LP of
+    ``lp.coupled_mdp_optimal``, without building it.
+
+    Variables count one occupation entry per (state, joint action) plus one
+    slack when the power row is present; joint actions pick at most
+    ``served_limit`` active users and one nonzero action for each.
+    """
+    counts = list(nonzero_actions)
+    if len(counts) != n_users:
+        raise ValueError("nonzero_actions must list one count per user")
+    n_vars = 0
+    for s in range(2 ** n_users):
+        active = [u for u in range(n_users) if (s >> u) & 1]
+        # coefficient generating polynomial, truncated at served_limit
+        poly = [1.0] + [0.0] * served_limit
+        for u in active:
+            nxt = poly[:]
+            for deg in range(served_limit):
+                nxt[deg + 1] += poly[deg] * counts[u]
+            poly = nxt
+        n_vars += int(round(sum(poly)))
+    n_rows = 2 ** n_users + 1 + (1 if has_power_budget else 0)
+    return n_vars + (1 if has_power_budget else 0), n_rows

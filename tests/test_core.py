@@ -13,18 +13,17 @@ from renewalopt.core import (
     Dist,
     FrameOutcome,
     FrameProfile,
-    action_from_dists,
     deterministic,
     dpp_linear_select,
     dpp_ratio_select,
     geometric_min1,
-    outcome_sampler,
     queue_update_frame,
     queue_update_slot,
     sample_outcome,
     uniform_int,
     zero_queues,
 )
+from oracles import action_from_dists, outcome_sampler
 
 
 def _mk_action(idx, y, z, t):

@@ -8,10 +8,9 @@ from renewalopt.coupled import (
     MetricsLog,
     energy_oracle_value,
     energy_scheduling_spec,
-    energy_table,
     run,
-    step,
 )
+from oracles import energy_table, step
 
 
 def _two_action_spec(n_systems=2):

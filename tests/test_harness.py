@@ -7,6 +7,9 @@ from hypothesis import strategies as st
 
 from renewalopt import cli, coupled, datacenter, harness
 
+_SERVER = {"active_power": 4.0, "mu": ["constant", 3.0],
+           "sleep_modes": [[0.0, 2.0, 5.0]], "i_max": 100, "r_max": 40.0}
+
 
 # ---------------------------------------------------------------------------
 # config schema
@@ -54,11 +57,107 @@ def test_sweep_validation():
 
 @pytest.mark.parametrize("key,value", [
     ("horizon", 0), ("replications", 0), ("jobs", 0), ("horizon", 2.5),
-    ("seed", "three"), ("format", "xml"), ("oracle", "yes"),
+    ("seed", "three"), ("seed", -1), ("format", "xml"), ("oracle", "yes"),
 ])
 def test_bad_field_values_rejected(key, value):
     with pytest.raises(harness.ConfigError):
         harness.config_from_mapping({"kind": "coupled-energy", key: value})
+
+
+def _with(base, instance=None, **top):
+    """``base`` with its instance keys and top-level keys overridden; a value
+    of None drops the key."""
+    data = dict(base, **top)
+    data["instance"] = dict(base["instance"], **(instance or {}))
+    for mapping in (data, data["instance"]):
+        for key in [k for k, v in mapping.items() if v is None]:
+            del mapping[key]
+    return data
+
+
+_BANDIT = {"kind": "bandit", "horizon": 10, "v_values": [20.0],
+           "instance": {"users": "table-one", "m_servers": 4, "beta": 5}}
+_FARM = {"kind": "datacenter", "horizon": 40, "v_values": [5.0],
+         "instance": {"servers": [_SERVER]}}
+_RAMP = {"kind": "ramp", "base_rate": 2.0, "peak_rate": 8.0,
+         "ramp_start": 10, "ramp_end": 30}
+_ENERGY = {"kind": "coupled-energy", "horizon": 10, "instance": {}}
+_ORACLE = {"kind": "oracle-only", "instance": {"target": "coupled-energy"}}
+
+# (config, key whose line the error must name, its occurrence, message)
+_BAD_CONFIGS = {
+    "bandit-beta-negative": (_with(_BANDIT, {"beta": -1}), "beta", 0, "beta"),
+    "bandit-beta-nan": (_with(_BANDIT, {"beta": float("nan")}), "beta", 0, "beta"),
+    "bandit-m-servers-zero": (_with(_BANDIT, {"m_servers": 0}), "m_servers", 0,
+                              "m_servers must be at least 1"),
+    "bandit-m-servers-text": (_with(_BANDIT, {"m_servers": "x"}), "m_servers", 0,
+                              "m_servers must be an integer"),
+    "bandit-file-dist": (_with(_BANDIT, {"users": "table-two", "file_dist": "gamma"}),
+                         "file_dist", 0, "file_dist"),
+    "bandit-no-users": (_with(_BANDIT, {"users": None}), "instance", 0,
+                        "needs instance key 'users'"),
+    "bandit-v-zero": (_with(_BANDIT, v_values=[0.0]), "v_values", 0,
+                      "strictly positive v"),
+    "bandit-oracle-uniform": (_with(_BANDIT, {"users": "table-two", "file_dist": "uniform"},
+                                    oracle=True), "oracle", 0, "memoryless"),
+    "bandit-oracle-poisson": (_with(_BANDIT, {"users": "table-two", "file_dist": "poisson"},
+                                    oracle=True), "oracle", 0, "memoryless"),
+    "farm-no-servers": (_with(_FARM, {"servers": []}), "servers", 0, "nonempty list"),
+    "farm-mode": (_with(_FARM, {"mode": "sideways"}), "mode", 0, "unknown datacenter mode"),
+    **{f"farm-ramp-without-{key}": (
+        _with(_FARM, {"trace": {k: v for k, v in _RAMP.items() if k != key}}),
+        "trace", 0, f"ramp trace needs key '{key}'")
+       for key in ("base_rate", "peak_rate", "ramp_start", "ramp_end")},
+    "farm-trace-kind": (_with(_FARM, {"trace": {"kind": "bursty"}}), "kind", 1,
+                        "trace kind"),
+    "farm-min-active-negative": (_with(_FARM, {"min_active": -1}), "min_active", 0,
+                                 "min_active must be at least 0"),
+    "farm-min-active-fraction": (_with(_FARM, {"min_active": 1.5}), "min_active", 0,
+                                 "min_active must be an integer"),
+    "farm-oracle": (_with(_FARM, oracle=True), "oracle", 0, "no oracle"),
+    "farm-fractional-i-max": (_with(_FARM, {"servers": [dict(_SERVER, i_max=1.5)]}),
+                              "servers", 0, r"servers\[0\]: i_max must be an integer"),
+    "ocmdp-path-and-example": (
+        {"kind": "ocmdp", "instance": {"path": "mdp.json", "example": "two-mdp"}},
+        "path", 0, "not both"),
+    "ocmdp-example": ({"kind": "ocmdp", "instance": {"example": "three-mdp"}},
+                      "example", 0, "unknown ocmdp example"),
+    "ocmdp-missing-file": ({"kind": "ocmdp", "instance": {"path": "missing.json"}},
+                           "path", 0, "cannot load ocmdp instance"),
+    "ocmdp-noise-negative": ({"kind": "ocmdp", "instance": {"noise": -0.5}},
+                             "noise", 0, "noise must be at least 0"),
+    "ocmdp-check-slater": ({"kind": "ocmdp", "instance": {"check_slater": "no"}},
+                           "check_slater", 0, "true or false"),
+    "online-model": ({"kind": "online-renewal", "instance": {"model": "upload"}},
+                     "model", 0, "unknown renewal model"),
+    "online-theta-max": ({"kind": "online-renewal", "instance": {"theta_max": "x"}},
+                         "theta_max", 0, "theta_max"),
+    "energy-no-servers": (_with(_ENERGY, {"n_servers": 0}), "n_servers", 0,
+                          "n_servers must be at least 1"),
+    "energy-fractional-servers": (_with(_ENERGY, {"n_servers": 2.7}), "n_servers", 0,
+                                  "n_servers must be an integer"),
+    "energy-v-zero": (_with(_ENERGY, v_values=[0.0]), "v_values", 0,
+                      "strictly positive v"),
+    "oracle-only-self": (_with(_ORACLE, {"target": "oracle-only"}), "target", 0,
+                         "simulated kind"),
+    "oracle-only-datacenter": (
+        _with(_ORACLE, {"target": "datacenter", "instance": {"servers": [_SERVER]}}),
+        "target", 0, "no oracle"),
+    "oracle-only-nested-typo": (_with(_ORACLE, {"instance": {"n_srevers": 6}}),
+                                "n_srevers", 0, "does not apply"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BAD_CONFIGS))
+def test_bad_instance_rejected_at_load_with_its_line(tmp_path, name):
+    data, key, occurrence, message = _BAD_CONFIGS[name]
+    text = json.dumps(data, indent=2)
+    lines = [n for n, line in enumerate(text.splitlines(), 1) if f'"{key}"' in line]
+    path = tmp_path / "exp.json"
+    path.write_text(text)
+    with pytest.raises(harness.ConfigError, match=message) as err:
+        harness.load_config(path)
+    assert str(err.value).startswith(f"{path}:{lines[occurrence]}: ")
 
 
 def test_load_config_reports_line_numbers(tmp_path):
@@ -131,8 +230,22 @@ def test_same_config_and_seed_bit_identical_files(tmp_path):
         assert (paths[0] / fname).read_bytes() == (paths[1] / fname).read_bytes()
 
 
-def test_parallel_fold_matches_serial():
-    base = _small_energy_mapping(v_values=[1.0, 10.0], replications=2)
+# a small two-point, two-replication config of each simulated kind
+_FOLD_CONFIGS = {
+    "coupled-energy": _small_energy_mapping(v_values=[1.0, 10.0]),
+    "datacenter": _with(_FARM, v_values=[5.0, 50.0]),
+    "bandit": _with(_BANDIT, horizon=200, v_values=[20.0, 70.0]),
+    "online-renewal": {"kind": "online-renewal", "horizon": 200,
+                       "v_values": [10.0], "delta_values": [0.6, 0.8]},
+    "ocmdp": {"kind": "ocmdp", "horizon": 100, "v_values": [5.0],
+              "alpha_values": [100.0, 200.0]},
+}
+
+
+@pytest.mark.parametrize("kind", list(_FOLD_CONFIGS))
+def test_parallel_fold_matches_serial(kind):
+    # tasks ship the raw instance to the workers, which build it again
+    base = dict(_FOLD_CONFIGS[kind], replications=2)
     serial = harness.run_experiment(harness.config_from_mapping(base))
     parallel = harness.run_experiment(
         harness.config_from_mapping(dict(base, jobs=2)))
@@ -180,21 +293,17 @@ def test_oracle_only_rows():
 
 
 def test_oracle_only_needs_simulated_target():
-    bad = harness.config_from_mapping({
-        "kind": "oracle-only", "horizon": 1,
-        "instance": {"target": "oracle-only"}})
     with pytest.raises(harness.ConfigError, match="target"):
-        harness.run_experiment(bad)
+        harness.config_from_mapping({
+            "kind": "oracle-only", "horizon": 1,
+            "instance": {"target": "oracle-only"}})
 
 
 def test_datacenter_has_no_oracle():
-    config = harness.config_from_mapping({
-        "kind": "datacenter", "horizon": 10, "oracle": True,
-        "instance": {"servers": [{"active_power": 4.0, "mu": ["constant", 3.0],
-                                  "sleep_modes": [[0.0, 2.0, 5.0]],
-                                  "i_max": 100, "r_max": 40.0}]}})
     with pytest.raises(harness.ConfigError, match="no oracle"):
-        harness.run_experiment(config)
+        harness.config_from_mapping({
+            "kind": "datacenter", "horizon": 10, "oracle": True,
+            "instance": {"servers": [_SERVER]}})
 
 
 def test_bandit_kind_with_explicit_users():
@@ -226,9 +335,8 @@ def test_bandit_oracle_covers_geometric_table_two():
 
 @pytest.mark.parametrize("file_dist", ["uniform", "poisson"])
 def test_bandit_oracle_refuses_files_with_memory(file_dist):
-    config = harness.config_from_mapping(_table_two_mapping(file_dist))
     with pytest.raises(harness.ConfigError, match="memoryless users only"):
-        harness.run_experiment(config)
+        harness.config_from_mapping(_table_two_mapping(file_dist))
 
 
 def test_ocmdp_kind_runs_example():
@@ -243,9 +351,8 @@ def test_ocmdp_kind_runs_example():
 
 
 def test_missing_instance_key_is_a_config_error():
-    config = harness.config_from_mapping({"kind": "bandit", "horizon": 10})
     with pytest.raises(harness.ConfigError, match="needs instance key"):
-        harness.run_experiment(config)
+        harness.config_from_mapping({"kind": "bandit", "horizon": 10})
 
 
 @pytest.mark.parametrize("missing", ["base_rate", "peak_rate", "ramp_start", "ramp_end"])
@@ -253,14 +360,10 @@ def test_ramp_trace_missing_key_is_a_config_error(missing):
     ramp = {"kind": "ramp", "base_rate": 2.0, "peak_rate": 8.0,
             "ramp_start": 10, "ramp_end": 30}
     del ramp[missing]
-    config = harness.config_from_mapping({
-        "kind": "datacenter", "horizon": 40, "v_values": [5.0],
-        "instance": {"servers": [{"active_power": 4.0, "mu": ["constant", 3.0],
-                                  "sleep_modes": [[0.0, 2.0, 5.0]],
-                                  "i_max": 100, "r_max": 40.0}],
-                     "trace": ramp}})
     with pytest.raises(harness.ConfigError, match=f"ramp trace needs key '{missing}'"):
-        harness.run_experiment(config)
+        harness.config_from_mapping({
+            "kind": "datacenter", "horizon": 40, "v_values": [5.0],
+            "instance": {"servers": [_SERVER], "trace": ramp}})
 
 
 # ---------------------------------------------------------------------------

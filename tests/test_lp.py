@@ -4,17 +4,18 @@ import numpy as np
 import pytest
 
 import oracles
+from renewalopt.acceptance import lp_by_enumeration
 from renewalopt.bandit import table_one_users
 from renewalopt.lp import (
     CoupledMdpResult,
     LpProblem,
     conditional_ratio_optimal,
-    coupled_chain_lp_shape,
     coupled_mdp_optimal,
     fractional_to_lp,
     solve_lp,
     stationary_baseline,
 )
+from oracles import coupled_chain_lp_shape
 
 
 class SimplePoly:
@@ -48,7 +49,7 @@ def test_simplex_matches_enumeration_on_random_instances():
         prob = _random_bounded_lp(rng)
         sol = solve_lp(prob)
         assert sol.status == "optimal"
-        status, _, value = oracles.lp_by_enumeration(
+        status, _, value = lp_by_enumeration(
             prob.c, prob.a_eq, prob.b_eq, prob.g_ub, prob.h_ub
         )
         assert status == "optimal"
@@ -267,7 +268,7 @@ def test_coupled_small_instance_matches_enumeration():
         a_eq[s, j] -= 1.0
     a_eq[4] = 1.0
     b_eq = np.array([0.0, 0.0, 0.0, 0.0, 1.0])
-    status, _, value = oracles.lp_by_enumeration(
+    status, _, value = lp_by_enumeration(
         -np.array(rewards), a_eq, b_eq, np.array(powers).reshape(1, -1), [0.8]
     )
     assert status == "optimal"

@@ -9,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from renewalopt import lp, ocmdp
+from renewalopt.acceptance import grid_project
 from oracles import (
     coupled_baseline_dual_scan,
-    grid_project,
     recover_policy,
     run_fixed_policy,
     sample_tables_two_draws,
