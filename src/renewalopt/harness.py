@@ -505,8 +505,11 @@ def _bandit_build(instance: Mapping):
                           "'table-two', or a list of user objects", ("users",))
     _need(instance, "m_servers", "bandit")
     _need(instance, "beta", "bandit")
-    return (built, _as_number(instance, "m_servers", None, 1),
-            _as_number(instance, "beta", None, 0, False), file_dist)
+    m_servers = _as_number(instance, "m_servers", None, 1)
+    if m_servers >= len(built):
+        raise ConfigError(f"m_servers must be below the number of users "
+                          f"({len(built)}), got {m_servers}", ("m_servers",))
+    return built, m_servers, _as_number(instance, "beta", None, 0, False), file_dist
 
 
 def _bandit_simulate(built, horizon, params, run_seed, aux_seed, records):

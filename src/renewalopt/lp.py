@@ -1,18 +1,22 @@
-"""Dense two-phase simplex and the stationary benchmark LPs built on it.
+"""Dense two-phase simplex, the renewal benchmark LPs, and the composite
+download chain's optimum.
 
 The solver is intentionally self-contained: a tableau simplex with a
 lexicographic ratio test and Bland's entering rule as a degeneracy fallback,
-artificial variables in phase one, and explicit residual verification of any
-reported optimum. Benchmark constructors turn renewal action sets,
-event-conditioned policies, and coupled Markov chains into LpProblem
-instances solved by the same routine.
+artificial variables in phase one, and explicit verification of any reported
+optimum: residuals, and an optimality certificate computed from the original
+data. ``fractional_to_lp`` and ``conditional_ratio_optimal`` turn renewal
+action sets and event-conditioned policies into LpProblem instances solved by
+it. The composite download chain's occupation LP is solved through its
+Lagrangian dual instead (policy iteration plus bisection on the power
+multiplier). The LPs over products of occupation polytopes live in ``ocmdp``.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -156,8 +160,10 @@ def solve_lp(
     Leaving rows follow the lexicographic ratio test; entering columns use
     Dantzig pricing with Bland's rule engaged on long degenerate streaks.
     Reported optima satisfy equality residuals within ``feas_tol``, inequality
-    overshoot within ``feas_tol``, and componentwise x >= -1e-12; a numerically
-    inconsistent final basis is reported as status "failed" rather than trusted.
+    overshoot within ``feas_tol``, and componentwise x >= -1e-12, and their
+    basis certifies optimality on the original data: every reduced cost,
+    slack columns included, is at least -cost_tol * (1 + max|c|). A final
+    basis failing either check is reported as status "failed", never trusted.
     """
     n = problem.c.size
     m_eq = problem.a_eq.shape[0]
@@ -236,18 +242,25 @@ def solve_lp(
 
     # basis repair: the final basis is combinatorial and survives roundoff,
     # the tableau arithmetic does not. Recompute the basic values against the
-    # original data and keep whichever candidate passes verification.
+    # original data and keep whichever candidate passes verification. The
+    # same basis must certify optimality: multipliers y with B^T y = c_B on
+    # the original data leave no reduced cost below -tol, slacks included.
     basic = [bv for bv in basis if bv < n_real]
+    full = np.zeros((m_eq + m_ub, n_real))
+    full[:m_eq, :n] = problem.a_eq
+    full[m_eq:, :n] = problem.g_ub
+    full[m_eq:, n:] = np.eye(m_ub)
+    y = np.zeros(m_eq + m_ub)
     x_repaired = None
     if basic:
-        full = np.zeros((m_eq + m_ub, n_real))
-        full[:m_eq, :n] = problem.a_eq
-        full[m_eq:, :n] = problem.g_ub
-        full[m_eq:, n:] = np.eye(m_ub)
         rhs = np.concatenate([problem.b_eq, problem.h_ub])
         vals, *_ = np.linalg.lstsq(full[:, basic], rhs, rcond=None)
         x_repaired = np.zeros(n_real)
         x_repaired[basic] = vals
+        y, *_ = np.linalg.lstsq(full[:, basic].T, cost_full[basic], rcond=None)
+    tol = cost_tol * (1.0 + np.abs(problem.c).max(initial=0.0))
+    if np.min(cost_full - y @ full, initial=0.0) < -tol:
+        return LpSolution(status="failed", iterations=iterations)
 
     for cand in (x_repaired, x_full):
         if cand is None:
@@ -354,7 +367,7 @@ def conditional_ratio_optimal(
 
 
 # ---------------------------------------------------------------------------
-# coupled download chains: composite occupation-measure LP
+# coupled download chains: the composite occupation LP through its dual
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -362,15 +375,6 @@ class CoupledMdpResult:
     value: float
     n_variables: int
     n_constraints: int
-
-
-# Composite occupation LPs beyond this many variables are solved through the
-# Lagrangian dual (policy iteration plus bisection on the power multiplier)
-# instead of the dense simplex: the balance rows make the tableau walk of the
-# bigger instances pathologically degenerate, while the dual route is exact
-# for this LP (single budget row, no duality gap) and takes well under a
-# second on the eight-user instance.
-_SIMPLEX_VARS_LIMIT = 2500
 
 
 def _policy_gain(p_rows, rewards, policy):
@@ -470,15 +474,12 @@ def coupled_mdp_optimal(
     active user with action (phi, power) completes the file with probability
     phi, and a fresh file may arrive at the end of the completing slot. Each
     slot at most ``served_limit`` users are served; expected served power is
-    capped by ``power_budget`` when given. Builds the occupation-measure LP on
-    the composite state space (all active/idle patterns) with joint actions
-    enumerated directly, and maximizes sum of weight * mean_file * phi over
-    served users.
-
-    The optimum is computed by the dense simplex up to _SIMPLEX_VARS_LIMIT
-    variables and beyond that through the equivalent Lagrangian dual, which
-    needs the transition rows but not the LP's equality matrix; the two
-    routes agree to well under 1e-8 wherever both run.
+    capped by ``power_budget`` when given. The value is that of the
+    occupation-measure LP on the composite state space (all active/idle
+    patterns, joint actions enumerated directly) maximizing the sum of
+    weight * mean_file * phi over served users. It is computed through the
+    LP's Lagrangian dual (see :func:`_constrained_chain_value`), which needs
+    the transition rows but not the LP's equality matrix.
 
     action_sets[n] lists (phi, power) pairs; the first entry must be the do
     nothing action (0, 0).
@@ -495,6 +496,10 @@ def coupled_mdp_optimal(
         raise ValueError(
             f"composite state space 2^{n_users} exceeds capacity {state_cap}"
         )
+    if not (isinstance(served_limit, (int, np.integer)) and served_limit >= 1):
+        raise ValueError(f"served_limit must be an integer >= 1, got {served_limit!r}")
+    if power_budget is not None and not 0.0 <= float(power_budget) < np.inf:
+        raise ValueError(f"power_budget must be finite and nonnegative, got {power_budget!r}")
     for acts in action_sets:
         if not acts or acts[0][0] != 0.0 or acts[0][1] != 0.0:
             raise ValueError("each action set must start with the (0, 0) idle action")
@@ -507,26 +512,10 @@ def coupled_mdp_optimal(
     )
     n_vars, n_states = rows.shape
     has_budget = power_budget is not None
-    if n_vars <= _SIMPLEX_VARS_LIMIT:
-        a_eq = np.zeros((n_states + 1, n_vars))
-        a_eq[:n_states] = rows.T
-        a_eq[state_of, np.arange(n_vars)] -= 1.0
-        a_eq[n_states, :] = 1.0
-        b_eq = np.zeros(n_states + 1)
-        b_eq[n_states] = 1.0
-        sol = solve_lp(LpProblem(
-            c=-rewards, a_eq=a_eq, b_eq=b_eq,
-            g_ub=powers.reshape(1, -1) if has_budget else None,
-            h_ub=np.array([float(power_budget)]) if has_budget else None,
-        ))
-        if sol.status != "optimal":
-            raise RuntimeError(f"composite chain LP ended {sol.status}")
-        value = -float(sol.objective_value)
-    else:
-        value = _constrained_chain_value(
-            rows, rewards, powers, np.searchsorted(state_of, np.arange(n_states)),
-            float(power_budget) if has_budget else None,
-        )
+    value = _constrained_chain_value(
+        rows, rewards, powers, np.searchsorted(state_of, np.arange(n_states)),
+        float(power_budget) if has_budget else None,
+    )
     return CoupledMdpResult(
         value=value,
         n_variables=n_vars + has_budget,
@@ -580,51 +569,3 @@ def _composite_chain(lam, w, bf, action_sets, served_limit):
         rows = factor if rows is None else (
             rows[:, :, None] * factor[:, None, :]).reshape(n_vars, -1)
     return state_of, rows, rewards, powers
-
-
-# ---------------------------------------------------------------------------
-# stationary baseline over occupation polytopes
-# ---------------------------------------------------------------------------
-
-def stationary_baseline(
-    polyhedra: Sequence[object],
-    mean_f: Sequence[np.ndarray],
-    mean_g: Sequence[np.ndarray],
-) -> Tuple[List[np.ndarray], float]:
-    """Best stationary occupation vectors for parallel MDPs under coupling.
-
-    Minimizes sum_k <mean_f[k], theta_k> over theta_k in each polytope subject
-    to sum_k <mean_g[k][i], theta_k> <= 0 for every constraint row i. Each
-    polytope must expose ``aff_a``, ``aff_b`` and ``dim`` (see
-    ocmdp.build_polyhedron). Returns (occupation vectors, optimal value).
-    """
-    dims = [int(p.dim) for p in polyhedra]
-    offs = np.concatenate([[0], np.cumsum(dims)])
-    total = int(offs[-1])
-    rows = sum(np.asarray(p.aff_a).shape[0] for p in polyhedra)
-    a_eq = np.zeros((rows, total))
-    b_eq = np.zeros(rows)
-    r = 0
-    for k, p in enumerate(polyhedra):
-        aa = np.asarray(p.aff_a, dtype=float)
-        a_eq[r : r + aa.shape[0], offs[k] : offs[k + 1]] = aa
-        b_eq[r : r + aa.shape[0]] = np.asarray(p.aff_b, dtype=float)
-        r += aa.shape[0]
-    f_vec = np.concatenate([np.asarray(f, dtype=float).ravel() for f in mean_f])
-    if f_vec.size != total:
-        raise ValueError("mean_f dimensions do not match the polytopes")
-    m = 0 if not len(mean_g) else np.asarray(mean_g[0], dtype=float).reshape(-1, dims[0]).shape[0]
-    g_ub = np.zeros((m, total))
-    for k, gk in enumerate(mean_g):
-        gk = np.asarray(gk, dtype=float).reshape(-1, dims[k])
-        if gk.shape[0] != m:
-            raise ValueError("constraint counts differ between systems")
-        g_ub[:, offs[k] : offs[k + 1]] = gk
-    sol = solve_lp(
-        LpProblem(c=f_vec, a_eq=a_eq, b_eq=b_eq,
-                  g_ub=g_ub if m else None, h_ub=np.zeros(m) if m else None)
-    )
-    if sol.status != "optimal":
-        raise RuntimeError(f"stationary baseline LP ended {sol.status}")
-    thetas = [sol.x[offs[k] : offs[k + 1]].copy() for k in range(len(polyhedra))]
-    return thetas, float(sol.objective_value)

@@ -22,8 +22,12 @@ every logged theta against the same bound. True trajectories are simulated along
 occupation iterates: the visited state's row of theta gives the action
 distribution, actions and next states are drawn by inverting the same CDFs,
 on the same uniform draws, as ``Generator.choice``, and realized penalties
-feed the regret accounting against the best stationary baseline from
-``lp.stationary_baseline``.
+feed the regret accounting against the best stationary baseline.
+
+The module also owns the LPs over products of occupation polyhedra: the
+stationary baseline (:func:`stationary_baseline`) and the Slater margin
+(:func:`slater_margin`) share one builder for the polyhedra's rows and the
+coupling rows, and are solved by ``lp.solve_lp``.
 """
 
 from __future__ import annotations
@@ -348,8 +352,6 @@ class OcmdpState:
     queues: np.ndarray
     states: np.ndarray
     slot: int
-    v: float
-    alpha: float
 
 
 def ocmdp_step(
@@ -396,8 +398,6 @@ def ocmdp_step(
         queues=np.maximum(queues + drift, 0.0),
         states=new_states,
         slot=state.slot + 1,
-        v=v,
-        alpha=alpha,
     )
     return successor, actions
 
@@ -422,6 +422,61 @@ def instance_fingerprint(specs: Sequence[MdpSpec]) -> str:
     return digest.hexdigest()
 
 
+def _coupled_polytope_rows(polys, g_means, extra=0):
+    """Rows of an LP over (theta_1, ..., theta_K, ``extra`` more columns).
+
+    Returns (a_eq, b_eq, g_ub, offs): the polyhedra's ``aff_a theta_k =
+    aff_b`` blocks down the diagonal of a_eq, and in g_ub one coupling row
+    sum_k <g_means[k][i], theta_k> per constraint i; theta_k occupies
+    columns offs[k] up to offs[k + 1], the extra columns are left zero.
+    """
+    dims = [int(p.dim) for p in polys]
+    offs = np.concatenate([[0], np.cumsum(dims)]).astype(int)
+    n_cols = int(offs[-1]) + extra
+    blocks = [(np.asarray(p.aff_a, dtype=float), np.asarray(p.aff_b, dtype=float))
+              for p in polys]
+    a_eq = np.zeros((sum(aa.shape[0] for aa, _ in blocks), n_cols))
+    b_eq = np.zeros(a_eq.shape[0])
+    r = 0
+    for k, (aa, bb) in enumerate(blocks):
+        a_eq[r : r + aa.shape[0], offs[k] : offs[k + 1]] = aa
+        b_eq[r : r + aa.shape[0]] = bb
+        r += aa.shape[0]
+    g_rows = [np.asarray(gk, dtype=float).reshape(-1, dims[k])
+              for k, gk in enumerate(g_means)]
+    m = g_rows[0].shape[0] if g_rows else 0
+    g_ub = np.zeros((m, n_cols))
+    for k, gk in enumerate(g_rows):
+        if gk.shape[0] != m:
+            raise ValueError("constraint counts differ between systems")
+        g_ub[:, offs[k] : offs[k + 1]] = gk
+    return a_eq, b_eq, g_ub, offs
+
+
+def stationary_baseline(
+    polyhedra: Sequence[object],
+    mean_f: Sequence[np.ndarray],
+    mean_g: Sequence[np.ndarray],
+) -> Tuple[List[np.ndarray], float]:
+    """Best stationary occupation vectors for parallel MDPs under coupling.
+
+    Minimizes sum_k <mean_f[k], theta_k> over theta_k in each polytope subject
+    to sum_k <mean_g[k][i], theta_k> <= 0 for every constraint row i. Each
+    polytope must expose ``aff_a``, ``aff_b`` and ``dim`` (see
+    :func:`build_polyhedron`). Returns (occupation vectors, optimal value).
+    """
+    a_eq, b_eq, g_ub, offs = _coupled_polytope_rows(polyhedra, mean_g)
+    f_vec = np.concatenate([np.asarray(f, dtype=float).ravel() for f in mean_f])
+    if f_vec.size != offs[-1]:
+        raise ValueError("mean_f dimensions do not match the polytopes")
+    sol = lp.solve_lp(lp.LpProblem(c=f_vec, a_eq=a_eq, b_eq=b_eq, g_ub=g_ub,
+                                   h_ub=np.zeros(g_ub.shape[0])))
+    if sol.status != "optimal":
+        raise RuntimeError(f"stationary baseline LP ended {sol.status}")
+    thetas = [sol.x[offs[k] : offs[k + 1]].copy() for k in range(len(polyhedra))]
+    return thetas, float(sol.objective_value)
+
+
 def slater_margin(
     polys: Sequence[PolyhedronTheta],
     g_means: Sequence[np.ndarray],
@@ -432,27 +487,14 @@ def slater_margin(
     constraints under some product of randomized stationary policies.
     Returns -inf when even weak feasibility fails.
     """
-    dims = [p.dim for p in polys]
-    offs = np.concatenate([[0], np.cumsum(dims)]).astype(int)
-    total = int(offs[-1])
-    m = np.asarray(g_means[0], dtype=float).reshape(-1, dims[0]).shape[0]
-    if m == 0:
+    a_eq, b_eq, g_ub, _ = _coupled_polytope_rows(polys, g_means, extra=1)
+    if not g_ub.shape[0]:
         return math.inf
-    rows = sum(np.asarray(p.aff_a).shape[0] for p in polys)
-    a_eq = np.zeros((rows, total + 1))
-    b_eq = np.zeros(rows)
-    r = 0
-    for k, p in enumerate(polys):
-        a_eq[r : r + p.aff_a.shape[0], offs[k] : offs[k + 1]] = p.aff_a
-        b_eq[r : r + p.aff_a.shape[0]] = p.aff_b
-        r += p.aff_a.shape[0]
-    g_ub = np.zeros((m, total + 1))
-    for k, gk in enumerate(g_means):
-        g_ub[:, offs[k] : offs[k + 1]] = np.asarray(gk, dtype=float).reshape(m, dims[k])
     g_ub[:, -1] = 1.0
-    cost = np.zeros(total + 1)
+    cost = np.zeros(g_ub.shape[1])
     cost[-1] = -1.0
-    sol = lp.solve_lp(lp.LpProblem(c=cost, a_eq=a_eq, b_eq=b_eq, g_ub=g_ub, h_ub=np.zeros(m)))
+    sol = lp.solve_lp(lp.LpProblem(c=cost, a_eq=a_eq, b_eq=b_eq, g_ub=g_ub,
+                                   h_ub=np.zeros(g_ub.shape[0])))
     if sol.status != "optimal":
         return -math.inf
     return float(sol.x[-1])
@@ -470,7 +512,7 @@ class StationaryBaseline:
 def solve_baseline(specs: Sequence[MdpSpec]) -> StationaryBaseline:
     """Solve the coupled stationary benchmark on the instance's true means."""
     polys = [build_polyhedron(spec) for spec in specs]
-    thetas, value = lp.stationary_baseline(
+    thetas, value = stationary_baseline(
         polys,
         [spec.f_mean for spec in specs],
         [spec.g_means for spec in specs],
@@ -598,8 +640,6 @@ def run_ocmdp(
         queues=np.zeros(m),
         states=states,
         slot=0,
-        v=float(v),
-        alpha=float(alpha),
     )
     for t in range(horizon):
         visited = state.states

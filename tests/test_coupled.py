@@ -254,6 +254,10 @@ def test_energy_oracle_matches_greedy_closed_form():
     assert energy_oracle_value(n) == pytest.approx(16.1394, abs=1e-3)
 
 
+def test_energy_oracle_value_is_pinned():
+    assert energy_oracle_value(5).hex() == "0x1.023b28dfbb28ep+4"
+
+
 def test_energy_run_serves_and_stays_stable():
     spec = energy_scheduling_spec()
     log = run(spec, v=100.0, horizon=4000, seed=31)

@@ -92,6 +92,8 @@ _BAD_CONFIGS = {
                               "m_servers must be at least 1"),
     "bandit-m-servers-text": (_with(_BANDIT, {"m_servers": "x"}), "m_servers", 0,
                               "m_servers must be an integer"),
+    "bandit-m-servers-all-users": (_with(_BANDIT, {"m_servers": 8}), "m_servers", 0,
+                                   "m_servers must be below the number of users"),
     "bandit-file-dist": (_with(_BANDIT, {"users": "table-two", "file_dist": "gamma"}),
                          "file_dist", 0, "file_dist"),
     "bandit-no-users": (_with(_BANDIT, {"users": None}), "instance", 0,

@@ -13,8 +13,8 @@ from renewalopt.lp import (
     coupled_mdp_optimal,
     fractional_to_lp,
     solve_lp,
-    stationary_baseline,
 )
+from renewalopt.ocmdp import stationary_baseline
 from oracles import coupled_chain_lp_shape
 
 
@@ -289,9 +289,7 @@ def test_coupled_chain_lp_shape_matches_reported_size():
     assert (res.n_variables, res.n_constraints) == (sv, sr)
 
 
-def test_coupled_dual_route_matches_simplex_route(monkeypatch):
-    import renewalopt.lp as lp_mod
-
+def test_coupled_dual_route_matches_simplex_route():
     lam = [0.2546, 0.1705, 0.2109, 0.4151]
     acts = [
         [(0.0, 0.0), (0.5377, 3.529)],
@@ -307,12 +305,14 @@ def test_coupled_dual_route_matches_simplex_route(monkeypatch):
         served_limit=2,
         power_budget=3.0,
     )
-    via_simplex = coupled_mdp_optimal(**args)
-    monkeypatch.setattr(lp_mod, "_SIMPLEX_VARS_LIMIT", 0)
+    problem = oracles.composite_chain_lp(**args)
+    via_simplex = solve_lp(problem)
     via_dual = coupled_mdp_optimal(**args)
-    assert via_dual.value == pytest.approx(via_simplex.value, abs=1e-8)
+    assert via_simplex.status == "optimal"
+    assert via_dual.value == pytest.approx(-via_simplex.objective_value, abs=1e-8)
+    n_budget = problem.g_ub.shape[0]
     assert (via_dual.n_variables, via_dual.n_constraints) == (
-        via_simplex.n_variables, via_simplex.n_constraints
+        problem.c.size + n_budget, problem.a_eq.shape[0] + n_budget
     )
     # unbudgeted branch of the dual route against the single-user closed form
     solo = coupled_mdp_optimal(
@@ -341,6 +341,49 @@ def test_coupled_matches_lagrangian_oracle():
     res = coupled_mdp_optimal(**args)
     lag = oracles.coupled_chain_lagrangian(**args)
     assert res.value == pytest.approx(lag, abs=1e-8)
+
+
+def _random_chains(count):
+    """The first ``count`` instances of the seeded random composite chains."""
+    rng = np.random.default_rng(12345)
+    return [oracles.random_composite_chain(rng) for _ in range(count)]
+
+
+def test_coupled_dual_route_agrees_on_random_small_chains():
+    small = [args for args in _random_chains(120)
+             if coupled_chain_lp_shape(
+                 len(args["action_sets"]), [len(a) - 1 for a in args["action_sets"]],
+                 args["served_limit"], True)[0] <= 700][:30]
+    assert len(small) == 30
+    for args in small:
+        lag = oracles.coupled_chain_lagrangian(**args)
+        assert coupled_mdp_optimal(**args).value == pytest.approx(lag, abs=1e-9)
+
+
+@pytest.mark.parametrize("index", [33, 68, 148, 188])
+def test_solve_lp_never_reports_a_wrong_optimum(index):
+    # instances on which the simplex once stopped at a suboptimal basis and
+    # called it optimal; the optimality certificate must refuse such a basis
+    args = _random_chains(index + 1)[index]
+    exact = coupled_mdp_optimal(**args).value
+    assert exact == pytest.approx(oracles.coupled_chain_lagrangian(**args), abs=1e-8)
+    sol = solve_lp(oracles.composite_chain_lp(**args))
+    if sol.status == "optimal":
+        assert -sol.objective_value == pytest.approx(exact, abs=1e-8)
+
+
+@pytest.mark.parametrize("bad", [
+    dict(power_budget=float("nan")), dict(power_budget=float("inf")),
+    dict(power_budget=-1.0), dict(served_limit=-1), dict(served_limit=0),
+    dict(served_limit=1.5),
+])
+def test_coupled_rejects_bad_budget_and_served_limit(bad):
+    args = dict(arrival_probs=[0.4, 0.3], weights=[1.0, 2.0], mean_files=[2.0, 1.5],
+                action_sets=[[(0.0, 0.0), (0.5, 1.0)], [(0.0, 0.0), (0.7, 2.0)]],
+                served_limit=1, power_budget=1.0)
+    args.update(bad)
+    with pytest.raises(ValueError):
+        coupled_mdp_optimal(**args)
 
 
 # Howard/Lagrangian optimum of the table-one instance (M=4, beta=5), from

@@ -307,8 +307,6 @@ class TestStep:
             queues=np.zeros(1),
             states=np.zeros(2, dtype=int),
             slot=0,
-            v=0.0,
-            alpha=100.0,
         )
         tables = [s.sample_tables(0, np.random.default_rng(k)) for k, s in enumerate(specs)]
         rngs = [np.random.default_rng(k) for k in range(2)]
@@ -348,8 +346,6 @@ class TestStep:
             queues=np.zeros(1),
             states=np.zeros(2, dtype=int),
             slot=0,
-            v=1.0,
-            alpha=10.0,
         )
         rngs = [np.random.default_rng(k) for k in range(2)]
         tables = [s.sample_tables(0, rngs[k]) for k, s in enumerate(specs)]
@@ -568,6 +564,13 @@ class TestRun:
             certificate -= float(spec.g_means[0].ravel() @ all_one)
         assert margin >= certificate - 1e-8
         assert margin > 0.1
+
+    def test_slater_margin_and_baseline_values_are_pinned(self):
+        specs = ocmdp.two_mdp_example()
+        polys = [ocmdp.build_polyhedron(s) for s in specs]
+        margin = ocmdp.slater_margin(polys, [s.g_means for s in specs])
+        assert margin.hex() == "0x1.888888888888ap-1"
+        assert ocmdp.solve_baseline(specs).value.hex() == "0x1.4c0cf1dce9b00p+0"
 
 
 # sha256 of actions, states, realized_f, realized_g, queues and the thetas of
