@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -290,3 +292,32 @@ def test_energy_table_layout():
     k = 17
     assert full_rows[k, 1] == pytest.approx(log.penalty[: k + 1].sum() / (k + 1))
     assert np.allclose(full_rows[k, 5:], log.queues[k])
+
+
+_PIN_RUNS = {
+    "energy-5-servers": (lambda: energy_scheduling_spec(5), 50.0, 20_000, 7),
+    "energy-3-servers": (lambda: energy_scheduling_spec(3), 1.0, 5_000, 8),
+    "two-action-3-systems": (lambda: _two_action_spec(3), 5.0, 3_000, 77),
+}
+
+# sha256 over the penalty, metrics, external and queue arrays (name, dtype,
+# shape, bytes) and the repr of the frame log, recorded before the dense
+# per-slot frame form left the package
+_PINNED_DIGESTS = {
+    "energy-5-servers": "a7af6ff6f4312026222f128ae1d377a4dfd57b32d47e2463705d518508947f47",
+    "energy-3-servers": "de021ae36e211ac13aca7ce692d121ce191fc527df1cbeca4278ce0ff7d2e818",
+    "two-action-3-systems": "b36e6570ffad625f9a14de492efee1f34bed21f8ebded02fcee92e144981c24e",
+}
+
+
+@pytest.mark.parametrize("case", sorted(_PIN_RUNS))
+def test_run_output_is_pinned(case):
+    spec, v, horizon, seed = _PIN_RUNS[case]
+    log = run(spec(), v=v, horizon=horizon, seed=seed)
+    digest = hashlib.sha256()
+    for name in ("penalty", "metrics", "external", "queues"):
+        arr = getattr(log, name)
+        digest.update(f"{name}:{arr.dtype.str}:{arr.shape}:".encode())
+        digest.update(arr.tobytes())
+    digest.update(repr(log.frame_log).encode())
+    assert digest.hexdigest() == _PINNED_DIGESTS[case]
