@@ -2,7 +2,8 @@
 
 The package is organized around flat modules:
 
-- ``core``: frame outcome types, virtual queue updates, per-frame action selection.
+- ``core``: frame totals and slot layouts, the frame queue update, per-frame
+  action selection (the single-system ratio rule and the rate rule).
 - ``coupled``: slot-level simulator for several renewal systems sharing queues.
 - ``lp``: dense two-phase simplex and the stationary benchmark LPs built on it.
 - ``datacenter``: threshold admission, sleep/setup scheduling, trace-driven runs.
@@ -20,8 +21,6 @@ from renewalopt.core import (
     dpp_linear_select,
     dpp_ratio_select,
     queue_update_frame,
-    queue_update_slot,
-    sample_outcome,
 )
 from renewalopt.harness import (
     ConfigError,
@@ -45,9 +44,7 @@ __all__ = [
     "dpp_ratio_select",
     "load_config",
     "queue_update_frame",
-    "queue_update_slot",
     "run_experiment",
-    "sample_outcome",
     "solve_lp",
 ]
 

@@ -11,7 +11,7 @@ oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
@@ -21,7 +21,6 @@ from renewalopt.core import (
     FrameOutcome,
     FrameProfile,
     dpp_linear_select,
-    sample_outcome,
 )
 from renewalopt import lp as lp_mod
 
@@ -29,27 +28,20 @@ from renewalopt import lp as lp_mod
 @dataclass
 class CoupledSystemSpec:
     """Systems (one action list each), an external per-slot process, and the
-    number of shared constraints. ``external_process(rng)`` must return the
-    length ``n_constraints`` drift allowance vector for one slot.
-
-    ``external_batch(rng, count)``, when given, must produce the same rows as
-    ``count`` sequential ``external_process`` calls while consuming the
-    generator identically; :func:`run` then draws the whole horizon up front.
+    number of shared constraints. ``external(rng, count)`` must return the
+    ``(count, n_constraints)`` drift allowances of ``count`` consecutive
+    slots; :func:`run` draws the whole horizon in one call.
 
     Building the spec checks every action once: it needs a sampler, an id no
     other action of its system has, ``n_constraints`` expected metrics, and a
-    probe frame (drawn from a private generator) whose per-slot form adds up
-    to its totals with ``n_constraints`` metrics. :func:`run` then checks only
-    each frame's layout.
+    probe frame (drawn from a private generator) whose slots add up to its
+    totals with ``n_constraints`` metrics. :func:`run` then checks only each
+    frame's layout.
     """
 
     systems: List[List[ActionModel]]
-    external_process: Callable[[np.random.Generator], np.ndarray]
+    external: Callable[[np.random.Generator, int], np.ndarray]
     n_constraints: int
-    external_batch: Optional[
-        Callable[[np.random.Generator, int], np.ndarray]
-    ] = None
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         probe = np.random.default_rng(0)
@@ -62,8 +54,9 @@ class CoupledSystemSpec:
             for a in actions:
                 if a.exp_metrics.shape != shape:
                     raise ValueError("exp_metrics length must equal n_constraints")
-                if sample_outcome(a, probe).metrics_total.shape != shape:
-                    raise ValueError("sampled metrics length must equal n_constraints")
+                if a.sampler is None:
+                    raise ValueError(f"action {a.action_id!r} has no sampler")
+                _check_totals(_as_profile(a.sampler(probe)), self.n_constraints)
 
 
 @dataclass
@@ -91,35 +84,32 @@ class MetricsLog:
         return self.metrics.sum(axis=0) / self.horizon
 
 
-def _profiles(outcome: FrameOutcome, n_constraints: int):
-    """Per-slot emission arrays; totals lump on the final slot by default."""
-    if outcome.penalty_slots is not None:
-        pslots = outcome.penalty_slots
-    else:
-        pslots = np.zeros(outcome.frame_len)
-        pslots[-1] = outcome.penalty_total
-    if outcome.metrics_slots is not None:
-        mslots = outcome.metrics_slots
-    else:
-        mslots = np.zeros((outcome.frame_len, n_constraints))
-        mslots[-1] = outcome.metrics_total
-    return pslots, mslots
-
-
 def _as_profile(out) -> FrameProfile:
-    """A sampler's frame as a FrameProfile: dense per-slot arrays become one
-    impulse per slot, and totals without them lump on the final slot."""
+    """A sampler's frame as a FrameProfile; totals alone lump on the final slot."""
     if isinstance(out, FrameProfile):
         return out
     if not isinstance(out, FrameOutcome):
         raise ValueError("sampler must return a FrameOutcome or FrameProfile")
     t = out.frame_len
-    if out.penalty_slots is None and out.metrics_slots is None:
-        lump = ((t - 1, out.penalty_total, out.metrics_total.tolist()),)
-        return FrameProfile(t, out.penalty_total, out.metrics_total, lump, t)
-    pslots, mslots = _profiles(out, out.metrics_total.size)
-    slots = tuple(zip(range(t), pslots.tolist(), mslots.tolist()))
-    return FrameProfile(t, out.penalty_total, out.metrics_total, slots, t)
+    lump = ((t - 1, out.penalty_total, out.metrics_total.tolist()),)
+    return FrameProfile(t, out.penalty_total, out.metrics_total, lump, t)
+
+
+def _check_totals(frame: FrameProfile, n_constraints: int) -> None:
+    """Raise ValueError unless the frame's layout fits and its slots add up
+    to its ``n_constraints`` totals."""
+    t = frame.check(n_constraints)
+    totals = np.asarray(frame.metrics_total, dtype=float)
+    if totals.shape != (n_constraints,):
+        raise ValueError("sampled metrics length must equal n_constraints")
+    penalty = frame.tail_penalty * (t - frame.tail_start)
+    metrics = np.zeros(n_constraints)
+    for _, y, z in frame.impulses:
+        penalty += y
+        metrics += z
+    if abs(penalty - frame.penalty_total) > 1e-9 \
+            or np.abs(metrics - totals).max(initial=0.0) > 1e-9:
+        raise ValueError("frame slots do not add up to its totals")
 
 
 def _columns(cols: List[List[float]], horizon: int) -> np.ndarray:
@@ -132,7 +122,7 @@ def run(spec: CoupledSystemSpec, v: float, horizon: int, seed: int) -> MetricsLo
 
     The master seed is split into one stream for frame sampling (consumed in
     system index order at frame starts) and one for the external process
-    (consumed once per slot, after the slot's decisions).
+    (drawn for the whole horizon in one call).
 
     Time advances from one decision slot to the next. At a decision slot
     every system whose frame ends decides against the queues left by the
@@ -150,16 +140,9 @@ def run(spec: CoupledSystemSpec, v: float, horizon: int, seed: int) -> MetricsLo
     systems = spec.systems
     n_sys = len(systems)
     ell = spec.n_constraints
-    if spec.external_batch is not None:
-        external = np.asarray(
-            spec.external_batch(external_rng, horizon), dtype=float
-        )
-        if external.shape != (horizon, ell):
-            raise ValueError("external_batch returned the wrong shape")
-    else:
-        external = np.empty((horizon, ell))
-        for t in range(horizon):
-            external[t] = spec.external_process(external_rng)
+    external = np.asarray(spec.external(external_rng, horizon), dtype=float)
+    if external.shape != (horizon, ell):
+        raise ValueError("external returned the wrong shape")
     by_id = [{a.action_id: a for a in actions} for actions in systems]
     # systems holding the same action objects choose alike within a slot
     kinds = [tuple(map(id, actions)) for actions in systems]
@@ -287,21 +270,12 @@ def energy_scheduling_spec(n_servers: int = 5) -> CoupledSystemSpec:
     lam = c["arrival_rate"]
     cap = 10.0 * lam
 
-    def external(rng: np.random.Generator) -> np.ndarray:
-        return -np.minimum(rng.poisson(lam), cap)
-
-    def external_batch(rng: np.random.Generator, count: int) -> np.ndarray:
+    def external(rng: np.random.Generator, count: int) -> np.ndarray:
         return -np.minimum(rng.poisson(lam, size=(count, 3)), cap)
 
     actions = [_energy_action(i) for i in range(3)]
     systems = [list(actions) for _ in range(n_servers)]
-    return CoupledSystemSpec(
-        systems=systems,
-        external_process=external,
-        n_constraints=3,
-        external_batch=external_batch,
-        meta={"kind": "energy-scheduling", "n_servers": n_servers},
-    )
+    return CoupledSystemSpec(systems=systems, external=external, n_constraints=3)
 
 
 def energy_oracle_value(n_servers: int = 5) -> float:

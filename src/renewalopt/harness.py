@@ -183,9 +183,12 @@ def _validated(data: Mapping) -> ExperimentConfig:
                           f"of {', '.join(_RECORDS)}", ("kind",))
     record = _RECORDS[kind]
     instance = data.get("instance", {})
-    built = _under("instance", _build, kind, instance)
-
     defaults = ExperimentConfig(kind=kind)
+    counts = {key: _as_number(data, key, getattr(defaults, key), minimum)
+              for key, minimum in (("horizon", 1), ("replications", 1),
+                                   ("seed", 0), ("jobs", 1))}
+    built = _under("instance", _build, kind, instance, counts["horizon"])
+
     sweeps = {}
     for short in ("v", "delta", "alpha"):
         key = f"{short}_values"
@@ -194,10 +197,6 @@ def _validated(data: Mapping) -> ExperimentConfig:
         sweeps[key] = _as_sweep(data, key, getattr(defaults, key))
         if short in record.positive and min(sweeps[key]) <= 0:
             raise ConfigError(f"{kind} needs strictly positive {short}", (key,))
-
-    counts = {key: _as_number(data, key, getattr(defaults, key), minimum)
-              for key, minimum in (("horizon", 1), ("replications", 1),
-                                   ("seed", 0), ("jobs", 1))}
 
     fmt = data.get("format", defaults.format)
     if fmt not in ("csv", "json"):
@@ -340,9 +339,10 @@ class _Kind:
     """One experiment kind, described in one place.
 
     ``sweeps``: the sweep keys it consumes, in grid order; ``positive``: those
-    that must be > 0. ``build(instance)`` validates the raw instance, raising
-    ConfigError with the offending key's path, into what ``simulate(built,
-    horizon, params, run_seed, aux_seed, trace_records)`` turns into a row.
+    that must be > 0. ``build(instance, horizon)`` validates the raw instance,
+    raising ConfigError with the offending key's path, into what
+    ``simulate(built, horizon, params, run_seed, aux_seed, trace_records)``
+    turns into a row.
     ``oracle(built)`` raises ConfigError unless it covers the instance, and
     otherwise returns the zero-argument solve of its stationary optimum.
     ``gap``: the column compared with the optimum, and +1 for column -
@@ -352,7 +352,7 @@ class _Kind:
     sweeps: Tuple[str, ...]
     positive: Tuple[str, ...]
     instance_keys: Tuple[str, ...]
-    build: Callable[[Mapping], object]
+    build: Callable[[Mapping, int], object]
     simulate: Optional[Callable[..., dict]] = None
     oracle: Optional[Callable[[object], Callable[[], float]]] = None
     gap: Optional[Tuple[str, int]] = None
@@ -372,8 +372,9 @@ def _under(key: str, fn, *args):
         raise ConfigError(str(err), (key,) + err.keys) from None
 
 
-def _build(kind: str, instance) -> object:
-    """Check the instance's keys against ``kind``, then build it."""
+def _build(kind: str, instance, horizon: int) -> object:
+    """Check the instance's keys against ``kind``, then build it for
+    ``horizon``."""
     if not isinstance(instance, Mapping):
         raise ConfigError("instance must be an object")
     record = _RECORDS[kind]
@@ -381,7 +382,7 @@ def _build(kind: str, instance) -> object:
         if key not in record.instance_keys:
             raise ConfigError(f"instance key {key!r} does not apply to "
                               f"kind {kind!r}", (key,))
-    return record.build(instance)
+    return record.build(instance, horizon)
 
 
 def _oracle(kind: str, built):
@@ -392,11 +393,12 @@ def _oracle(kind: str, built):
     return record.oracle(built)
 
 
-def oracle_value(kind: str, instance: Mapping) -> float:
-    """Stationary LP optimum of the instance, independent of the sweeps:
-    the per-slot objective (penalty) or, for bandit, the weighted throughput
-    of the composite download chain. The datacenter kind has none."""
-    return float(_oracle(kind, _build(kind, instance))())
+def oracle_value(kind: str, instance: Mapping, horizon: int) -> float:
+    """Stationary LP optimum of the instance, independent of the sweeps and
+    of the horizon it is built for: the per-slot objective (penalty) or, for
+    bandit, the weighted throughput of the composite download chain. The
+    datacenter kind has none."""
+    return float(_oracle(kind, _build(kind, instance, horizon))())
 
 
 def _energy_simulate(n_servers, horizon, params, run_seed, aux_seed, records):
@@ -410,9 +412,11 @@ def _energy_simulate(n_servers, horizon, params, run_seed, aux_seed, records):
     return row
 
 
-def _trace_maker(spec):
+def _trace_maker(spec, horizon: int):
     """The trace spec as ``make(horizon, aux_seed, file_records)``; a spec
-    naming a ``path`` takes the records :func:`run_experiment` read from it."""
+    naming a ``path`` takes the records :func:`run_experiment` read from it.
+    A ramp's marker slots are integers with 0 <= ramp_start < ramp_end <=
+    ``horizon``."""
     spec = {"kind": "uniform"} if spec is None else spec
     if not isinstance(spec, Mapping):
         raise ConfigError("instance key 'trace' must be an object", ("trace",))
@@ -427,16 +431,22 @@ def _trace_maker(spec):
                 horizon, *ranges, seed=seed)
         if tag == "ramp":
             shape = (float(spec["base_rate"]), float(spec["peak_rate"]),
-                     int(spec["ramp_start"]), int(spec["ramp_end"]))
+                     spec["ramp_start"], spec["ramp_end"])
             cost = float(spec.get("cost", 1.0))
-            return lambda horizon, seed, records: datacenter.ramp_trace(
-                horizon, *shape, cost=cost, seed=seed)
     except KeyError as err:
         raise ConfigError(f"ramp trace needs key {err}", ("trace",)) from None
     except (TypeError, ValueError) as err:
         raise ConfigError(f"trace: {err}", ("trace",)) from None
-    raise ConfigError(f"trace kind must be 'uniform' or 'ramp', got {tag!r}",
-                      ("trace", "kind"))
+    if tag != "ramp":
+        raise ConfigError(f"trace kind must be 'uniform' or 'ramp', got {tag!r}",
+                          ("trace", "kind"))
+    start, end = (_under("trace", _as_number, spec, key, None, 0)
+                  for key in ("ramp_start", "ramp_end"))
+    if not start < end <= horizon:
+        raise ConfigError(f"ramp trace needs ramp_start < ramp_end <= horizon "
+                          f"{horizon}, got {start} and {end}", ("trace", "ramp_end"))
+    return lambda horizon, seed, records: datacenter.ramp_trace(
+        horizon, *shape, cost=cost, seed=seed)
 
 
 def _parse_mode(raw):
@@ -448,7 +458,7 @@ def _parse_mode(raw):
     raise ConfigError(f"unknown datacenter mode {raw!r}", ("mode",))
 
 
-def _datacenter_build(instance: Mapping):
+def _datacenter_build(instance: Mapping, horizon: int):
     entries = _need(instance, "servers", "datacenter")
     if not isinstance(entries, (list, tuple)) or not entries:
         raise ConfigError("instance key 'servers' must be a nonempty list", ("servers",))
@@ -465,7 +475,7 @@ def _datacenter_build(instance: Mapping):
             raise ConfigError(f"servers[{pos}]: {err}", ("servers",)) from None
     return (cfgs, _parse_mode(instance.get("mode")),
             _as_number(instance, "min_active", 0, 0),
-            _trace_maker(instance.get("trace")))
+            _trace_maker(instance.get("trace"), horizon))
 
 
 def _datacenter_simulate(built, horizon, params, run_seed, aux_seed, records):
@@ -480,7 +490,7 @@ def _datacenter_simulate(built, horizon, params, run_seed, aux_seed, records):
             "queue_max": float(log.max_queue.max())}
 
 
-def _bandit_build(instance: Mapping):
+def _bandit_build(instance: Mapping, horizon: int):
     users = _need(instance, "users", "bandit")
     file_dist = instance.get("file_dist", "geometric")
     if file_dist not in ("geometric", "uniform", "poisson"):
@@ -536,7 +546,7 @@ def _bandit_oracle(built):
         served_limit=m_servers, power_budget=beta).value
 
 
-def _online_build(instance: Mapping):
+def _online_build(instance: Mapping, horizon: int):
     model = instance.get("model", "file-download")
     if model != "file-download":
         raise ConfigError(f"unknown renewal model {model!r}", ("model",))
@@ -566,7 +576,7 @@ def _online_oracle(built):
         model.exp_metrics, model.budgets)
 
 
-def _ocmdp_build(instance: Mapping):
+def _ocmdp_build(instance: Mapping, horizon: int):
     check_slater = instance.get("check_slater", True)
     if not isinstance(check_slater, bool):
         raise ConfigError("check_slater must be true or false", ("check_slater",))
@@ -597,7 +607,7 @@ def _ocmdp_simulate(built, horizon, params, run_seed, aux_seed, records):
     return row
 
 
-def _oracle_only_build(instance: Mapping):
+def _oracle_only_build(instance: Mapping, horizon: int):
     """The target kind's oracle solve, with the nested instance checked by
     the target's own build."""
     target = _need(instance, "target", "oracle-only")
@@ -605,7 +615,8 @@ def _oracle_only_build(instance: Mapping):
     if record is None or record.simulate is None:
         raise ConfigError(f"oracle-only target must name a simulated kind, "
                           f"got {target!r}", ("target",))
-    built = _under("instance", _build, target, instance.get("instance", {}))
+    built = _under("instance", _build, target, instance.get("instance", {}),
+                   horizon)
     return _under("target", _oracle, target, built)
 
 
@@ -613,7 +624,7 @@ _RECORDS: Dict[str, _Kind] = {
     # sweeps, positive sweeps, instance keys, build, simulate, oracle, gap
     "coupled-energy": _Kind(
         ("v",), ("v",), ("n_servers",),
-        lambda instance: _as_number(instance, "n_servers", 5, 1),
+        lambda instance, horizon: _as_number(instance, "n_servers", 5, 1),
         _energy_simulate,
         lambda n_servers: functools.partial(coupled.energy_oracle_value, n_servers),
         ("penalty_avg", 1)),
@@ -641,9 +652,9 @@ def _run_cell(task) -> Tuple[dict, float]:
     """One grid cell. Its task carries the raw instance, built again here:
     built instances hold closures, which do not pickle."""
     start = time.perf_counter()
-    kind, instance, *args = task
+    kind, instance, horizon, *args = task
     record = _RECORDS[kind]
-    row = record.simulate(record.build(instance), *args)
+    row = record.simulate(record.build(instance, horizon), horizon, *args)
     return row, time.perf_counter() - start
 
 
@@ -726,7 +737,8 @@ def run_experiment(config: ExperimentConfig) -> RunSummary:
     """
     record = _RECORDS[config.kind]
     grid = config.param_grid()
-    oracle = oracle_value(config.kind, config.instance) if config.oracle else None
+    oracle = (oracle_value(config.kind, config.instance, config.horizon)
+              if config.oracle else None)
 
     start_all = time.perf_counter()
     trace_spec, trace_records = config.instance.get("trace"), None

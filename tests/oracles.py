@@ -23,14 +23,11 @@ import numpy as np
 
 from renewalopt import bandit, ocmdp
 from renewalopt.core import (
-    _FRAME_DIST_KINDS,
     ActionModel,
     FrameOutcome,
+    FrameProfile,
     dpp_linear_select,
-    queue_update_slot,
-    sample_outcome,
 )
-from renewalopt.coupled import _profiles
 from renewalopt.lp import LpProblem
 
 
@@ -674,6 +671,58 @@ def maxlambda_step(file_states, lambdas, m_servers, rng, prefer_small=False):
 # coupled reference version: one slot at a time, from dense frame profiles
 # ---------------------------------------------------------------------------
 
+def queue_update_slot(q: np.ndarray, z_sum: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """One-slot queue update: q' = max(q + z_sum - d, 0) componentwise."""
+    q = np.asarray(q, dtype=float)
+    z_sum = np.asarray(z_sum, dtype=float)
+    d = np.asarray(d, dtype=float)
+    if q.shape != z_sum.shape or q.shape != d.shape:
+        raise ValueError("queue, metric, and rate vectors must share one length")
+    return np.maximum(q + z_sum - d, 0.0)
+
+
+def dense_slots(frame, n_metrics: int) -> Tuple[np.ndarray, np.ndarray]:
+    """(penalty per slot, (frame_len, n_metrics) metrics per slot) of a
+    sampled frame.
+
+    A ``core.FrameProfile`` is written out slot by slot and must add up to
+    its totals; a totals-only ``core.FrameOutcome`` lumps on its final slot.
+    Anything else, or a layout that does not fit the frame, raises
+    ValueError.
+    """
+    if not isinstance(frame, (FrameOutcome, FrameProfile)):
+        raise ValueError("a sampler must return a FrameOutcome or FrameProfile")
+    t = frame.frame_len
+    if int(t) != t or t < 1:
+        raise ValueError("frame_len must be a positive integer")
+    totals = np.asarray(frame.metrics_total, dtype=float)
+    if totals.shape != (n_metrics,):
+        raise ValueError("metrics_total length must equal n_metrics")
+    pslots = np.zeros(int(t))
+    mslots = np.zeros((int(t), n_metrics))
+    if isinstance(frame, FrameOutcome):
+        pslots[-1] = frame.penalty_total
+        mslots[-1] = totals
+        return pslots, mslots
+    end = frame.tail_start
+    if int(end) != end or not 0 <= end <= t:
+        raise ValueError("tail_start must be an integer in [0, frame_len]")
+    pslots[int(end):] = frame.tail_penalty
+    offsets = [off for off, _, _ in frame.impulses]
+    if offsets != sorted(set(offsets)) \
+            or any(int(off) != off or not 0 <= off < end for off in offsets):
+        raise ValueError("impulse offsets must increase and precede the tail")
+    for off, y, z in frame.impulses:
+        if len(z) != n_metrics:
+            raise ValueError("impulse metrics length must equal n_metrics")
+        pslots[int(off)] = y
+        mslots[int(off)] = z
+    if abs(float(pslots.sum()) - float(frame.penalty_total)) > 1e-9:
+        raise ValueError("penalty slots do not sum to penalty_total")
+    if n_metrics and np.max(np.abs(mslots.sum(axis=0) - totals)) > 1e-9:
+        raise ValueError("metrics slots do not sum to metrics_total")
+    return pslots, mslots
+
 @dataclass
 class SystemFrameState:
     action_id: object
@@ -701,12 +750,11 @@ def _start_frame(spec, n, q, v, t, rng) -> SystemFrameState:
     actions = spec.systems[n]
     chosen = dpp_linear_select(actions, q, v)
     model = next(a for a in actions if a.action_id == chosen)
-    outcome = sample_outcome(model, rng)
-    pslots, mslots = _profiles(outcome, spec.n_constraints)
+    pslots, mslots = dense_slots(model.sampler(rng), spec.n_constraints)
     return SystemFrameState(
         action_id=chosen,
         frame_start=t,
-        frame_len=outcome.frame_len,
+        frame_len=pslots.size,
         slot_index=0,
         penalty_slots=pslots,
         metrics_slots=mslots,
@@ -735,7 +783,7 @@ def step(spec, states, q, v, rng, t, external_rng=None):
         penalty_row[n] = st.penalty_slots[st.slot_index]
         metrics_row += st.metrics_slots[st.slot_index]
         st.slot_index += 1
-    d = np.asarray(spec.external_process(external_rng), dtype=float)
+    d = np.asarray(spec.external(external_rng, 1)[0], dtype=float)
     q_new = queue_update_slot(q, metrics_row, d)
     rec = SlotRecord(
         slot=t,
@@ -751,11 +799,64 @@ def step(spec, states, q, v, rng, t, external_rng=None):
 # helpers only the tests use
 # ---------------------------------------------------------------------------
 
+_FRAME_DIST_KINDS = ("deterministic", "geometric", "uniform_int")
 _VALUE_DIST_KINDS = ("deterministic", "uniform_int")
 
 
+@dataclass(frozen=True)
+class Dist:
+    """Declarative scalar distribution.
+
+    kind
+        "deterministic" (fixed ``value``), "geometric" (support 1, 2, ... with
+        success probability 1/``mean``), or "uniform_int" (integers in
+        [``low``, ``high``] inclusive).
+    """
+
+    kind: str
+    value: float = 0.0
+    mean: float = 1.0
+    low: int = 0
+    high: int = 0
+
+    def __post_init__(self):
+        if self.kind not in _FRAME_DIST_KINDS:
+            raise ValueError(f"unsupported distribution kind: {self.kind!r}")
+        if self.kind == "geometric" and self.mean < 1.0:
+            raise ValueError("geometric mean must be at least 1")
+        if self.kind == "uniform_int" and self.high < self.low:
+            raise ValueError("uniform_int range is empty")
+
+    @property
+    def expectation(self) -> float:
+        if self.kind == "deterministic":
+            return float(self.value)
+        if self.kind == "geometric":
+            return float(self.mean)
+        return 0.5 * (self.low + self.high)
+
+    def sample(self, rng: np.random.Generator) -> float:
+        if self.kind == "deterministic":
+            return float(self.value)
+        if self.kind == "geometric":
+            return float(rng.geometric(1.0 / self.mean))
+        return float(rng.integers(self.low, self.high + 1))
+
+
+def deterministic(value: float) -> Dist:
+    return Dist("deterministic", value=value)
+
+
+def geometric_min1(mean: float) -> Dist:
+    return Dist("geometric", mean=mean)
+
+
+def uniform_int(low: int, high: int) -> Dist:
+    return Dist("uniform_int", low=int(low), high=int(high))
+
+
 def outcome_sampler(frame_len, penalty, metrics):
-    """Build a FrameOutcome sampler from declarative ``core.Dist`` laws.
+    """Build a FrameOutcome sampler from declarative ``Dist`` laws.
 
     Frame lengths may be deterministic, geometric (minimum 1), or uniform
     integer; penalties and metrics may be deterministic or uniform integer.

@@ -10,20 +10,22 @@ from hypothesis import strategies as st
 import oracles
 from renewalopt.core import (
     ActionModel,
-    Dist,
     FrameOutcome,
     FrameProfile,
-    deterministic,
     dpp_linear_select,
     dpp_ratio_select,
-    geometric_min1,
     queue_update_frame,
-    queue_update_slot,
-    sample_outcome,
-    uniform_int,
-    zero_queues,
 )
-from oracles import action_from_dists, outcome_sampler
+from oracles import (
+    Dist,
+    action_from_dists,
+    dense_slots,
+    deterministic,
+    geometric_min1,
+    outcome_sampler,
+    queue_update_slot,
+    uniform_int,
+)
 
 
 def _mk_action(idx, y, z, t):
@@ -78,10 +80,7 @@ def test_slot_composition_matches_frame_update_when_rates_zero():
         t = int(rng.integers(1, 8))
         slots = rng.uniform(0, 3, size=(t, 2))
         outcome = FrameOutcome(
-            frame_len=t,
-            penalty_total=0.0,
-            metrics_total=slots.sum(axis=0),
-            metrics_slots=slots,
+            frame_len=t, penalty_total=0.0, metrics_total=slots.sum(axis=0)
         )
         q0 = rng.uniform(0, 5, size=2)
         q_slot = q0.copy()
@@ -141,33 +140,53 @@ def test_action_model_rejects_short_frames():
         _mk_action(0, 0.0, [0.0], 0.5)
 
 
+@pytest.mark.parametrize("y,z,t", [
+    (math.nan, [0.0], 1.0), (math.inf, [0.0], 1.0), (-math.inf, [0.0], 1.0),
+    (0.0, [math.nan], 1.0), (0.0, [0.0, math.inf], 1.0),
+    (0.0, [0.0], math.nan), (0.0, [0.0], math.inf),
+])
+def test_action_model_rejects_non_finite_expectations(y, z, t):
+    with pytest.raises(ValueError, match="finite"):
+        _mk_action(0, y, z, t)
+
+
 def test_frame_outcome_validation():
     with pytest.raises(ValueError):
         FrameOutcome(frame_len=0, penalty_total=0.0, metrics_total=np.zeros(1))
     with pytest.raises(ValueError):
-        FrameOutcome(frame_len=2, penalty_total=1.0, metrics_total=np.zeros(1),
-                     penalty_slots=np.array([1.0]))
+        FrameOutcome(frame_len=2.5, penalty_total=0.0, metrics_total=np.zeros(1))
+    out = FrameOutcome(frame_len=2.0, penalty_total=1.0, metrics_total=[3])
+    assert out.frame_len == 2 and out.metrics_total.dtype == float
+    # totals alone lump on the final slot, and must have n_metrics entries
+    pslots, mslots = dense_slots(out, 1)
+    assert np.array_equal(pslots, [0.0, 1.0])
+    assert np.array_equal(mslots, [[0.0], [3.0]])
     with pytest.raises(ValueError):
-        FrameOutcome(frame_len=2, penalty_total=5.0, metrics_total=np.zeros(1),
-                     penalty_slots=np.array([1.0, 1.0]))
+        dense_slots(out, 2)
 
 
 def test_frame_profile_expands_to_its_dense_slots():
     prof = FrameProfile(5, 2.0 + 3 * 0.5, [0.0, -4.0], ((1, 2.0, [0.0, -4.0]),), 2, 0.5)
     assert prof.check(2) == 5
-    out = prof.outcome()
-    assert np.array_equal(out.penalty_slots, [0.0, 2.0, 0.5, 0.5, 0.5])
-    assert np.array_equal(out.metrics_slots[:, 1], [0.0, -4.0, 0.0, 0.0, 0.0])
-    assert out.penalty_total == 3.5
-    assert np.array_equal(out.metrics_total, [0.0, -4.0])
+    pslots, mslots = dense_slots(prof, 2)
+    assert np.array_equal(pslots, [0.0, 2.0, 0.5, 0.5, 0.5])
+    assert np.array_equal(mslots[:, 1], [0.0, -4.0, 0.0, 0.0, 0.0])
+    assert pslots.sum() == prof.penalty_total == 3.5
+    assert np.array_equal(mslots.sum(axis=0), [0.0, -4.0])
+    # no tail: the slots after the last impulse stay empty
+    pslots, mslots = dense_slots(FrameProfile(2, 3.0, [1.0], ((0, 3.0, [1.0]),), 2), 1)
+    assert np.array_equal(pslots, [3.0, 0.0])
+    assert np.array_equal(mslots, [[1.0], [0.0]])
+    with pytest.raises(ValueError):
+        dense_slots((2, 3.0), 1)
 
 
 def test_frame_profile_validation():
     # impulses and tail that disagree with the totals
     with pytest.raises(ValueError):
-        FrameProfile(3, 5.0, [0.0], ((0, 1.0, [0.0]),), 1, 1.0).outcome()
+        dense_slots(FrameProfile(3, 5.0, [0.0], ((0, 1.0, [0.0]),), 1, 1.0), 1)
     with pytest.raises(ValueError):
-        FrameProfile(3, 3.0, [2.0], ((0, 1.0, [1.0]),), 1, 1.0).outcome()
+        dense_slots(FrameProfile(3, 3.0, [2.0], ((0, 1.0, [1.0]),), 1, 1.0), 1)
     bad_layouts = [
         FrameProfile(0, 0.0, [0.0], (), 0),  # empty frame
         FrameProfile(2.5, 0.0, [0.0], (), 0),  # fractional length
@@ -182,20 +201,7 @@ def test_frame_profile_validation():
         with pytest.raises(ValueError):
             prof.check(1)
         with pytest.raises(ValueError):
-            prof.outcome()
-
-
-def test_sample_outcome_expands_profiles():
-    prof = FrameProfile(2, 3.0, [1.0], ((0, 3.0, [1.0]),), 2)
-    act = ActionModel(action_id=0, exp_penalty=1.5, exp_metrics=np.ones(1),
-                      exp_frame_len=2.0, sampler=lambda rng: prof)
-    out = sample_outcome(act, np.random.default_rng(0))
-    assert isinstance(out, FrameOutcome)
-    assert np.array_equal(out.penalty_slots, [3.0, 0.0])
-    bad = ActionModel(action_id=1, exp_penalty=1.5, exp_metrics=np.ones(1),
-                      exp_frame_len=2.0, sampler=lambda rng: (2, 3.0))
-    with pytest.raises(ValueError):
-        sample_outcome(bad, np.random.default_rng(0))
+            dense_slots(prof, 1)
 
 
 def test_dist_kinds_and_errors():
@@ -218,14 +224,14 @@ def test_sampler_deterministic_kind_and_seed_reproducibility():
         penalty=uniform_int(2, 6),
         metrics=[deterministic(3.0), uniform_int(0, 4)],
     )
-    seq1 = [sample_outcome(act, np.random.default_rng(42)) for _ in range(1)]
-    seq2 = [sample_outcome(act, np.random.default_rng(42)) for _ in range(1)]
+    seq1 = [act.sampler(np.random.default_rng(42)) for _ in range(1)]
+    seq2 = [act.sampler(np.random.default_rng(42)) for _ in range(1)]
     assert seq1[0].frame_len == seq2[0].frame_len
     assert seq1[0].penalty_total == seq2[0].penalty_total
     assert np.array_equal(seq1[0].metrics_total, seq2[0].metrics_total)
 
     fixed = action_from_dists("d", deterministic(3), deterministic(1.5), [deterministic(-2.0)])
-    out = sample_outcome(fixed, np.random.default_rng(0))
+    out = fixed.sampler(np.random.default_rng(0))
     assert out.frame_len == 3
     assert out.penalty_total == 1.5
     assert out.metrics_total == pytest.approx([-2.0])
@@ -239,7 +245,7 @@ def test_sampler_empirical_means_converge():
         metrics=[uniform_int(9, 21)],
     )
     rng = np.random.default_rng(2024)
-    outs = [sample_outcome(act, rng) for _ in range(20000)]
+    outs = [act.sampler(rng) for _ in range(20000)]
     assert min(o.frame_len for o in outs) >= 1
     assert np.mean([o.frame_len for o in outs]) == pytest.approx(4.0, rel=0.03)
     assert np.mean([o.penalty_total for o in outs]) == pytest.approx(3.0, rel=0.03)
@@ -247,17 +253,6 @@ def test_sampler_empirical_means_converge():
     assert act.exp_frame_len == 4.0
     assert act.exp_penalty == 3.0
     assert act.exp_metrics == pytest.approx([15.0])
-
-
-def test_sample_outcome_requires_sampler():
-    bare = _mk_action(0, 1.0, [0.0], 1.0)
-    with pytest.raises(ValueError):
-        sample_outcome(bare, np.random.default_rng(0))
-
-
-def test_zero_queues():
-    q = zero_queues(4)
-    assert q.shape == (4,) and np.all(q == 0.0)
 
 
 def test_geometric_min1_mass_function_shape():

@@ -3,7 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from renewalopt.core import ActionModel, FrameOutcome, FrameProfile, sample_outcome
+from renewalopt.core import ActionModel, FrameOutcome, FrameProfile
 from renewalopt.coupled import (
     ENERGY_CLASSES,
     CoupledSystemSpec,
@@ -12,7 +12,7 @@ from renewalopt.coupled import (
     energy_scheduling_spec,
     run,
 )
-from oracles import energy_table, step
+from oracles import dense_slots, energy_table, step
 
 
 def _two_action_spec(n_systems=2):
@@ -46,12 +46,12 @@ def _two_action_spec(n_systems=2):
         )
         return [a0, a1]
 
-    def external(rng):
-        return rng.uniform(0.5, 1.5, size=2)
+    def external(rng, count):
+        return rng.uniform(0.5, 1.5, size=(count, 2))
 
     return CoupledSystemSpec(
         systems=[make_actions() for _ in range(n_systems)],
-        external_process=external,
+        external=external,
         n_constraints=2,
     )
 
@@ -62,6 +62,9 @@ def test_run_rejects_bad_arguments():
         run(spec, v=10.0, horizon=0, seed=1)
     with pytest.raises(ValueError):
         run(spec, v=0.0, horizon=10, seed=1)
+    spec.external = lambda rng, count: rng.uniform(0.5, 1.5, size=2)
+    with pytest.raises(ValueError, match="wrong shape"):
+        run(spec, v=10.0, horizon=10, seed=1)
 
 
 def test_run_is_deterministic_in_seed():
@@ -105,10 +108,8 @@ def test_run_matches_step_when_systems_share_a_constraint():
     def emitter(value, frame_mean):
         def sampler(rng):
             t = int(rng.geometric(1.0 / frame_mean))
-            return FrameOutcome(frame_len=t, penalty_total=float(t),
-                                metrics_total=np.array([value * t]),
-                                penalty_slots=np.ones(t),
-                                metrics_slots=np.full((t, 1), value))
+            slots = tuple((k, 1.0, [value]) for k in range(t))
+            return FrameProfile(t, float(t), [value * t], slots, t)
 
         return [ActionModel(action_id=0, exp_penalty=1.0,
                             exp_metrics=np.array([value]),
@@ -117,7 +118,7 @@ def test_run_matches_step_when_systems_share_a_constraint():
     spec = CoupledSystemSpec(
         systems=[emitter(0.1, 3.0), emitter(0.2, 2.0), emitter(0.7, 5.0),
                  emitter(0.3, 4.0)],
-        external_process=lambda rng: rng.uniform(0.5, 1.5, size=1),
+        external=lambda rng, count: rng.uniform(0.5, 1.5, size=(count, 1)),
         n_constraints=1,
     )
     _assert_run_matches_step(spec, v=1.0, horizon=400, seed=3)
@@ -145,7 +146,7 @@ def test_frames_partition_the_timeline():
 
 def test_queue_trajectory_composes_frame_totals_when_external_is_zero():
     spec = _two_action_spec(n_systems=1)
-    spec.external_process = lambda rng: np.zeros(2)
+    spec.external = lambda rng, count: np.zeros((count, 2))
     log = run(spec, v=4.0, horizon=200, seed=5)
     for _, start, length, _ in log.frame_log:
         end = start + length
@@ -179,22 +180,24 @@ def test_energy_sampler_frame_shape():
     model = spec.systems[0][1]
     for _ in range(200):
         # the sampler's sparse frame, expanded to dense per-slot arrays
-        out = sample_outcome(model, rng)
+        out = model.sampler(rng)
+        pslots, mslots = dense_slots(out, 3)
         assert out.frame_len >= 2
-        busy = int(np.flatnonzero(out.penalty_slots == 20.0)[0]) + 1
-        assert np.all(out.penalty_slots[busy:] == 3.0)
-        assert np.all(out.penalty_slots[: busy - 1] == 0.0)
-        jobs = -out.metrics_slots[busy - 1, 1]
+        busy = int(np.flatnonzero(pslots == 20.0)[0]) + 1
+        assert np.all(pslots[busy:] == 3.0)
+        assert np.all(pslots[: busy - 1] == 0.0)
+        jobs = -mslots[busy - 1, 1]
         assert 15 <= jobs <= 27
-        assert out.metrics_slots.sum() == -jobs
-        assert out.penalty_slots.sum() == out.penalty_total
-        assert np.array_equal(out.metrics_slots.sum(axis=0), out.metrics_total)
+        assert mslots.sum() == -jobs
+        assert pslots.sum() == out.penalty_total
+        assert np.array_equal(mslots.sum(axis=0), out.metrics_total)
 
 
 def _spec_with_sampler(sampler):
     action = ActionModel(action_id=0, exp_penalty=1.0, exp_metrics=np.zeros(1),
                          exp_frame_len=2.0, sampler=sampler)
-    return CoupledSystemSpec(systems=[[action]], external_process=lambda rng: np.zeros(1),
+    return CoupledSystemSpec(systems=[[action]],
+                             external=lambda rng, count: np.zeros((count, 1)),
                              n_constraints=1)
 
 
@@ -205,15 +208,26 @@ def test_spec_build_checks_each_action_once():
     off_total = lambda rng: FrameProfile(3, 6.0, [1.0], ((0, 2.0, [1.0]),), 1, 1.5)
     with pytest.raises(ValueError):
         _spec_with_sampler(off_total)
+    off_metrics = lambda rng: FrameProfile(3, 5.0, [2.0], ((0, 2.0, [1.0]),), 1, 1.5)
+    with pytest.raises(ValueError, match="add up"):
+        _spec_with_sampler(off_metrics)
     wide = lambda rng: FrameProfile(3, 5.0, [1.0, 0.0], ((0, 2.0, [1.0, 0.0]),), 1, 1.5)
     with pytest.raises(ValueError):
         _spec_with_sampler(wide)
+    wide_totals = lambda rng: FrameOutcome(3, 5.0, [1.0, 0.0])
     with pytest.raises(ValueError):
+        _spec_with_sampler(wide_totals)
+    with pytest.raises(ValueError, match="action 0 has no sampler"):
         _spec_with_sampler(None)
+    # something other than a frame
+    with pytest.raises(ValueError, match="FrameOutcome or FrameProfile"):
+        _spec_with_sampler(lambda rng: (2, 3.0))
     twins = [_two_action_spec().systems[0][0]] * 2
     with pytest.raises(ValueError):
-        CoupledSystemSpec(systems=[twins], external_process=lambda rng: np.zeros(2),
+        CoupledSystemSpec(systems=[twins],
+                          external=lambda rng, count: np.zeros((count, 2)),
                           n_constraints=2)
+
 
 
 def test_run_rejects_a_frame_whose_impulses_leave_it():
@@ -232,7 +246,8 @@ def test_run_rejects_a_frame_whose_impulses_leave_it():
 def test_energy_external_process_bounds_and_mean():
     spec = energy_scheduling_spec()
     rng = np.random.default_rng(123)
-    draws = np.array([spec.external_process(rng) for _ in range(6000)])
+    draws = spec.external(rng, 6000)
+    assert draws.shape == (6000, 3)
     assert np.all(draws <= 0)
     assert np.all(draws >= -10.0 * ENERGY_CLASSES["arrival_rate"])
     mean = draws.mean(axis=0)

@@ -1,4 +1,7 @@
+import ast
+import importlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -112,6 +115,10 @@ _BAD_CONFIGS = {
        for key in ("base_rate", "peak_rate", "ramp_start", "ramp_end")},
     "farm-trace-kind": (_with(_FARM, {"trace": {"kind": "bursty"}}), "kind", 1,
                         "trace kind"),
+    "farm-ramp-end-past-horizon": (_with(_FARM, {"trace": dict(_RAMP, ramp_end=50)}),
+                                   "ramp_end", 0, "ramp_end <= horizon 40"),
+    "farm-ramp-fractional-start": (_with(_FARM, {"trace": dict(_RAMP, ramp_start=10.7)}),
+                                   "ramp_start", 0, "ramp_start must be an integer"),
     "farm-min-active-negative": (_with(_FARM, {"min_active": -1}), "min_active", 0,
                                  "min_active must be at least 0"),
     "farm-min-active-fraction": (_with(_FARM, {"min_active": 1.5}), "min_active", 0,
@@ -550,3 +557,33 @@ def test_cli_invariants_suite(capsys):
     stdout = capsys.readouterr().out
     assert "PASS determinism" in stdout
     assert "PASS parallel-fold" in stdout
+
+
+# ---------------------------------------------------------------------------
+# benchmark tracing
+# ---------------------------------------------------------------------------
+
+
+def _traced_names():
+    """(module, attr) of every ``renewalopt`` function that
+    ``perfbench/tracing.py``'s ``install`` wraps, read from its source
+    without importing it."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    install = next(node for node in ast.walk(ast.parse(path.read_text()))
+                   if isinstance(node, ast.FunctionDef) and node.name == "install")
+    modules = {alias.name for node in ast.walk(install)
+               if isinstance(node, ast.ImportFrom) and node.module == "renewalopt"
+               for alias in node.names}
+    return [(call.args[0].id, call.args[1].value) for call in ast.walk(install)
+            if isinstance(call, ast.Call) and len(call.args) >= 2
+            and isinstance(call.args[0], ast.Name) and call.args[0].id in modules
+            and isinstance(call.args[1], ast.Constant)]
+
+
+def test_every_traced_name_exists():
+    names = _traced_names()
+    assert ("coupled", "dpp_linear_select") in names
+    assert ("coupled", "run") in names
+    for module, attr in names:
+        target = getattr(importlib.import_module(f"renewalopt.{module}"), attr, None)
+        assert callable(target), f"perfbench traces missing {module}.{attr}"
