@@ -16,6 +16,7 @@ from renewalopt.core import (
     dpp_ratio_select,
     queue_update_frame,
 )
+from renewalopt.coupled import CoupledSystemSpec
 from oracles import (
     Dist,
     action_from_dists,
@@ -179,6 +180,32 @@ def test_frame_profile_expands_to_its_dense_slots():
     assert np.array_equal(mslots, [[1.0], [0.0]])
     with pytest.raises(ValueError):
         dense_slots((2, 3.0), 1)
+
+
+def _one_action_spec(sampler):
+    action = ActionModel(action_id=0, exp_penalty=1.5, exp_metrics=np.ones(1),
+                         exp_frame_len=2.0, sampler=sampler)
+    return CoupledSystemSpec(systems=[[action]],
+                             external=lambda rng, count: np.zeros((count, 1)),
+                             n_constraints=1)
+
+
+def test_sample_outcome_expands_profiles():
+    prof = FrameProfile(2, 3.0, [1.0], ((0, 3.0, [1.0]),), 2)
+    spec = _one_action_spec(lambda rng: prof)
+    out = spec.systems[0][0].sampler(np.random.default_rng(0))
+    assert isinstance(out, FrameProfile)
+    pslots, mslots = dense_slots(out, 1)
+    assert np.array_equal(pslots, [3.0, 0.0])
+    assert np.array_equal(mslots, [[1.0], [0.0]])
+    # a sampler that returns something other than a frame is refused
+    with pytest.raises(ValueError, match="FrameOutcome or FrameProfile"):
+        _one_action_spec(lambda rng: (2, 3.0))
+
+
+def test_sample_outcome_requires_sampler():
+    with pytest.raises(ValueError, match="has no sampler"):
+        _one_action_spec(None)
 
 
 def test_frame_profile_validation():
