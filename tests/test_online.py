@@ -1,3 +1,4 @@
+import hashlib
 import warnings
 
 import numpy as np
@@ -220,3 +221,36 @@ def test_run_rejects_bad_arguments():
         run(model, v=0.0, delta=0.6, n_frames=10)
     with pytest.raises(ValueError):
         run(model, v=10.0, delta=0.6, n_frames=0)
+
+
+_PIN_RUNS = {
+    ("download", 1): (file_download_example, 300.0, 4000),
+    ("download", 2): (file_download_example, 300.0, 4000),
+    ("floor", 9): (_floor_model, 40.0, 3000),
+    ("floor", 10): (_floor_model, 40.0, 3000),
+}
+
+# sha256 over every per-frame array of the log (name, dtype, shape, bytes)
+_PINNED_DIGESTS = {
+    ("download", 1): "f20a94832396f1003c8e29d4633b53417bd10580a8a7e4e584589faab7088643",
+    ("download", 2): "5df82dbcc5fc3bf75bfc8c86522e923a3341d75f9582c88eb332bca84c167e1f",
+    ("floor", 9): "bff9efb8aafc844f152ab0f8eef5625dfe2f96f2a30d53470f3d7896c757b9e3",
+    ("floor", 10): "debbeff4e9294b07430c18f0514a49470c5cd5aa39ff5741db936775ffaa398a",
+}
+
+
+def _log_digest(log):
+    digest = hashlib.sha256()
+    for name in ("events", "actions", "penalty", "frame_len", "metrics",
+                 "increments", "theta", "queues"):
+        arr = getattr(log, name)
+        digest.update(f"{name}:{arr.dtype.str}:{arr.shape}:".encode())
+        digest.update(arr.tobytes())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("case", sorted(_PIN_RUNS))
+def test_run_output_is_pinned(case):
+    model, v, n_frames = _PIN_RUNS[case]
+    log = run(model(), v=v, delta=0.6, n_frames=n_frames, seed=case[1])
+    assert _log_digest(log) == _PINNED_DIGESTS[case]
