@@ -302,7 +302,13 @@ def ocmdp_scaling() -> CriterionResult:
 # ---------------------------------------------------------------------------
 
 
-def grid_project(aff_a, aff_b, x, mesh=501, span=2.5):
+# grid_project's points per null-space axis, at most 1e6 points in all, and
+# the half-width it starts its grid at, doubled until a point is feasible
+_GRID_MESH = 501
+_GRID_SPAN = 2.5
+
+
+def grid_project(aff_a, aff_b, x):
     """Minimize ||theta - x|| over {aff_a theta = aff_b, theta >= 0}
     with no active set.
 
@@ -329,8 +335,8 @@ def grid_project(aff_a, aff_b, x, mesh=501, span=2.5):
     if d == 0:
         return part
     cap = 1_000_000
-    mesh_eff = mesh if mesh**d <= cap else max(5, int(cap ** (1.0 / d)))
-    width = span
+    mesh_eff = _GRID_MESH if _GRID_MESH**d <= cap else max(5, int(cap ** (1.0 / d)))
+    width = _GRID_SPAN
     while True:
         axes = [np.linspace(-width, width, mesh_eff) for _ in range(d)]
         grids = np.meshgrid(*axes, indexing="ij")

@@ -278,6 +278,15 @@ def energy_scheduling_spec(n_servers: int = 5) -> CoupledSystemSpec:
     return CoupledSystemSpec(systems=systems, external=external, n_constraints=3)
 
 
+def energy_load(n_servers: int) -> float:
+    """Offered load of the scheduling instance per server, sum over classes
+    of lambda_i * (busy + idle mean) / (n_servers * mean jobs). No stationary
+    policy keeps the queues stable unless it is below 1."""
+    c = ENERGY_CLASSES
+    cycle = c["service_mean_len"] + c["idle_mean_len"]
+    return float((c["arrival_rate"] * cycle / c["jobs_mean"]).sum()) / n_servers
+
+
 def energy_oracle_value(n_servers: int = 5) -> float:
     """Optimal stationary energy rate for the scheduling instance.
 

@@ -401,6 +401,15 @@ def oracle_value(kind: str, instance: Mapping, horizon: int) -> float:
     return float(_oracle(kind, _build(kind, instance, horizon))())
 
 
+def _energy_oracle(n_servers):
+    load = coupled.energy_load(n_servers)
+    if load >= 1.0:
+        raise ConfigError(f"n_servers {n_servers} leaves the energy instance "
+                          f"overloaded (load {load:.3f} >= 1), so its oracle "
+                          f"LP is infeasible", ("n_servers",))
+    return functools.partial(coupled.energy_oracle_value, n_servers)
+
+
 def _energy_simulate(n_servers, horizon, params, run_seed, aux_seed, records):
     # the spec is made here, not at load: its probe draw imports numpy.random
     spec = coupled.energy_scheduling_spec(n_servers)
@@ -626,7 +635,7 @@ _RECORDS: Dict[str, _Kind] = {
         ("v",), ("v",), ("n_servers",),
         lambda instance, horizon: _as_number(instance, "n_servers", 5, 1),
         _energy_simulate,
-        lambda n_servers: functools.partial(coupled.energy_oracle_value, n_servers),
+        _energy_oracle,
         ("penalty_avg", 1)),
     "datacenter": _Kind(
         ("v",), (), ("servers", "mode", "min_active", "trace"),

@@ -21,6 +21,13 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 PIVOT_TOL = 1e-9
+# a reported optimum's residual bound, and its certificate's reduced-cost
+# bound, -_COST_TOL * (1 + max|c|); also the pricing threshold
+_FEAS_TOL = 1e-8
+_COST_TOL = 1e-9
+_MAX_ITERATIONS = 100_000
+# composite download chains are refused above this many states
+_STATE_CAP = 8192
 
 
 @dataclass
@@ -68,12 +75,12 @@ class LpSolution:
 _DEGENERATE_STREAK = 16
 
 
-def _entering(reduced, cost_tol, bland):
+def _entering(reduced, bland):
     if bland:
-        eligible = np.flatnonzero(reduced < -cost_tol)
+        eligible = np.flatnonzero(reduced < -_COST_TOL)
         return int(eligible[0]) if eligible.size else -1
     j = int(np.argmin(reduced))
-    return j if reduced[j] < -cost_tol else -1
+    return j if reduced[j] < -_COST_TOL else -1
 
 
 def _leaving(a, b, n_real, col):
@@ -117,8 +124,7 @@ def _apply_pivot(a, b, reduced, basis, row, col):
     basis[row] = col
 
 
-def _pivot_until_optimal(a, b, reduced, basis, n_real, cost_tol, iterations,
-                         max_iterations):
+def _pivot_until_optimal(a, b, reduced, basis, n_real, iterations):
     """Pivot until no reduced cost is negative.
 
     Pricing is Dantzig's most-negative rule, switching to Bland's rule after
@@ -131,7 +137,7 @@ def _pivot_until_optimal(a, b, reduced, basis, n_real, cost_tol, iterations,
     streak = 0
     bland = False
     while True:
-        col = _entering(reduced, cost_tol, bland)
+        col = _entering(reduced, bland)
         if col < 0:
             return "optimal", iterations
         row, rmin = _leaving(a, b, n_real, col)
@@ -139,7 +145,7 @@ def _pivot_until_optimal(a, b, reduced, basis, n_real, cost_tol, iterations,
             return "no_pivot", iterations
         _apply_pivot(a, b, reduced, basis, row, col)
         iterations += 1
-        if iterations > max_iterations:
+        if iterations > _MAX_ITERATIONS:
             return "iteration_limit", iterations
         if rmin <= 1e-12:
             streak += 1
@@ -149,21 +155,17 @@ def _pivot_until_optimal(a, b, reduced, basis, n_real, cost_tol, iterations,
             bland = False
 
 
-def solve_lp(
-    problem: LpProblem,
-    feas_tol: float = 1e-8,
-    cost_tol: float = 1e-9,
-    max_iterations: int = 100_000,
-) -> LpSolution:
+def solve_lp(problem: LpProblem) -> LpSolution:
     """Two-phase dense simplex with anti-cycling safeguards.
 
     Leaving rows follow the lexicographic ratio test; entering columns use
     Dantzig pricing with Bland's rule engaged on long degenerate streaks.
-    Reported optima satisfy equality residuals within ``feas_tol``, inequality
-    overshoot within ``feas_tol``, and componentwise x >= -1e-12, and their
-    basis certifies optimality on the original data: every reduced cost,
-    slack columns included, is at least -cost_tol * (1 + max|c|). A final
-    basis failing either check is reported as status "failed", never trusted.
+    Reported optima satisfy equality residuals within 1e-8, inequality
+    overshoot within 1e-8, and componentwise x >= -1e-12, and their basis
+    certifies optimality on the original data: every reduced cost, slack
+    columns included, is at least -1e-9 * (1 + max|c|). A final basis failing
+    either check is reported as status "failed", never trusted. More than
+    100,000 pivots also end "failed".
     """
     n = problem.c.size
     m_eq = problem.a_eq.shape[0]
@@ -190,16 +192,14 @@ def solve_lp(
     basis = [n_real + i for i in range(m)]  # artificial variables
     reduced = -a[:, :n_real].sum(axis=0)  # phase-one reduced costs
 
-    outcome, iterations = _pivot_until_optimal(
-        a, b, reduced, basis, n_real, cost_tol, 0, max_iterations
-    )
+    outcome, iterations = _pivot_until_optimal(a, b, reduced, basis, n_real, 0)
     if outcome != "optimal":
         # the phase-one objective is bounded below by zero, so a missing
         # pivot row here is numeric trouble, not unboundedness
         return LpSolution(status="failed", iterations=iterations)
 
     phase1 = sum(b[i] for i in range(m) if basis[i] >= n_real)
-    if phase1 > feas_tol:
+    if phase1 > _FEAS_TOL:
         return LpSolution(status="infeasible", iterations=iterations)
 
     # drive leftover zero-level artificials out of the basis; a row with no
@@ -227,9 +227,7 @@ def solve_lp(
     c_basis = cost_full[np.array(basis, dtype=int)] if m else np.zeros(0)
     reduced = cost_full - (c_basis @ a[:, :n_real] if m else 0.0)
 
-    outcome, iterations = _pivot_until_optimal(
-        a, b, reduced, basis, n_real, cost_tol, iterations, max_iterations
-    )
+    outcome, iterations = _pivot_until_optimal(a, b, reduced, basis, n_real, iterations)
     if outcome == "no_pivot":
         return LpSolution(status="unbounded", iterations=iterations)
     if outcome == "iteration_limit":
@@ -258,7 +256,7 @@ def solve_lp(
         x_repaired = np.zeros(n_real)
         x_repaired[basic] = vals
         y, *_ = np.linalg.lstsq(full[:, basic].T, cost_full[basic], rcond=None)
-    tol = cost_tol * (1.0 + np.abs(problem.c).max(initial=0.0))
+    tol = _COST_TOL * (1.0 + np.abs(problem.c).max(initial=0.0))
     if np.min(cost_full - y @ full, initial=0.0) < -tol:
         return LpSolution(status="failed", iterations=iterations)
 
@@ -268,9 +266,9 @@ def solve_lp(
         x = cand[:n]
         if not np.all(np.isfinite(x)):
             continue
-        if m_eq and np.max(np.abs(problem.a_eq @ x - problem.b_eq)) > feas_tol:
+        if m_eq and np.max(np.abs(problem.a_eq @ x - problem.b_eq)) > _FEAS_TOL:
             continue
-        if m_ub and np.max(problem.g_ub @ x - problem.h_ub) > feas_tol:
+        if m_ub and np.max(problem.g_ub @ x - problem.h_ub) > _FEAS_TOL:
             continue
         if np.min(x, initial=0.0) < -1e-12:
             continue
@@ -465,7 +463,6 @@ def coupled_mdp_optimal(
     action_sets: Sequence[Sequence[Tuple[float, float]]],
     served_limit: int,
     power_budget: Optional[float] = None,
-    state_cap: int = 8192,
 ) -> CoupledMdpResult:
     """Optimal stationary weighted throughput of coupled download chains.
 
@@ -492,9 +489,9 @@ def coupled_mdp_optimal(
         raise ValueError("per-user parameter lengths disagree")
     if np.any(lam <= 0) or np.any(lam >= 1):
         raise ValueError("arrival probabilities must lie strictly inside (0, 1)")
-    if 2 ** n_users > state_cap:
+    if 2 ** n_users > _STATE_CAP:
         raise ValueError(
-            f"composite state space 2^{n_users} exceeds capacity {state_cap}"
+            f"composite state space 2^{n_users} exceeds capacity {_STATE_CAP}"
         )
     if not (isinstance(served_limit, (int, np.integer)) and served_limit >= 1):
         raise ValueError(f"served_limit must be an integer >= 1, got {served_limit!r}")

@@ -5,12 +5,13 @@ Each system runs on its own finite state space and is steered through a
 state-action occupation vector theta rather than through an explicit policy:
 theta[s * n_actions + a] is the stationary probability of sitting in state s
 and playing action a, and the feasible set is the polyhedron cut out by the
-balance equations together with the probability simplex. One slot after the
-penalty and constraint tables of slot t-1 are revealed, every system takes a
-projected gradient step
+balance equations together with the probability simplex. Every slot runs
+the same way (:func:`run_ocmdp`): each system plays its current theta on its
+true chain, the slot's penalty and constraint tables are revealed, and then
+every system takes a projected gradient step (:func:`ocmdp_step`)
 
     w = V * f + sum_i Q_i * g_i
-    theta_t = project(theta_{t-1} - w / (2 * alpha))
+    theta_{t+1} = project(theta_t - w / (2 * alpha))
 
 and the shared virtual queues absorb the expected constraint usage of the new
 occupation vectors. Projections are exact: an active-set method walks the
@@ -18,11 +19,10 @@ faces of the polyhedron and stops, after finitely many, when the bound
 multipliers certify optimality. Membership is enforced there, once per
 update: the projection clamps theta at zero and raises unless its affine
 residual is within 1e-8; the ocmdp-scaling acceptance criterion re-checks
-every logged theta against the same bound. True trajectories are simulated alongside the
-occupation iterates: the visited state's row of theta gives the action
-distribution, actions and next states are drawn by inverting the same CDFs,
-on the same uniform draws, as ``Generator.choice``, and realized penalties
-feed the regret accounting against the best stationary baseline.
+every logged theta against the same bound. Play draws from the visited
+state's row of theta: actions and next states are drawn by inverting the
+same CDFs, on the same uniform draws, as ``Generator.choice``, and realized
+penalties feed the regret accounting against the best stationary baseline.
 
 The module also owns the LPs over products of occupation polyhedra: the
 stationary baseline (:func:`stationary_baseline`) and the Slater margin
@@ -45,6 +45,8 @@ from renewalopt import lp
 
 _MEMBERSHIP_TOL = 1e-8
 _ROW_SUM_TOL = 1e-12
+# run_ocmdp refuses a constrained instance whose Slater margin is not above this
+_SLATER_TOL = 1e-6
 # Generator.choice rejects p whose sum misses 1 by more than this
 _CHOICE_ATOL = math.sqrt(np.finfo(np.float64).eps)
 
@@ -61,7 +63,9 @@ class MdpSpec:
     smallest bound consistent with the means and the noise. ``f_drift``
     optionally makes the penalty mean wander: a pair (direction, period)
     adds sin(2*pi*t/period) * direction to ``f_mean`` at slot t. The
-    constraint tables stay i.i.d.; only f may drift.
+    constraint tables stay i.i.d.; only f may drift. Every array and number
+    must be finite. This is the instance's one validation gate: the
+    polyhedron, the sampler and the LPs trust what it admits.
     """
 
     transitions: np.ndarray
@@ -80,6 +84,9 @@ class MdpSpec:
         n_a, n_s, _ = self.transitions.shape
         if n_a < 1 or n_s < 1:
             raise ValueError("need at least one state and one action")
+        for name in ("transitions", "f_mean", "g_means"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"{name} must be finite")
         if (self.transitions < 0.0).any():
             raise ValueError("transition probabilities must be nonnegative")
         row_err = np.abs(self.transitions.sum(axis=2) - 1.0).max()
@@ -88,22 +95,26 @@ class MdpSpec:
         if self.f_mean.shape != (n_s, n_a):
             raise ValueError("f_mean must be shaped (states, actions)")
         self.g_means = self.g_means.reshape(-1, n_s, n_a)
-        if not float(self.noise) >= 0.0:
-            raise ValueError("noise must be nonnegative")
         self.noise = float(self.noise)
+        if not 0.0 <= self.noise < math.inf:
+            raise ValueError("noise must be finite and nonnegative")
         if self.f_drift is not None:
             direction, period = self.f_drift
             direction = np.asarray(direction, dtype=float)
             if direction.shape != (n_s, n_a):
                 raise ValueError("drift direction must be shaped (states, actions)")
-            if not float(period) > 0.0:
-                raise ValueError("drift period must be positive")
+            if not np.isfinite(direction).all():
+                raise ValueError("drift direction must be finite")
+            if not 0.0 < float(period) < math.inf:
+                raise ValueError("drift period must be finite and positive")
             self.f_drift = (direction, float(period))
         needed = self._tightest_bound() + self.noise
         if self.psi is None:
             self.psi = needed
         else:
             self.psi = float(self.psi)
+            if not math.isfinite(self.psi):
+                raise ValueError("psi must be finite")
             if self.psi + 1e-12 < needed:
                 raise ValueError(
                     f"psi={self.psi} cannot bound tables reaching {needed}"
@@ -218,14 +229,13 @@ def build_polyhedron(spec: MdpSpec) -> PolyhedronTheta:
 
     Balance rows (one per destination state, coefficient P_a(s, s') minus the
     indicator of s = s') sum to the zero functional, so the last one is
-    dropped before the simplex row is appended. The uniform policy's
-    stationary occupation vector is computed and checked for membership
-    within 1e-9; failure means the transition tensor is numerically broken
-    and raises. Each transition row's inverse CDF is built here, once.
+    dropped before the simplex row is appended. The transitions are those
+    :class:`MdpSpec` admitted. The uniform policy's stationary occupation
+    vector is computed and checked for membership within 1e-9; failure means
+    the transition tensor is numerically broken and raises. Each transition
+    row's inverse CDF is built here, once.
     """
-    p = np.asarray(spec.transitions, dtype=float)
-    if (p < 0.0).any() or np.abs(p.sum(axis=2) - 1.0).max() > _ROW_SUM_TOL:
-        raise ValueError("transitions are not row-stochastic")
+    p = spec.transitions
     n_a, n_s, _ = p.shape
     dim = n_s * n_a
     balance = np.zeros((n_s, dim))
@@ -338,88 +348,64 @@ def _play(poly: PolyhedronTheta, theta: np.ndarray, s: int,
     return a, bisect.bisect_right(poly.next_state_cdfs[a][s], rng.random())
 
 
-@dataclass
-class OcmdpState:
-    """Iterate of the coupled online run.
-
-    ``slot`` is the index of the last completed decision slot; ``thetas``
-    are that slot's occupation vectors, ``queues`` the virtual queue values
-    entering the next slot (so Q(0) and Q(1) are both exactly zero), and
-    ``states`` the true chain states entering the next slot.
-    """
-
-    thetas: List[np.ndarray]
-    queues: np.ndarray
-    states: np.ndarray
-    slot: int
-
-
 def ocmdp_step(
-    specs: Sequence[MdpSpec],
     polys: Sequence[PolyhedronTheta],
-    state: OcmdpState,
+    thetas: Sequence[np.ndarray],
+    queues: np.ndarray,
     f_prev: Sequence[np.ndarray],
     g_prev: Sequence[np.ndarray],
     v: float,
     alpha: float,
-    rngs: Sequence[np.random.Generator],
-) -> Tuple[OcmdpState, np.ndarray]:
-    """Advance every system by one slot using the previous slot's tables.
+) -> Tuple[List[np.ndarray], np.ndarray]:
+    """The projected update, from one slot's revealed tables.
 
-    Per system: fold the revealed tables into w = v*f + sum_i Q_i * g_i,
-    project theta - w/(2*alpha) back onto the polyhedron, then draw an action
-    at the current true state from the new theta and advance the chain. The
-    virtual queues then absorb the expected constraint usage of the new
-    occupation vectors. Returns the successor state and the sampled actions.
-    Membership of each new theta is enforced by :func:`project_onto_theta`,
-    which clamps it at zero and raises if its affine residual exceeds 1e-8,
-    and re-checked per logged slot by the ocmdp-scaling acceptance criterion.
+    Per system: fold the tables into w = v*f + sum_i Q_i * g_i and project
+    theta - w/(2*alpha) back onto the polyhedron. The virtual queues then
+    absorb the expected constraint usage of the new occupation vectors.
+    Returns (next slot's thetas, next slot's queues). Membership of each new
+    theta is enforced by :func:`project_onto_theta`, which clamps it at zero
+    and raises if its affine residual exceeds 1e-8, and re-checked per logged
+    slot by the ocmdp-scaling acceptance criterion.
     """
     if not alpha > 0.0:
         raise ValueError("alpha must be positive")
-    queues = state.queues
     step = 2.0 * alpha
     new_thetas: List[np.ndarray] = []
-    actions = np.zeros(len(specs), dtype=int)
-    new_states = state.states.copy()
     drift = np.zeros(queues.shape)
-    for k, poly in enumerate(polys):
-        g_flat = g_prev[k].reshape(queues.size, poly.dim)
-        w = v * f_prev[k].ravel()
+    for poly, theta, f, g in zip(polys, thetas, f_prev, g_prev):
+        g_flat = g.reshape(queues.size, poly.dim)
+        w = v * f.ravel()
         if queues.size:
             w = w + queues @ g_flat
-        theta = project_onto_theta(poly, state.thetas[k] - w / step)
+        theta = project_onto_theta(poly, theta - w / step)
         if queues.size:
             drift += g_flat @ theta
         new_thetas.append(theta)
-        actions[k], new_states[k] = _play(poly, theta, int(state.states[k]), rngs[k])
-    successor = OcmdpState(
-        thetas=new_thetas,
-        queues=np.maximum(queues + drift, 0.0),
-        states=new_states,
-        slot=state.slot + 1,
-    )
-    return successor, actions
+    return new_thetas, np.maximum(queues + drift, 0.0)
+
+
+def _spec_record(spec: MdpSpec) -> dict:
+    """One system's fields as plain JSON values: what :func:`save_instance`
+    writes, :func:`load_instance` reads back and
+    :func:`instance_fingerprint` hashes."""
+    record = {
+        "transitions": spec.transitions.tolist(),
+        "f_mean": spec.f_mean.tolist(),
+        "g_means": spec.g_means.tolist(),
+        "noise": spec.noise,
+        "psi": spec.psi,
+    }
+    if spec.f_drift is not None:
+        direction, period = spec.f_drift
+        record["f_drift"] = {"direction": direction.tolist(), "period": period}
+    return record
 
 
 def instance_fingerprint(specs: Sequence[MdpSpec]) -> str:
-    """Order-sensitive content hash of an instance's defining arrays."""
-    digest = hashlib.sha256()
-    for spec in specs:
-        for tag, arr in (
-            ("P", spec.transitions),
-            ("f", spec.f_mean),
-            ("g", spec.g_means),
-        ):
-            digest.update(tag.encode())
-            digest.update(str(arr.shape).encode())
-            digest.update(np.ascontiguousarray(arr, dtype=float).tobytes())
-        digest.update(f"noise={spec.noise!r};psi={spec.psi!r}".encode())
-        if spec.f_drift is not None:
-            direction, period = spec.f_drift
-            digest.update(f"drift;period={period!r}".encode())
-            digest.update(np.ascontiguousarray(direction, dtype=float).tobytes())
-    return digest.hexdigest()
+    """Order-sensitive content hash of an instance: sha256 of its records
+    as JSON, whose float reprs round-trip exactly."""
+    text = json.dumps([_spec_record(spec) for spec in specs])
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def _coupled_polytope_rows(polys, g_means, extra=0):
@@ -532,10 +518,7 @@ class OcmdpLog:
     occupation vector during slot t.
     """
 
-    v: float
-    alpha: float
     horizon: int
-    seed: int
     fingerprint: str
     queues: np.ndarray
     realized_f: np.ndarray
@@ -543,10 +526,6 @@ class OcmdpLog:
     states: np.ndarray
     actions: np.ndarray
     thetas: List[np.ndarray]
-
-    @property
-    def n_systems(self) -> int:
-        return self.states.shape[1]
 
     @property
     def n_constraints(self) -> int:
@@ -574,18 +553,19 @@ def run_ocmdp(
     theta0: Optional[Sequence[np.ndarray]] = None,
     initial_states: Optional[Sequence[int]] = None,
     check_slater: bool = True,
-    slater_tol: float = 1e-6,
 ) -> OcmdpLog:
     """Simulate the projected-update controller on its true chains.
 
-    Slot 0 plays ``theta0`` (default: each system's uniform-policy
-    stationary occupation vector); every later slot applies
-    :func:`ocmdp_step` to the tables revealed at the end of the previous
-    slot. Q(0) = Q(1) = 0 exactly. Each system draws all its randomness
-    (actions, table noise, transitions) from its own spawned stream, so a
-    run is reproducible for a fixed seed no matter how the per-system work
+    Every slot runs the same way: each system plays its current theta at its
+    true state, the slot's tables are revealed and logged, and then, unless
+    this is the last slot, :func:`ocmdp_step` turns those tables into the
+    next slot's thetas and queues. Slot 0 plays ``theta0`` (default: each
+    system's uniform-policy stationary occupation vector), and Q(0) = Q(1) =
+    0 exactly. Each system draws all its randomness from its own spawned
+    stream, per slot its action and next state and then its table noise, so
+    a run is reproducible for a fixed seed no matter how the per-system work
     is scheduled. Constrained instances are rejected unless the strict
-    feasibility margin exceeds ``slater_tol``.
+    feasibility margin exceeds 1e-6.
     """
     if not specs:
         raise ValueError("need at least one system")
@@ -595,13 +575,14 @@ def run_ocmdp(
         raise ValueError("v must be nonnegative")
     if not alpha > 0.0:
         raise ValueError("alpha must be positive")
+    v, alpha = float(v), float(alpha)
     m = _common_constraint_count(specs)
     polys = [build_polyhedron(spec) for spec in specs]
     if check_slater and m:
         margin = slater_margin(polys, [spec.g_means for spec in specs])
-        if not margin > slater_tol:
+        if not margin > _SLATER_TOL:
             raise ValueError(
-                f"instance fails the Slater check (margin {margin:.3e} <= {slater_tol})"
+                f"instance fails the Slater check (margin {margin:.3e} <= {_SLATER_TOL})"
             )
     n_sys = len(specs)
     if theta0 is None:
@@ -617,7 +598,7 @@ def run_ocmdp(
                     f"theta0 lies outside its polyhedron (residual {residual:.3e})"
                 )
     if initial_states is None:
-        states = np.zeros(n_sys, dtype=int)
+        states = [0] * n_sys
     else:
         states = np.asarray(initial_states, dtype=int)
         if states.shape != (n_sys,):
@@ -625,8 +606,9 @@ def run_ocmdp(
         for spec, s in zip(specs, states):
             if not 0 <= s < spec.n_states:
                 raise ValueError("initial state out of range")
-        states = states.copy()
+        states = states.tolist()
     rngs = _spawn_rngs(seed, n_sys)
+    queues = np.zeros(m)
 
     queues_log = np.zeros((horizon + 1, m))
     realized_f = np.zeros(horizon)
@@ -635,43 +617,29 @@ def run_ocmdp(
     actions_log = np.zeros((horizon, n_sys), dtype=int)
     thetas_log = [np.zeros((horizon, spec.dim)) for spec in specs]
 
-    state = OcmdpState(
-        thetas=thetas,
-        queues=np.zeros(m),
-        states=states,
-        slot=0,
-    )
     for t in range(horizon):
-        visited = state.states
-        if t:
-            state, acts = ocmdp_step(
-                specs, polys, state, f_tabs, g_tabs, float(v), float(alpha), rngs
-            )
-        else:
-            # slot 0 plays theta0 as-is; the first projected update happens at
-            # slot 1 and the queue stays at zero through it (Q(0) = Q(1) = 0).
-            acts = np.zeros(n_sys, dtype=int)
-            state.states = visited.copy()
-            for k in range(n_sys):
-                acts[k], state.states[k] = _play(polys[k], state.thetas[k], int(visited[k]), rngs[k])
+        visited, acts, states = states, [], []
+        for poly, theta, s, rng in zip(polys, thetas, visited, rngs):
+            a, s_next = _play(poly, theta, s, rng)
+            acts.append(a)
+            states.append(s_next)
         f_tabs, g_tabs = zip(*[spec.sample_tables(t, rng) for spec, rng in zip(specs, rngs)])
-        queues_log[t + 1] = state.queues
+        queues_log[t + 1] = queues
         states_log[t] = visited
         actions_log[t] = acts
         penalty = 0.0
         for k in range(n_sys):
             s, a = visited[k], acts[k]
-            thetas_log[k][t] = state.thetas[k]
+            thetas_log[k][t] = thetas[k]
             penalty += f_tabs[k][s, a]
             if m:
                 realized_g[t] += g_tabs[k][:, s, a]
         realized_f[t] = penalty
+        if t + 1 < horizon:
+            thetas, queues = ocmdp_step(polys, thetas, queues, f_tabs, g_tabs, v, alpha)
 
     return OcmdpLog(
-        v=float(v),
-        alpha=float(alpha),
         horizon=horizon,
-        seed=seed,
         fingerprint=instance_fingerprint(specs),
         queues=queues_log,
         realized_f=realized_f,
@@ -701,13 +669,10 @@ def measure_regret(
     bench = 0.0
     for spec, theta in zip(specs, baseline.thetas):
         flat = np.asarray(theta, dtype=float).ravel()
-        if spec.f_drift is None:
-            bench += log.horizon * float(spec.f_mean.ravel() @ flat)
-        else:
+        bench += log.horizon * float(spec.f_mean.ravel() @ flat)
+        if spec.f_drift is not None:
             direction, period = spec.f_drift
-            slots = np.arange(log.horizon)
-            wave = np.sin(2.0 * math.pi * slots / period).sum()
-            bench += log.horizon * float(spec.f_mean.ravel() @ flat)
+            wave = np.sin(2.0 * math.pi * np.arange(log.horizon) / period).sum()
             bench += wave * float(direction.ravel() @ flat)
     regret = float(log.realized_f.sum() - bench)
     violations = log.realized_g.sum(axis=0).astype(float)
@@ -716,43 +681,22 @@ def measure_regret(
 
 def save_instance(specs: Sequence[MdpSpec], path: str) -> None:
     """Write an instance as a JSON document (arrays as nested lists)."""
-    payload = []
-    for spec in specs:
-        entry = {
-            "transitions": spec.transitions.tolist(),
-            "f_mean": spec.f_mean.tolist(),
-            "g_means": spec.g_means.tolist(),
-            "noise": spec.noise,
-            "psi": spec.psi,
-        }
-        if spec.f_drift is not None:
-            direction, period = spec.f_drift
-            entry["f_drift"] = {"direction": direction.tolist(), "period": period}
-        payload.append(entry)
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump({"systems": payload}, handle, indent=2)
+        json.dump({"systems": [_spec_record(spec) for spec in specs]}, handle, indent=2)
 
 
 def load_instance(path: str) -> List[MdpSpec]:
-    """Read an instance written by :func:`save_instance`."""
+    """Read an instance written by :func:`save_instance`; :class:`MdpSpec`
+    checks every field."""
     with open(path, "r", encoding="utf-8") as handle:
         doc = json.load(handle)
     specs = []
     for entry in doc["systems"]:
-        drift = None
+        entry = dict(entry)
         if "f_drift" in entry:
-            drift = (np.asarray(entry["f_drift"]["direction"], dtype=float),
-                     float(entry["f_drift"]["period"]))
-        specs.append(
-            MdpSpec(
-                transitions=np.asarray(entry["transitions"], dtype=float),
-                f_mean=np.asarray(entry["f_mean"], dtype=float),
-                g_means=np.asarray(entry["g_means"], dtype=float),
-                noise=float(entry["noise"]),
-                psi=float(entry["psi"]),
-                f_drift=drift,
-            )
-        )
+            drift = entry["f_drift"]
+            entry["f_drift"] = (drift["direction"], drift["period"])
+        specs.append(MdpSpec(**entry))
     return specs
 
 

@@ -541,10 +541,7 @@ def run_fixed_policy(specs, thetas, horizon, seed=0, initial_states=None):
             if m:
                 realized_g[t] += g_tab[:, s_now, a]
     return ocmdp.OcmdpLog(
-        v=0.0,
-        alpha=math.inf,
         horizon=horizon,
-        seed=seed,
         fingerprint=ocmdp.instance_fingerprint(specs),
         queues=np.zeros((horizon + 1, m)),
         realized_f=realized_f,

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from renewalopt import cli, coupled, datacenter, harness
+from renewalopt import cli, coupled, datacenter, harness, ocmdp
 
 _SERVER = {"active_power": 4.0, "mu": ["constant", 3.0],
            "sleep_modes": [[0.0, 2.0, 5.0]], "i_max": 100, "r_max": 40.0}
@@ -137,6 +137,8 @@ _BAD_CONFIGS = {
                              "noise", 0, "noise must be at least 0"),
     "ocmdp-check-slater": ({"kind": "ocmdp", "instance": {"check_slater": "no"}},
                            "check_slater", 0, "true or false"),
+    "ocmdp-path-nan": ({"kind": "ocmdp", "instance": {"path": "nan_f_mean.json"}},
+                       "path", 0, "f_mean must be finite"),
     "online-model": ({"kind": "online-renewal", "instance": {"model": "upload"}},
                      "model", 0, "unknown renewal model"),
     "online-theta-max": ({"kind": "online-renewal", "instance": {"theta_max": "x"}},
@@ -147,6 +149,12 @@ _BAD_CONFIGS = {
                                   "n_servers must be an integer"),
     "energy-v-zero": (_with(_ENERGY, v_values=[0.0]), "v_values", 0,
                       "strictly positive v"),
+    "energy-oracle-overloaded": (_with(_ENERGY, {"n_servers": 3}, oracle=True),
+                                 "oracle", 0, r"n_servers 3 .* \(load 1\.368 >= 1\)"),
+    "energy-oracle-overloaded-at-4": (_with(_ENERGY, {"n_servers": 4}, oracle=True),
+                                      "oracle", 0, r"n_servers 4 .* \(load 1\.026 >= 1\)"),
+    "oracle-only-energy-overloaded": (_with(_ORACLE, {"instance": {"n_servers": 4}}),
+                                      "n_servers", 0, "n_servers 4 leaves"),
     "oracle-only-self": (_with(_ORACLE, {"target": "oracle-only"}), "target", 0,
                          "simulated kind"),
     "oracle-only-datacenter": (
@@ -157,9 +165,19 @@ _BAD_CONFIGS = {
 }
 
 
+def _write_nan_instance(path):
+    """The two-MDP example saved, then given a NaN penalty mean."""
+    ocmdp.save_instance(ocmdp.two_mdp_example(), str(path))
+    doc = json.loads(path.read_text())
+    doc["systems"][0]["f_mean"][0][0] = float("nan")
+    path.write_text(json.dumps(doc))
+
+
 @pytest.mark.parametrize("name", sorted(_BAD_CONFIGS))
-def test_bad_instance_rejected_at_load_with_its_line(tmp_path, name):
+def test_bad_instance_rejected_at_load_with_its_line(tmp_path, monkeypatch, name):
     data, key, occurrence, message = _BAD_CONFIGS[name]
+    monkeypatch.chdir(tmp_path)
+    _write_nan_instance(tmp_path / "nan_f_mean.json")
     text = json.dumps(data, indent=2)
     lines = [n for n, line in enumerate(text.splitlines(), 1) if f'"{key}"' in line]
     path = tmp_path / "exp.json"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
-from renewalopt.acceptance import lp_by_enumeration
+from renewalopt.acceptance import _random_bounded_lp, lp_by_enumeration
 from renewalopt.bandit import table_one_users
 from renewalopt.lp import (
     CoupledMdpResult,
@@ -25,22 +25,6 @@ class SimplePoly:
         self.aff_a = np.asarray(aff_a, float)
         self.aff_b = np.asarray(aff_b, float)
         self.dim = self.aff_a.shape[1]
-
-
-def _random_bounded_lp(rng):
-    n = int(rng.integers(2, 9))
-    m_eq = int(rng.integers(0, 3))
-    m_ub = int(rng.integers(1, 4))
-    x0 = rng.uniform(0, 2, size=n)
-    a_eq = rng.normal(size=(m_eq, n)) if m_eq else None
-    b_eq = a_eq @ x0 if m_eq else None
-    g = rng.normal(size=(m_ub, n))
-    h = g @ x0 + rng.uniform(0.1, 2.0, size=m_ub)
-    # bounding row keeps the feasible region a polytope
-    g = np.vstack([g, np.ones(n)])
-    h = np.append(h, x0.sum() + 5.0)
-    c = rng.normal(size=n)
-    return LpProblem(c=c, a_eq=a_eq, b_eq=b_eq, g_ub=g, h_ub=h)
 
 
 def test_simplex_matches_enumeration_on_random_instances():
