@@ -17,6 +17,7 @@ giving the expected frame length 1 + phi / lambda used by the index.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
@@ -385,16 +386,28 @@ def two_queue_markov_throughput(lam1: float, lam2: float, priority: int) -> floa
 # ---------------------------------------------------------------------------
 
 
+def _geometric_draw(mean: float, rng: np.random.Generator) -> int:
+    return int(rng.geometric(1.0 / mean))
+
+
+def _uniform_draw(low: int, high: int, rng: np.random.Generator) -> int:
+    return int(rng.integers(low, high + 1))
+
+
+def _poisson_draw(mean: float, rng: np.random.Generator) -> int:
+    return 1 + int(rng.poisson(mean - 1.0))
+
+
 def geometric_file_sampler(mean: float) -> Callable[[np.random.Generator], int]:
     if not mean >= 1:
         raise ValueError("mean file length must be at least 1")
-    return lambda rng: int(rng.geometric(1.0 / mean))
+    return functools.partial(_geometric_draw, mean)
 
 
 def uniform_file_sampler(low: int, high: int) -> Callable[[np.random.Generator], int]:
     if not 1 <= low <= high:
         raise ValueError("need 1 <= low <= high")
-    return lambda rng: int(rng.integers(low, high + 1))
+    return functools.partial(_uniform_draw, low, high)
 
 
 def poisson_file_sampler(mean: float) -> Callable[[np.random.Generator], int]:
@@ -402,7 +415,7 @@ def poisson_file_sampler(mean: float) -> Callable[[np.random.Generator], int]:
     keeping the requested mean."""
     if not mean >= 1:
         raise ValueError("mean file length must be at least 1")
-    return lambda rng: 1 + int(rng.poisson(mean - 1.0))
+    return functools.partial(_poisson_draw, mean)
 
 
 def multi_user_run_nonmemoryless(

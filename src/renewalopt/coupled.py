@@ -12,7 +12,7 @@ oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Tuple
 
 import numpy as np
 
@@ -63,8 +63,6 @@ class CoupledSystemSpec:
 class MetricsLog:
     """Per-slot trajectories of one run plus derived time averages."""
 
-    v: float
-    seed: Optional[int]
     penalty: np.ndarray  # (horizon, n_systems)
     metrics: np.ndarray  # (horizon, n_constraints) summed over systems
     external: np.ndarray  # (horizon, n_constraints)
@@ -194,8 +192,6 @@ def run(spec: CoupledSystemSpec, v: float, horizon: int, seed: int) -> MetricsLo
             q[l] = x
         t = stop
     return MetricsLog(
-        v=v,
-        seed=seed,
         penalty=_columns(penalty, horizon),
         metrics=_columns(metrics, horizon),
         external=external,

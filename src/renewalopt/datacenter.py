@@ -100,7 +100,7 @@ class ServerConfig:
         return float(int(self.mu_dist[1]))
 
 
-@dataclass
+@dataclass(slots=True)
 class TraceRecord:
     slot: int
     arrivals: int
@@ -308,8 +308,6 @@ class DatacenterLog:
     copies and otherwise equals ``backlog``.
     """
 
-    mode: object
-    v: float
     power: np.ndarray
     reject_cost: np.ndarray
     backlog: np.ndarray
@@ -392,7 +390,7 @@ def run_datacenter(cfgs: Sequence[ServerConfig], trace: Sequence[TraceRecord],
         return _run_algorithm(list(cfgs), records, float(v), mode, seed,
                               min_active, initial_queues)
     if isinstance(mode, tuple) and len(mode) == 2 and mode[0] in ("always-on", "reactive"):
-        return _run_baseline(list(cfgs), records, float(v), mode, seed)
+        return _run_baseline(list(cfgs), records, mode, seed)
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -503,13 +501,13 @@ def _run_algorithm(cfgs, records, v, mode, seed, min_active, initial_queues):
         rejected_log[t] = rejected
         arrivals_log[t] = rec.arrivals
 
-    return DatacenterLog(mode=mode, v=v, power=power, reject_cost=reject_cost,
+    return DatacenterLog(power=power, reject_cost=reject_cost,
                          backlog=backlog_log, queue_total=queue_total,
                          active_servers=active_servers, rejected=rejected_log,
                          arrivals=arrivals_log, max_queue=np.array(max_queue))
 
 
-def _run_baseline(cfgs, records, v, mode, seed):
+def _run_baseline(cfgs, records, mode, seed):
     n = len(cfgs)
     kind, param = mode
     rng = np.random.default_rng(seed)
@@ -580,7 +578,7 @@ def _run_baseline(cfgs, records, v, mode, seed):
         active_servers[t] = n_active
         arrivals_log[t] = rec.arrivals
 
-    return DatacenterLog(mode=mode, v=v, power=power, reject_cost=np.zeros(horizon),
+    return DatacenterLog(power=power, reject_cost=np.zeros(horizon),
                          backlog=backlog_log, queue_total=backlog_log.copy(),
                          active_servers=active_servers, rejected=np.zeros(horizon),
                          arrivals=arrivals_log, max_queue=np.zeros(n))

@@ -79,6 +79,11 @@ class ExperimentConfig:
     oracle: bool = False
     jobs: int = 1
 
+    @functools.cached_property
+    def built(self) -> object:
+        """The kind's build of the instance, stored by the loader or made once."""
+        return _under("instance", _build, self.kind, self.instance, self.horizon)
+
     @property
     def param_keys(self) -> Tuple[str, ...]:
         return _RECORDS[self.kind].sweeps
@@ -212,8 +217,10 @@ def _validated(data: Mapping) -> ExperimentConfig:
     if out_dir is not None and not isinstance(out_dir, str):
         raise ConfigError("out_dir must be a path string", ("out_dir",))
 
-    return ExperimentConfig(kind=kind, instance=dict(instance), out_dir=out_dir,
-                            format=fmt, oracle=oracle, **sweeps, **counts)
+    config = ExperimentConfig(kind=kind, instance=dict(instance), out_dir=out_dir,
+                              format=fmt, oracle=oracle, **sweeps, **counts)
+    vars(config)["built"] = built
+    return config
 
 
 def load_config(path) -> ExperimentConfig:
@@ -341,8 +348,8 @@ class _Kind:
     ``sweeps``: the sweep keys it consumes, in grid order; ``positive``: those
     that must be > 0. ``build(instance, horizon)`` validates the raw instance,
     raising ConfigError with the offending key's path, into what
-    ``simulate(built, horizon, params, run_seed, aux_seed, trace_records)``
-    turns into a row.
+    ``simulate(built, horizon, params, run_seed, aux_seed)`` turns into a row;
+    it runs once per config, and a simulated kind's build pickles to workers.
     ``oracle(built)`` raises ConfigError unless it covers the instance, and
     otherwise returns the zero-argument solve of its stationary optimum.
     ``gap``: the column compared with the optimum, and +1 for column -
@@ -393,12 +400,12 @@ def _oracle(kind: str, built):
     return record.oracle(built)
 
 
-def oracle_value(kind: str, instance: Mapping, horizon: int) -> float:
-    """Stationary LP optimum of the instance, independent of the sweeps and
-    of the horizon it is built for: the per-slot objective (penalty) or, for
-    bandit, the weighted throughput of the composite download chain. The
+def oracle_value(kind: str, built) -> float:
+    """Stationary LP optimum of a built instance, independent of the sweeps
+    and of the horizon it was built for: the per-slot objective (penalty) or,
+    for bandit, the weighted throughput of the composite download chain. The
     datacenter kind has none."""
-    return float(_oracle(kind, _build(kind, instance, horizon))())
+    return float(_oracle(kind, built)())
 
 
 def _energy_oracle(n_servers):
@@ -410,7 +417,7 @@ def _energy_oracle(n_servers):
     return functools.partial(coupled.energy_oracle_value, n_servers)
 
 
-def _energy_simulate(n_servers, horizon, params, run_seed, aux_seed, records):
+def _energy_simulate(n_servers, horizon, params, run_seed, aux_seed):
     # the spec is made here, not at load: its probe draw imports numpy.random
     spec = coupled.energy_scheduling_spec(n_servers)
     log = coupled.run(spec, params["v"], horizon, run_seed)
@@ -422,29 +429,31 @@ def _energy_simulate(n_servers, horizon, params, run_seed, aux_seed, records):
 
 
 def _trace_maker(spec, horizon: int):
-    """The trace spec as ``make(horizon, aux_seed, file_records)``; a spec
-    naming a ``path`` takes the records :func:`run_experiment` read from it.
-    A ramp's marker slots are integers with 0 <= ramp_start < ramp_end <=
-    ``horizon``."""
+    """The trace spec built for ``horizon``: a ``path``'s checked records, at
+    least ``horizon`` rows, or the generator ``make(seed=aux_seed)``. A ramp's
+    markers are integers with 0 <= ramp_start < ramp_end <= ``horizon``."""
     spec = {"kind": "uniform"} if spec is None else spec
     if not isinstance(spec, Mapping):
         raise ConfigError("instance key 'trace' must be an object", ("trace",))
     tag = "path" if "path" in spec else spec.get("kind")
     try:
         if tag == "path":
-            return lambda horizon, seed, records: records
+            records = datacenter.load_trace(spec["path"])
+            if len(records) < horizon:
+                raise ValueError(f"{len(records)} rows, fewer than horizon {horizon}")
+            return records
         if tag == "uniform":
-            ranges = (tuple(spec.get("arrival_range", (10, 30))),
-                      tuple(spec.get("cost_range", (1, 6))))
-            return lambda horizon, seed, records: datacenter.uniform_trace(
-                horizon, *ranges, seed=seed)
+            return functools.partial(
+                datacenter.uniform_trace, horizon,
+                tuple(spec.get("arrival_range", (10, 30))),
+                tuple(spec.get("cost_range", (1, 6))))
         if tag == "ramp":
             shape = (float(spec["base_rate"]), float(spec["peak_rate"]),
                      spec["ramp_start"], spec["ramp_end"])
             cost = float(spec.get("cost", 1.0))
     except KeyError as err:
         raise ConfigError(f"ramp trace needs key {err}", ("trace",)) from None
-    except (TypeError, ValueError) as err:
+    except (OSError, IndexError, TypeError, ValueError) as err:
         raise ConfigError(f"trace: {err}", ("trace",)) from None
     if tag != "ramp":
         raise ConfigError(f"trace kind must be 'uniform' or 'ramp', got {tag!r}",
@@ -454,8 +463,7 @@ def _trace_maker(spec, horizon: int):
     if not start < end <= horizon:
         raise ConfigError(f"ramp trace needs ramp_start < ramp_end <= horizon "
                           f"{horizon}, got {start} and {end}", ("trace", "ramp_end"))
-    return lambda horizon, seed, records: datacenter.ramp_trace(
-        horizon, *shape, cost=cost, seed=seed)
+    return functools.partial(datacenter.ramp_trace, horizon, *shape, cost=cost)
 
 
 def _parse_mode(raw):
@@ -487,11 +495,11 @@ def _datacenter_build(instance: Mapping, horizon: int):
             _trace_maker(instance.get("trace"), horizon))
 
 
-def _datacenter_simulate(built, horizon, params, run_seed, aux_seed, records):
-    cfgs, mode, min_active, make_trace = built
+def _datacenter_simulate(built, horizon, params, run_seed, aux_seed):
+    cfgs, mode, min_active, trace = built
     log = datacenter.run_datacenter(
-        cfgs, make_trace(horizon, aux_seed, records), params["v"], mode=mode,
-        seed=run_seed, horizon=horizon, min_active=min_active)
+        cfgs, trace(seed=aux_seed) if callable(trace) else trace, params["v"],
+        mode=mode, seed=run_seed, horizon=horizon, min_active=min_active)
     return {"power_avg": log.final_power_avg, "cost_avg": log.final_cost_avg,
             "backlog_avg": log.final_backlog_avg,
             "reject_avg": float(log.rejected.mean()),
@@ -531,7 +539,7 @@ def _bandit_build(instance: Mapping, horizon: int):
     return built, m_servers, _as_number(instance, "beta", None, 0, False), file_dist
 
 
-def _bandit_simulate(built, horizon, params, run_seed, aux_seed, records):
+def _bandit_simulate(built, horizon, params, run_seed, aux_seed):
     users, m_servers, beta, _ = built
     runner = bandit.multi_user_run
     if any(u.file_length_sampler is not None for u in users):
@@ -565,7 +573,7 @@ def _online_build(instance: Mapping, horizon: int):
     return online.file_download_example(), theta_max
 
 
-def _online_simulate(built, horizon, params, run_seed, aux_seed, records):
+def _online_simulate(built, horizon, params, run_seed, aux_seed):
     model, theta_max = built
     log = online.run(model, v=params["v"], delta=params["delta"],
                      n_frames=horizon, seed=run_seed, theta_max=theta_max)
@@ -605,7 +613,7 @@ def _ocmdp_build(instance: Mapping, horizon: int):
             check_slater)
 
 
-def _ocmdp_simulate(built, horizon, params, run_seed, aux_seed, records):
+def _ocmdp_simulate(built, horizon, params, run_seed, aux_seed):
     specs, check_slater = built
     log = ocmdp.run_ocmdp(specs, horizon, v=params["v"], alpha=params["alpha"],
                           seed=run_seed, check_slater=check_slater)
@@ -658,13 +666,12 @@ _RECORDS: Dict[str, _Kind] = {
 
 
 def _run_cell(task) -> Tuple[dict, float]:
-    """One grid cell. Its task carries the raw instance, built again here:
-    built instances hold closures, which do not pickle."""
+    """One grid cell: ``task`` is ``(simulate, built, horizon, params,
+    run_seed, aux_seed)``, the kind's simulate and its arguments, with the
+    instance the config built at load."""
     start = time.perf_counter()
-    kind, instance, horizon, *args = task
-    record = _RECORDS[kind]
-    row = record.simulate(record.build(instance, horizon), horizon, *args)
-    return row, time.perf_counter() - start
+    simulate, *args = task
+    return simulate(*args), time.perf_counter() - start
 
 
 # ---------------------------------------------------------------------------
@@ -746,13 +753,9 @@ def run_experiment(config: ExperimentConfig) -> RunSummary:
     """
     record = _RECORDS[config.kind]
     grid = config.param_grid()
-    oracle = (oracle_value(config.kind, config.instance, config.horizon)
-              if config.oracle else None)
+    oracle = oracle_value(config.kind, config.built) if config.oracle else None
 
     start_all = time.perf_counter()
-    trace_spec, trace_records = config.instance.get("trace"), None
-    if isinstance(trace_spec, Mapping) and "path" in trace_spec:
-        trace_records = datacenter.load_trace(trace_spec["path"])
     tasks = []
     cells = []
     for p_idx, params in enumerate(grid):
@@ -760,8 +763,8 @@ def run_experiment(config: ExperimentConfig) -> RunSummary:
             run_seed, aux_seed = derive_seeds(config.seed, p_idx, rep)
             cells.append((params, rep, run_seed))
             if record.simulate is not None:
-                tasks.append((config.kind, config.instance, config.horizon,
-                              params, run_seed, aux_seed, trace_records))
+                tasks.append((record.simulate, config.built, config.horizon,
+                              params, run_seed, aux_seed))
 
     if not tasks:
         results = [({}, 0.0)] * len(cells)

@@ -13,8 +13,9 @@ as a ready-made model.
 
 from __future__ import annotations
 
+import functools
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -38,7 +39,6 @@ class EventModel:
     exp_metrics: np.ndarray
     budgets: np.ndarray
     sampler: Callable[[int, int, np.random.Generator], FrameOutcome]
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         self.event_probs = np.asarray(self.event_probs, dtype=float)
@@ -127,8 +127,6 @@ def default_theta_max(model: EventModel) -> float:
 class OnlineLog:
     """Per-frame trajectories of one run."""
 
-    v: float
-    delta: float
     theta_max: float
     events: np.ndarray
     actions: np.ndarray
@@ -209,7 +207,7 @@ def run(model: EventModel, v: float, delta: float, n_frames: int,
         thetas[n + 1] = state.theta
         queue_log[n] = queues
 
-    return OnlineLog(v=float(v), delta=float(delta), theta_max=float(theta_max),
+    return OnlineLog(theta_max=float(theta_max),
                      events=events, actions=actions, penalty=penalty,
                      frame_len=frame_len, metrics=metrics, increments=increments,
                      theta=thetas, queues=queue_log)
@@ -218,6 +216,18 @@ def run(model: EventModel, v: float, delta: float, n_frames: int,
 # ---------------------------------------------------------------------------
 # file downloading instance
 # ---------------------------------------------------------------------------
+
+def _download_frame(events, alphas, powers, event, action, rng) -> FrameOutcome:
+    """One frame of :func:`file_download_example`, bound there with partial:
+    a finished download idles Geometric(1/2) slots, mean 2 as in its E[T]."""
+    w, s = events[event]
+    alpha = alphas[action]
+    frame = 1
+    if rng.random() < alpha * w:
+        frame += int(rng.geometric(0.5))
+    return FrameOutcome(frame_len=frame, penalty_total=alpha * s,
+                        metrics_total=np.array([powers[action]]))
+
 
 def file_download_example() -> EventModel:
     """Single-user file downloading over a two-state renewal chain.
@@ -234,7 +244,6 @@ def file_download_example() -> EventModel:
     delays = [1.0, 3.0, 5.0]
     alphas = [0.0, 0.3, 0.6, 0.9]
     powers = [0.0, 1.0, 2.0, 4.0]
-    idle_prob = 0.5
 
     events = [(w, s) for w in omegas for s in delays]
     n_e, n_a = len(events), len(alphas)
@@ -247,18 +256,6 @@ def file_download_example() -> EventModel:
             t[e, a] = 1.0 + 2.0 * alpha * w
             z[e, a, 0] = powers[a]
 
-    def sampler(event: int, action: int, rng: np.random.Generator) -> FrameOutcome:
-        w, s = events[event]
-        alpha = alphas[action]
-        frame = 1
-        if rng.random() < alpha * w:
-            frame += int(rng.geometric(idle_prob))
-        return FrameOutcome(frame_len=frame, penalty_total=alpha * s,
-                            metrics_total=np.array([powers[action]]))
-
     return EventModel(event_probs=np.full(n_e, 1.0 / n_e), exp_penalty=y,
                       exp_frame_len=t, exp_metrics=z, budgets=np.array([1.0]),
-                      sampler=sampler,
-                      meta={"omegas": omegas, "delays": delays,
-                            "alphas": alphas, "powers": powers,
-                            "idle_prob": idle_prob})
+                      sampler=functools.partial(_download_frame, events, alphas, powers))

@@ -1,6 +1,7 @@
 import ast
 import importlib
 import json
+import pickle
 from pathlib import Path
 
 import numpy as np
@@ -115,6 +116,12 @@ _BAD_CONFIGS = {
        for key in ("base_rate", "peak_rate", "ramp_start", "ramp_end")},
     "farm-trace-kind": (_with(_FARM, {"trace": {"kind": "bursty"}}), "kind", 1,
                         "trace kind"),
+    "farm-trace-missing": (_with(_FARM, {"trace": {"path": "missing.csv"}}), "trace", 0,
+                           "trace: .*No such file"),
+    "farm-trace-gap": (_with(_FARM, {"trace": {"path": "gap.csv"}}), "trace", 0,
+                       "trace: trace slots must run 0,1"),
+    "farm-trace-short": (_with(_FARM, {"trace": {"path": "short.csv"}}), "trace", 0,
+                         "trace: 2 rows, fewer than horizon 40"),
     "farm-ramp-end-past-horizon": (_with(_FARM, {"trace": dict(_RAMP, ramp_end=50)}),
                                    "ramp_end", 0, "ramp_end <= horizon 40"),
     "farm-ramp-fractional-start": (_with(_FARM, {"trace": dict(_RAMP, ramp_start=10.7)}),
@@ -165,19 +172,22 @@ _BAD_CONFIGS = {
 }
 
 
-def _write_nan_instance(path):
-    """The two-MDP example saved, then given a NaN penalty mean."""
-    ocmdp.save_instance(ocmdp.two_mdp_example(), str(path))
-    doc = json.loads(path.read_text())
+def _write_bad_files(where):
+    """The two-MDP example saved with a NaN penalty mean, a trace with a slot
+    gap, and a 2-row trace."""
+    ocmdp.save_instance(ocmdp.two_mdp_example(), str(where / "nan_f_mean.json"))
+    doc = json.loads((where / "nan_f_mean.json").read_text())
     doc["systems"][0]["f_mean"][0][0] = float("nan")
-    path.write_text(json.dumps(doc))
+    (where / "nan_f_mean.json").write_text(json.dumps(doc))
+    (where / "gap.csv").write_text("slot,arrivals,cost\n0,12,2.0\n2,5,1.0\n")
+    datacenter.write_trace(where / "short.csv", datacenter.uniform_trace(2, seed=1))
 
 
 @pytest.mark.parametrize("name", sorted(_BAD_CONFIGS))
 def test_bad_instance_rejected_at_load_with_its_line(tmp_path, monkeypatch, name):
     data, key, occurrence, message = _BAD_CONFIGS[name]
     monkeypatch.chdir(tmp_path)
-    _write_nan_instance(tmp_path / "nan_f_mean.json")
+    _write_bad_files(tmp_path)
     text = json.dumps(data, indent=2)
     lines = [n for n, line in enumerate(text.splitlines(), 1) if f'"{key}"' in line]
     path = tmp_path / "exp.json"
@@ -257,11 +267,18 @@ def test_same_config_and_seed_bit_identical_files(tmp_path):
         assert (paths[0] / fname).read_bytes() == (paths[1] / fname).read_bytes()
 
 
-# a small two-point, two-replication config of each simulated kind
+# a small two-point, two-replication config of each simulated kind, and of
+# the builds that carry callables (file samplers, trace generators) or records
 _FOLD_CONFIGS = {
     "coupled-energy": _small_energy_mapping(v_values=[1.0, 10.0]),
     "datacenter": _with(_FARM, v_values=[5.0, 50.0]),
+    "datacenter-path": _with(_FARM, {"trace": {"path": "trace.csv"}},
+                             v_values=[5.0, 50.0]),
+    "datacenter-ramp": _with(_FARM, {"trace": _RAMP}, v_values=[5.0, 50.0]),
     "bandit": _with(_BANDIT, horizon=200, v_values=[20.0, 70.0]),
+    "bandit-table-two-uniform": _with(
+        _BANDIT, {"users": "table-two", "file_dist": "uniform"}, horizon=200,
+        v_values=[20.0, 70.0]),
     "online-renewal": {"kind": "online-renewal", "horizon": 200,
                        "v_values": [10.0], "delta_values": [0.6, 0.8]},
     "ocmdp": {"kind": "ocmdp", "horizon": 100, "v_values": [5.0],
@@ -269,11 +286,16 @@ _FOLD_CONFIGS = {
 }
 
 
-@pytest.mark.parametrize("kind", list(_FOLD_CONFIGS))
-def test_parallel_fold_matches_serial(kind):
-    # tasks ship the raw instance to the workers, which build it again
-    base = dict(_FOLD_CONFIGS[kind], replications=2)
-    serial = harness.run_experiment(harness.config_from_mapping(base))
+@pytest.mark.parametrize("name", list(_FOLD_CONFIGS))
+def test_parallel_fold_matches_serial(tmp_path, monkeypatch, name):
+    # the config builds its instance once, at load; tasks pickle that build
+    # to the workers, which only simulate it
+    monkeypatch.chdir(tmp_path)
+    datacenter.write_trace(tmp_path / "trace.csv", datacenter.uniform_trace(40, seed=5))
+    base = dict(_FOLD_CONFIGS[name], replications=2)
+    config = harness.config_from_mapping(base)
+    pickle.dumps(config.built)
+    serial = harness.run_experiment(config)
     parallel = harness.run_experiment(
         harness.config_from_mapping(dict(base, jobs=2)))
     assert parallel.rows == serial.rows
@@ -443,6 +465,21 @@ def test_trace_file_is_read_once_per_experiment(tmp_path, monkeypatch):
         harness.config_from_mapping(dict(mapping, jobs=2)))
     assert len(reads) == 2
     assert parallel.rows == serial.rows
+
+
+def test_ocmdp_path_instance_is_loaded_once_per_experiment(tmp_path, monkeypatch):
+    path = tmp_path / "mdp.json"
+    ocmdp.save_instance(ocmdp.two_mdp_example(), str(path))
+    loads = []
+    load = ocmdp.load_instance
+    monkeypatch.setattr(ocmdp, "load_instance",
+                        lambda p: loads.append(p) or load(p))
+    config = harness.config_from_mapping({
+        "kind": "ocmdp", "horizon": 20, "v_values": [5.0],
+        "alpha_values": [20.0, 40.0], "replications": 2, "oracle": True,
+        "instance": {"path": str(path)}})
+    summary = harness.run_experiment(config)
+    assert summary.n_rows == 4 and len(loads) == 1
 
 
 def test_generated_trace_roundtrips(tmp_path):

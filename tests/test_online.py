@@ -89,8 +89,9 @@ def test_event_model_validation():
 def test_file_download_tables():
     model = file_download_example()
     assert model.n_events == 9 and model.n_actions == 4
-    assert model.meta["alphas"] == [0.0, 0.3, 0.6, 0.9]
-    assert model.meta["powers"] == [0.0, 1.0, 2.0, 4.0]
+    # event 0 pairs omega = 0.2 with s = 1, so its penalties are the alphas
+    assert model.exp_penalty[0].tolist() == [0.0, 0.3, 0.6, 0.9]
+    assert model.exp_metrics[0, :, 0].tolist() == [0.0, 1.0, 2.0, 4.0]
     assert np.allclose(model.event_probs, 1.0 / 9.0)
     # event (omega=0.8, s=5) is the last composite symbol
     assert model.exp_frame_len[-1, 3] == pytest.approx(1.0 + 2.0 * 0.9 * 0.8)
