@@ -159,7 +159,7 @@ def queue_bound_battery() -> CriterionResult:
     for v in (10.0, 50.0):
         for seed in range(3):
             trace = datacenter.uniform_trace(5000, seed=1000 + seed)
-            c_max = max(rec.cost for rec in trace)
+            c_max = max(trace.costs)
             per_server = v * c_max + r_max
             log_n = datacenter.run_datacenter(cfgs, trace, v, mode="n-queue",
                                               seed=seed)

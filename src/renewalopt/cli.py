@@ -37,16 +37,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _apply_overrides(config: harness.ExperimentConfig,
                      args: argparse.Namespace) -> harness.ExperimentConfig:
-    data = config.to_mapping()
-    if args.seed is not None:
-        data["seed"] = args.seed
-    if args.out is not None:
-        data["out_dir"] = args.out
-    if args.format is not None:
-        data["format"] = args.format
-    if args.jobs is not None:
-        data["jobs"] = args.jobs
-    return harness.config_from_mapping(data, source="<command line>")
+    """``config`` with --seed, --out, --format and --jobs set on it, checked as
+    the loader checks them; none touches the instance, so its build is kept."""
+    for key, minimum in (("seed", 0), ("jobs", 1)):
+        value = getattr(args, key)
+        if value is not None and value < minimum:
+            raise harness.ConfigError(f"<command line>: {key} must be at least "
+                                      f"{minimum}, got {value}", (key,))
+    for name, value in (("seed", args.seed), ("out_dir", args.out),
+                        ("format", args.format), ("jobs", args.jobs)):
+        if value is not None:
+            setattr(config, name, value)
+    return config
 
 
 def _print_summary(summary: harness.RunSummary, out_dir) -> None:
@@ -71,20 +73,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print(f"{len(results) - len(failed)}/{len(results)} criteria "
                   f"passed")
             return 2 if failed else 0
+        config = None if args.config is None else _apply_overrides(
+            harness.load_config(args.config), args)
         if args.suite == "invariants":
-            config = None
-            if args.config is not None:
-                config = _apply_overrides(harness.load_config(args.config),
-                                          args)
             report = harness.invariants_report(config)
             for name, passed, detail in report:
                 print(f"{'PASS' if passed else 'FAIL'} {name}: {detail}")
             return 0 if all(passed for _, passed, _ in report) else 2
-        if args.config is None:
+        if config is None:
             print("error: --config is required unless --suite is given",
                   file=sys.stderr)
             return 1
-        config = _apply_overrides(harness.load_config(args.config), args)
         summary = harness.run_experiment(config)
         _print_summary(summary, config.out_dir)
         return 0

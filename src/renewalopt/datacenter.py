@@ -7,7 +7,8 @@ then one closing service slot). The frame decision compares the one-slot
 active cost against a frame-length-normalized window cost with a quadratic
 length correction, which collapses to checking the two integers around a real
 stationary point. The module also carries the virtualized single-queue
-variant, the always-on and reactive baselines, and CSV trace utilities.
+variant, the always-on and reactive baselines, and the per-slot arrivals and
+costs every server runs on: a frozen :class:`Trace`, checked once when made.
 
 All decisions read only queue values and model constants; the service drawn
 in the current slot is never observed before it is used. Within a run the
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import bisect
 import csv
+import itertools
 import math
 import os
 from dataclasses import dataclass
@@ -100,13 +102,6 @@ class ServerConfig:
         return float(int(self.mu_dist[1]))
 
 
-@dataclass(slots=True)
-class TraceRecord:
-    slot: int
-    arrivals: int
-    cost: float
-
-
 def zipf_mean(k: int, p: float) -> float:
     """Mean of the Zipf(k, p) law on 1..k: sum(i**(1-p)) / sum(i**(-p))."""
     idx = np.arange(1, k + 1, dtype=float)
@@ -138,61 +133,75 @@ def _service_sampler(mu_dist):
 # trace handling
 # ---------------------------------------------------------------------------
 
-def validate_trace(records: Sequence[TraceRecord]) -> None:
-    """Reject traces whose slots are not contiguous from 0 or whose fields are
-    out of range (negative arrivals, costs that are not finite and positive:
-    an infinite cost would lift the queue bound v*c_max + r_max away)."""
-    for pos, rec in enumerate(records):
-        if rec.slot != pos:
-            raise ValueError(f"trace slots must run 0,1,..., got {rec.slot} at row {pos}")
-        if rec.arrivals < 0 or rec.arrivals != int(rec.arrivals):
-            raise ValueError(f"arrivals must be nonnegative integers, got {rec.arrivals!r}")
-        if not 0 < rec.cost < math.inf:
-            raise ValueError(f"rejection cost must be finite and positive, "
-                             f"got {rec.cost!r} at row {pos}")
+@dataclass(frozen=True, slots=True)
+class Trace:
+    """Per-slot arrivals and rejection costs, two equal-length tuples checked
+    once, when made: arrivals nonnegative integers, costs finite and positive
+    (an infinite cost would lift the queue bound v*c_max + r_max away)."""
+
+    arrivals: Tuple[int, ...]
+    costs: Tuple[float, ...]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "arrivals", tuple(self.arrivals))
+        object.__setattr__(self, "costs", tuple(map(float, self.costs)))
+        for row, (a, c) in enumerate(zip(self.arrivals, self.costs, strict=True)):
+            if not (isinstance(a, int) and a >= 0):
+                raise ValueError(f"arrivals must be nonnegative integers, got {a!r} at row {row}")
+            if not 0 < c < math.inf:
+                raise ValueError(f"rejection cost must be finite and positive, "
+                                 f"got {c!r} at row {row}")
+
+    def __len__(self) -> int:
+        return len(self.arrivals)
 
 
-def load_trace(path) -> List[TraceRecord]:
-    """Read a ``slot,arrivals,cost`` CSV (header row required) and validate
-    it. An empty file is rejected outright."""
+def load_trace(path) -> Trace:
+    """Read a ``slot,arrivals,cost`` CSV (header row required) whose slots
+    run 0, 1, ... An empty file is rejected outright."""
     if os.path.getsize(path) == 0:
         raise ValueError(f"{path}: trace file is empty")
-    records = []
+    arrivals, costs = [], []
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
         if header is None or [col.strip() for col in header] != ["slot", "arrivals", "cost"]:
             raise ValueError("trace file must start with a 'slot,arrivals,cost' header")
-        for row in reader:
-            if not row:
-                continue
-            records.append(TraceRecord(int(row[0]), int(row[1]), float(row[2])))
-    validate_trace(records)
-    return records
+        for pos, row in enumerate(filter(None, reader)):
+            if int(row[0]) != pos:
+                raise ValueError(f"trace slots must run 0,1,..., got {row[0]} at row {pos}")
+            arrivals.append(int(row[1]))
+            costs.append(float(row[2]))
+    return Trace(arrivals, costs)
 
 
-def write_trace(path, records: Sequence[TraceRecord]) -> None:
-    validate_trace(records)
+def write_trace(path, trace: Trace) -> None:
+    """Write ``trace`` as the CSV :func:`load_trace` reads, slots 0, 1, ..."""
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["slot", "arrivals", "cost"])
-        for rec in records:
-            writer.writerow([rec.slot, rec.arrivals, repr(float(rec.cost))])
+        writer.writerows(zip(range(len(trace)), trace.arrivals, map(repr, trace.costs)))
 
 
 def uniform_trace(horizon: int, arrival_range=(10, 30), cost_range=(1, 6),
-                  seed: int = 0) -> List[TraceRecord]:
+                  seed: int = 0) -> Trace:
     """I.i.d. trace: integer arrivals and rejection costs drawn uniformly from
-    the two closed ranges."""
+    the two closed ranges, each a pair of integers low <= high, with low >= 0
+    for arrivals and low >= 1 for costs."""
+    for name, pair, floor in (("arrival_range", arrival_range, 0), ("cost_range", cost_range, 1)):
+        if not (isinstance(pair, (list, tuple)) and len(pair) == 2
+                and all(type(x) is int for x in pair) and floor <= pair[0] <= pair[1]):
+            raise ValueError(f"{name} must be two integers with {floor} <= low <= high, "
+                             f"got {pair!r}")
     rng = np.random.default_rng(seed)
     arrivals = rng.integers(arrival_range[0], arrival_range[1] + 1, size=horizon)
     costs = rng.integers(cost_range[0], cost_range[1] + 1, size=horizon)
-    return [TraceRecord(t, int(arrivals[t]), float(costs[t])) for t in range(horizon)]
+    return Trace(arrivals.tolist(), costs.tolist())
 
 
 def ramp_trace(horizon: int, base_rate: float, peak_rate: float,
                ramp_start: int, ramp_end: int, cost: float = 1.0,
-               seed: int = 0) -> List[TraceRecord]:
+               seed: int = 0) -> Trace:
     """Synthetic load curve with the measured-trace shape: a steady stretch, a
     linear climb between the two marker slots, then steady at the peak.
     Arrivals are Poisson around the phase rate; the cost column is constant."""
@@ -202,8 +211,7 @@ def ramp_trace(horizon: int, base_rate: float, peak_rate: float,
     slots = np.arange(horizon, dtype=float)
     frac = np.clip((slots - ramp_start) / (ramp_end - ramp_start), 0.0, 1.0)
     rates = base_rate + (peak_rate - base_rate) * frac
-    draws = rng.poisson(rates)
-    return [TraceRecord(t, int(draws[t]), float(cost)) for t in range(horizon)]
+    return Trace(rng.poisson(rates).tolist(), (cost,) * horizon)
 
 
 # ---------------------------------------------------------------------------
@@ -347,11 +355,12 @@ def _shared_r_max(cfgs: Sequence[ServerConfig]) -> float:
     return caps.pop()
 
 
-def run_datacenter(cfgs: Sequence[ServerConfig], trace: Sequence[TraceRecord],
+def run_datacenter(cfgs: Sequence[ServerConfig], trace: Trace,
                    v: float, mode="n-queue", seed: int = 0,
                    horizon: Optional[int] = None, min_active: int = 0,
                    initial_queues: Optional[Sequence[float]] = None) -> DatacenterLog:
-    """Drive the slotted simulation for ``horizon`` slots of ``trace``.
+    """Drive the slotted simulation for the first ``horizon`` slots of
+    ``trace`` (default: all of them).
 
     Modes:
 
@@ -376,31 +385,30 @@ def run_datacenter(cfgs: Sequence[ServerConfig], trace: Sequence[TraceRecord],
     ``initial_queues`` seeds the decision queues; the physical backlog always
     starts empty.
     """
-    records = list(trace)
+    if not isinstance(trace, Trace):
+        raise TypeError(f"trace must be a datacenter.Trace, got {type(trace).__name__}")
     if horizon is None:
-        horizon = len(records)
-    if len(records) < horizon:
-        raise ValueError(f"trace has {len(records)} slots, horizon wants {horizon}")
-    records = records[:horizon]
-    validate_trace(records)
+        horizon = len(trace)
+    if len(trace) < horizon:
+        raise ValueError(f"trace has {len(trace)} slots, horizon wants {horizon}")
     if not cfgs:
         raise ValueError("need at least one server")
 
     if mode in ("n-queue", "virtualized"):
-        return _run_algorithm(list(cfgs), records, float(v), mode, seed,
+        return _run_algorithm(list(cfgs), trace, horizon, float(v), mode, seed,
                               min_active, initial_queues)
     if isinstance(mode, tuple) and len(mode) == 2 and mode[0] in ("always-on", "reactive"):
-        return _run_baseline(list(cfgs), records, mode, seed)
+        return _run_baseline(list(cfgs), trace.arrivals, horizon, mode, seed)
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def _run_algorithm(cfgs, records, v, mode, seed, min_active, initial_queues):
+def _run_algorithm(cfgs, trace, horizon, v, mode, seed, min_active, initial_queues):
     n = len(cfgs)
     virtualized = mode == "virtualized"
     rng = np.random.default_rng(seed)
     samplers = [_service_sampler(cfg.mu_dist) for cfg in cfgs]
     r_max = _shared_r_max(cfgs)
-    cost_max = max(rec.cost for rec in records)
+    cost_max = max(itertools.islice(trace.costs, horizon))
     per_queue_bound = v * cost_max + r_max
     limit = per_queue_bound + _BOUND_SLACK
 
@@ -419,7 +427,6 @@ def _run_algorithm(cfgs, records, v, mode, seed, min_active, initial_queues):
     sleep = [None] * n
     remaining = [0] * n
     decisions = [{} for _ in range(n)]
-    horizon = len(records)
     power = np.zeros(horizon)
     reject_cost = np.zeros(horizon)
     backlog_log = np.zeros(horizon)
@@ -428,8 +435,8 @@ def _run_algorithm(cfgs, records, v, mode, seed, min_active, initial_queues):
     rejected_log = np.zeros(horizon)
     arrivals_log = np.zeros(horizon, dtype=int)
 
-    for t, rec in enumerate(records):
-        rejected, routed = admission_decide(rec.arrivals, rec.cost, queues, v, r_max)
+    for t, arrivals, cost in zip(range(horizon), trace.arrivals, trace.costs):
+        rejected, routed = admission_decide(arrivals, cost, queues, v, r_max)
         routed = routed.tolist()
         slot_power = 0.0
         drained = [0.0] * n
@@ -483,7 +490,7 @@ def _run_algorithm(cfgs, records, v, mode, seed, min_active, initial_queues):
                 f"queue bound violated at slot {t}: Q_{worst}={queues[worst]:.6g} "
                 f"> {per_queue_bound:.6g}")
         if virtualized:
-            backlog = actual_queue_update(backlog, rec.arrivals - rejected, drained_total)
+            backlog = actual_queue_update(backlog, arrivals - rejected, drained_total)
             if backlog > total + _BOUND_SLACK:
                 raise RuntimeError(
                     f"physical backlog {backlog:.6g} exceeded the virtual total "
@@ -494,12 +501,12 @@ def _run_algorithm(cfgs, records, v, mode, seed, min_active, initial_queues):
                     f"> {n * per_queue_bound:.6g}")
 
         power[t] = slot_power
-        reject_cost[t] = rejected * rec.cost
+        reject_cost[t] = rejected * cost
         queue_total[t] = total
         backlog_log[t] = backlog if virtualized else total
         active_servers[t] = n_active
         rejected_log[t] = rejected
-        arrivals_log[t] = rec.arrivals
+        arrivals_log[t] = arrivals
 
     return DatacenterLog(power=power, reject_cost=reject_cost,
                          backlog=backlog_log, queue_total=queue_total,
@@ -507,7 +514,7 @@ def _run_algorithm(cfgs, records, v, mode, seed, min_active, initial_queues):
                          arrivals=arrivals_log, max_queue=np.array(max_queue))
 
 
-def _run_baseline(cfgs, records, mode, seed):
+def _run_baseline(cfgs, arrival_column, horizon, mode, seed):
     n = len(cfgs)
     kind, param = mode
     rng = np.random.default_rng(seed)
@@ -522,7 +529,6 @@ def _run_baseline(cfgs, records, mode, seed):
     remaining = [0] * n
     mu_bar = float(np.mean([cfg.mu_mean for cfg in cfgs]))
 
-    horizon = len(records)
     power = np.zeros(horizon)
     backlog_log = np.zeros(horizon)
     active_servers = np.zeros(horizon, dtype=int)
@@ -530,9 +536,9 @@ def _run_baseline(cfgs, records, mode, seed):
     backlog = 0.0
     window: List[int] = []
 
-    for t, rec in enumerate(records):
+    for t, arrivals in zip(range(horizon), arrival_column):
         if kind == "reactive":
-            window.append(rec.arrivals)
+            window.append(arrivals)
             if len(window) > 10:
                 window.pop(0)
             target = min(max(reactive_target(window, param, mu_bar), 0), n)
@@ -572,11 +578,11 @@ def _run_baseline(cfgs, records, mode, seed):
             else:
                 slot_power += cfg.sleep_modes[0].idle_power
 
-        backlog = actual_queue_update(backlog, float(rec.arrivals), drained_total)
+        backlog = actual_queue_update(backlog, float(arrivals), drained_total)
         power[t] = slot_power
         backlog_log[t] = backlog
         active_servers[t] = n_active
-        arrivals_log[t] = rec.arrivals
+        arrivals_log[t] = arrivals
 
     return DatacenterLog(power=power, reject_cost=np.zeros(horizon),
                          backlog=backlog_log, queue_total=backlog_log.copy(),

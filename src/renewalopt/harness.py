@@ -429,24 +429,23 @@ def _energy_simulate(n_servers, horizon, params, run_seed, aux_seed):
 
 
 def _trace_maker(spec, horizon: int):
-    """The trace spec built for ``horizon``: a ``path``'s checked records, at
-    least ``horizon`` rows, or the generator ``make(seed=aux_seed)``. A ramp's
-    markers are integers with 0 <= ramp_start < ramp_end <= ``horizon``."""
+    """The trace spec built for ``horizon``: a ``path``'s Trace of at least
+    ``horizon`` rows, or ``make(seed=aux_seed)``, whose uniform ranges a zero-slot
+    call checks and whose ramp has 0 <= ramp_start < ramp_end <= ``horizon``."""
     spec = {"kind": "uniform"} if spec is None else spec
     if not isinstance(spec, Mapping):
         raise ConfigError("instance key 'trace' must be an object", ("trace",))
     tag = "path" if "path" in spec else spec.get("kind")
     try:
         if tag == "path":
-            records = datacenter.load_trace(spec["path"])
-            if len(records) < horizon:
-                raise ValueError(f"{len(records)} rows, fewer than horizon {horizon}")
-            return records
+            trace = datacenter.load_trace(spec["path"])
+            if len(trace) < horizon:
+                raise ValueError(f"{len(trace)} rows, fewer than horizon {horizon}")
+            return trace
         if tag == "uniform":
-            return functools.partial(
-                datacenter.uniform_trace, horizon,
-                tuple(spec.get("arrival_range", (10, 30))),
-                tuple(spec.get("cost_range", (1, 6))))
+            ranges = spec.get("arrival_range", (10, 30)), spec.get("cost_range", (1, 6))
+            datacenter.uniform_trace(0, *ranges)
+            return functools.partial(datacenter.uniform_trace, horizon, *ranges)
         if tag == "ramp":
             shape = (float(spec["base_rate"]), float(spec["peak_rate"]),
                      spec["ramp_start"], spec["ramp_end"])
@@ -594,29 +593,24 @@ def _online_oracle(built):
 
 
 def _ocmdp_build(instance: Mapping, horizon: int):
-    check_slater = instance.get("check_slater", True)
-    if not isinstance(check_slater, bool):
-        raise ConfigError("check_slater must be true or false", ("check_slater",))
     if "path" in instance and "example" in instance:
         raise ConfigError("give the ocmdp instance either a 'path' or an "
                           "'example', not both", ("path",))
     if "path" in instance:
         try:
-            return ocmdp.load_instance(instance["path"]), check_slater
+            return ocmdp.load_instance(instance["path"])
         except (OSError, KeyError, TypeError, ValueError) as err:
             raise ConfigError(f"cannot load ocmdp instance: {err}",
                               ("path",)) from None
     example = instance.get("example", "two-mdp")
     if example != "two-mdp":
         raise ConfigError(f"unknown ocmdp example {example!r}", ("example",))
-    return (ocmdp.two_mdp_example(_as_number(instance, "noise", 0.25, 0, False)),
-            check_slater)
+    return ocmdp.two_mdp_example(_as_number(instance, "noise", 0.25, 0, False))
 
 
-def _ocmdp_simulate(built, horizon, params, run_seed, aux_seed):
-    specs, check_slater = built
+def _ocmdp_simulate(specs, horizon, params, run_seed, aux_seed):
     log = ocmdp.run_ocmdp(specs, horizon, v=params["v"], alpha=params["alpha"],
-                          seed=run_seed, check_slater=check_slater)
+                          seed=run_seed)
     row = {"penalty_avg": float(log.realized_f.mean())}
     for i in range(log.n_constraints):
         row[f"violation_avg_{i}"] = float(log.realized_g[:, i].mean())
@@ -655,9 +649,9 @@ _RECORDS: Dict[str, _Kind] = {
         ("v", "delta"), ("v",), ("model", "theta_max"), _online_build,
         _online_simulate, _online_oracle, ("penalty_avg", 1)),
     "ocmdp": _Kind(
-        ("v", "alpha"), ("alpha",), ("path", "example", "noise", "check_slater"),
+        ("v", "alpha"), ("alpha",), ("path", "example", "noise"),
         _ocmdp_build, _ocmdp_simulate,
-        lambda built: lambda: ocmdp.solve_baseline(built[0]).value,
+        lambda specs: lambda: ocmdp.solve_baseline(specs).value,
         ("penalty_avg", 1)),
     # builds to its target's oracle solve, which is then its own oracle
     "oracle-only": _Kind((), (), ("target", "instance"), _oracle_only_build,

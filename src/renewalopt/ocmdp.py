@@ -552,7 +552,6 @@ def run_ocmdp(
     seed: int = 0,
     theta0: Optional[Sequence[np.ndarray]] = None,
     initial_states: Optional[Sequence[int]] = None,
-    check_slater: bool = True,
 ) -> OcmdpLog:
     """Simulate the projected-update controller on its true chains.
 
@@ -578,7 +577,7 @@ def run_ocmdp(
     v, alpha = float(v), float(alpha)
     m = _common_constraint_count(specs)
     polys = [build_polyhedron(spec) for spec in specs]
-    if check_slater and m:
+    if m:
         margin = slater_margin(polys, [spec.g_means for spec in specs])
         if not margin > _SLATER_TOL:
             raise ValueError(

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 
@@ -12,7 +13,7 @@ from renewalopt import datacenter as dc
 from renewalopt.datacenter import (
     ServerConfig,
     SleepMode,
-    TraceRecord,
+    Trace,
     actual_queue_update,
     admission_decide,
     load_trace,
@@ -268,20 +269,60 @@ def test_trace_loader_rejects_nonfinite_costs(tmp_path, bad):
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_run_rejects_nonfinite_costs(bad):
-    trace = [TraceRecord(t, 20, bad if t == 3 else 1.0) for t in range(10)]
+    # a run takes only a Trace, so the constructor's check is the run's
     with pytest.raises(ValueError, match="finite and positive.* at row 3"):
-        run_datacenter([_cfg()], trace, v=1.0, mode="n-queue")
+        Trace([20] * 10, [bad if t == 3 else 1.0 for t in range(10)])
+
+
+@pytest.mark.parametrize("arrivals,costs,message", [
+    ([4, 4, 4, -1], [1.0] * 4, "nonnegative integers, got -1 at row 3"),
+    ([4, 4, 4, 2.5], [1.0] * 4, "nonnegative integers, got 2.5 at row 3"),
+    ([4, 4, 4, math.inf], [1.0] * 4, "nonnegative integers, got inf at row 3"),
+    ([4] * 4, [1.0, 1.0, 1.0, math.nan], "finite and positive, got nan at row 3"),
+    ([4] * 4, [1.0, 1.0, 1.0, math.inf], "finite and positive, got inf at row 3"),
+    ([4] * 4, [1.0, 1.0, 1.0, 0.0], "finite and positive, got 0.0 at row 3"),
+    ([4] * 4, [1.0] * 3, "argument 2 is shorter than argument 1"),
+])
+def test_trace_rejects_bad_columns(arrivals, costs, message):
+    with pytest.raises(ValueError, match=message):
+        Trace(arrivals, costs)
+
+
+def test_trace_is_frozen():
+    trace = Trace([3, 0, 2], [1, 2.5, 6])
+    assert trace.arrivals == (3, 0, 2) and trace.costs == (1.0, 2.5, 6.0)
+    assert len(trace) == 3
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        trace.costs = (1.0, 1.0, 1.0)
+
+
+def test_run_takes_only_a_trace():
+    with pytest.raises(TypeError, match="must be a datacenter.Trace, got list"):
+        run_datacenter([_cfg()], [(t, 20, 1.0) for t in range(10)], v=1.0)
+
+
+@pytest.mark.parametrize("ranges,message", [
+    (((30, 10), (1, 6)), "arrival_range .* got \\(30, 10\\)"),
+    (((-1, 10), (1, 6)), "arrival_range"),
+    (((10, 30), (0, 3)), "cost_range .* 1 <= low <= high, got \\(0, 3\\)"),
+    (((10, 30), (1.5, 3)), "cost_range"),
+    (((10, 30, 50), (1, 6)), "arrival_range"),
+    ((10, (1, 6)), "arrival_range"),
+])
+def test_uniform_trace_checks_its_ranges(ranges, message):
+    with pytest.raises(ValueError, match=message):
+        uniform_trace(0, *ranges)
 
 
 def test_ramp_trace_shape():
     with pytest.raises(ValueError):
         ramp_trace(100, 2.0, 8.0, ramp_start=50, ramp_end=20)
     records = ramp_trace(3000, 2.0, 20.0, ramp_start=1000, ramp_end=2000, seed=5)
-    arrivals = np.array([r.arrivals for r in records])
+    arrivals = np.array(records.arrivals)
     assert arrivals.min() >= 0
     assert arrivals[:1000].mean() == pytest.approx(2.0, abs=0.3)
     assert arrivals[2000:].mean() == pytest.approx(20.0, abs=1.0)
-    assert len({r.cost for r in records}) == 1
+    assert len(set(records.costs)) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +390,7 @@ def test_run_bound_check_fires_on_runaway_admission(monkeypatch):
 
     monkeypatch.setattr(dc, "admission_decide", accept_everything)
     cfgs = [_cfg(mu=("constant", 1.0), r_max=3.0)]
-    trace = [TraceRecord(t, 10, 1.0) for t in range(50)]
+    trace = Trace([10] * 50, [1.0] * 50)
     with pytest.raises(RuntimeError):
         run_datacenter(cfgs, trace, v=0.5, mode="n-queue", seed=0)
 
@@ -370,7 +411,7 @@ def test_run_virtual_total_check_fires_on_unrouted_admission(monkeypatch):
         return 0.0, np.zeros(len(queues))
 
     monkeypatch.setattr(dc, "admission_decide", admit_without_routing)
-    trace = [TraceRecord(t, 10, 1.0) for t in range(5)]
+    trace = Trace([10] * 5, [1.0] * 5)
     with pytest.raises(RuntimeError, match="exceeded the virtual total"):
         run_datacenter(_sleepy_pair(), trace, v=1.0, mode="virtualized")
 
@@ -384,7 +425,7 @@ def test_run_backlog_bound_check_fires_inside_the_slack(monkeypatch):
         return arrivals - admitted, np.full(len(queues), 2.0 + 2.0 ** -30)
 
     monkeypatch.setattr(dc, "admission_decide", overshoot_by_ulps)
-    trace = [TraceRecord(t, 8, 1.0) for t in range(5)]
+    trace = Trace([8] * 5, [1.0] * 5)
     with pytest.raises(RuntimeError, match="physical backlog bound violated at slot 0"):
         run_datacenter(_sleepy_pair(), trace, v=1.0, mode="virtualized")
 
@@ -425,7 +466,7 @@ def test_single_server_trajectory_replays_by_hand():
     # the whole run reduces to the admission recursion on one queue
     cfg = ServerConfig(active_power=0.0, mu_dist=("constant", 1.0),
                        sleep_modes=[SleepMode(1.0, 1.0, 1.0)], i_max=50, r_max=7.0)
-    trace = [TraceRecord(t, 2, 1.0) for t in range(60)]
+    trace = Trace([2] * 60, [1.0] * 60)
     v = 10.0
     log = run_datacenter([cfg], trace, v=v, mode="n-queue", seed=0)
     q = 0.0
@@ -447,7 +488,7 @@ def test_sleep_cycle_power_pattern_is_periodic():
     assert server_frame_decide(cfg, 0.0, 2.0) == (0, 4)
     assert oracles.datacenter_decide_bruteforce(
         50.0, 2.0, 2.0, 4.0, [(0.1, 3.0, 1.0)], 100, 0.0, 2.0) == (0, 4)
-    trace = [TraceRecord(t, 0, 1.0) for t in range(18)]
+    trace = Trace([0] * 18, [1.0] * 18)
     log = run_datacenter([cfg], trace, v=2.0, mode="n-queue", seed=0)
     assert log.power.tolist() == [0.1, 0.1, 0.1, 0.1, 3.0, 50.0] * 3
     assert log.active_servers.tolist() == [0, 0, 0, 0, 0, 1] * 3
@@ -456,7 +497,7 @@ def test_sleep_cycle_power_pattern_is_periodic():
 def test_min_active_pins_servers_on():
     cfg = ServerConfig(active_power=50.0, mu_dist=("constant", 2.0),
                        sleep_modes=[SleepMode(0.1, 3.0, 1.0)], i_max=100, r_max=4.0)
-    trace = [TraceRecord(t, 0, 1.0) for t in range(30)]
+    trace = Trace([0] * 30, [1.0] * 30)
     log = run_datacenter([cfg] * 3, trace, v=2.0, mode="n-queue", seed=0, min_active=2)
     assert log.active_servers.min() >= 2
     assert log.active_servers.min() == 2
@@ -466,7 +507,7 @@ def test_always_on_full_capacity_keeps_queue_at_burst_level():
     cfgs = [_cfg(mu=("constant", 4.0), r_max=40.0) for _ in range(3)]
     trace = uniform_trace(500, arrival_range=(0, 9), seed=6)
     log = run_datacenter(cfgs, trace, v=1.0, mode=("always-on", 3), seed=0)
-    assert log.backlog.max() <= max(r.arrivals for r in trace)
+    assert log.backlog.max() <= max(trace.arrivals)
     assert (log.active_servers == 3).all()
     assert not log.rejected.any()
 
@@ -475,7 +516,7 @@ def test_always_on_partial_fleet_draws_idle_power():
     cfgs = [ServerConfig(active_power=5.0, mu_dist=("constant", 4.0),
                          sleep_modes=[SleepMode(0.5, 2.0, 3.0)], i_max=10, r_max=40.0)
             for _ in range(3)]
-    trace = [TraceRecord(t, 1, 1.0) for t in range(20)]
+    trace = Trace([1] * 20, [1.0] * 20)
     log = run_datacenter(cfgs, trace, v=1.0, mode=("always-on", 2), seed=0)
     assert (log.power == 2 * 5.0 + 0.5).all()
     assert (log.active_servers == 2).all()
@@ -485,9 +526,7 @@ def test_reactive_scales_through_setup_and_back_down():
     cfgs = [ServerConfig(active_power=10.0, mu_dist=("constant", 2.0),
                          sleep_modes=[SleepMode(0.0, 10.0, 2.0)], i_max=10, r_max=100.0)
             for _ in range(12)]
-    trace = ([TraceRecord(t, 2, 1.0) for t in range(30)]
-             + [TraceRecord(30 + t, 20, 1.0) for t in range(40)]
-             + [TraceRecord(70 + t, 2, 1.0) for t in range(50)])
+    trace = Trace([2] * 30 + [20] * 40 + [2] * 50, [1.0] * 120)
     log = run_datacenter(cfgs, trace, v=1.0, mode=("reactive", 0.0), seed=3)
     assert log.active_servers[:30].max() <= 1
     assert log.active_servers[69] == 10

@@ -122,6 +122,12 @@ _BAD_CONFIGS = {
                        "trace: trace slots must run 0,1"),
     "farm-trace-short": (_with(_FARM, {"trace": {"path": "short.csv"}}), "trace", 0,
                          "trace: 2 rows, fewer than horizon 40"),
+    "farm-uniform-arrival-range": (
+        _with(_FARM, {"trace": {"kind": "uniform", "arrival_range": [30, 10]}}),
+        "trace", 0, r"trace: arrival_range .* 0 <= low <= high, got \[30, 10\]"),
+    "farm-uniform-cost-range": (
+        _with(_FARM, {"trace": {"kind": "uniform", "cost_range": [0, 3]}}),
+        "trace", 0, r"trace: cost_range .* 1 <= low <= high, got \[0, 3\]"),
     "farm-ramp-end-past-horizon": (_with(_FARM, {"trace": dict(_RAMP, ramp_end=50)}),
                                    "ramp_end", 0, "ramp_end <= horizon 40"),
     "farm-ramp-fractional-start": (_with(_FARM, {"trace": dict(_RAMP, ramp_start=10.7)}),
@@ -142,8 +148,8 @@ _BAD_CONFIGS = {
                            "path", 0, "cannot load ocmdp instance"),
     "ocmdp-noise-negative": ({"kind": "ocmdp", "instance": {"noise": -0.5}},
                              "noise", 0, "noise must be at least 0"),
-    "ocmdp-check-slater": ({"kind": "ocmdp", "instance": {"check_slater": "no"}},
-                           "check_slater", 0, "true or false"),
+    "ocmdp-check-slater": ({"kind": "ocmdp", "instance": {"check_slater": False}},
+                           "check_slater", 0, "'check_slater' does not apply"),
     "ocmdp-path-nan": ({"kind": "ocmdp", "instance": {"path": "nan_f_mean.json"}},
                        "path", 0, "f_mean must be finite"),
     "online-model": ({"kind": "online-renewal", "instance": {"model": "upload"}},
@@ -430,9 +436,8 @@ def test_ingest_empty_file_rejected(tmp_path):
 def test_ingest_three_rows(tmp_path):
     path = tmp_path / "trace.csv"
     path.write_text("slot,arrivals,cost\n0,12,2.0\n1,0,1.5\n2,30,3.0\n")
-    records = datacenter.load_trace(path)
-    assert len(records) == 3
-    assert records[2] == datacenter.TraceRecord(2, 30, 3.0)
+    trace = datacenter.load_trace(path)
+    assert trace == datacenter.Trace((12, 0, 30), (2.0, 1.5, 3.0))
 
 
 def test_ingest_rejects_gaps_and_negatives(tmp_path):
@@ -465,6 +470,21 @@ def test_trace_file_is_read_once_per_experiment(tmp_path, monkeypatch):
         harness.config_from_mapping(dict(mapping, jobs=2)))
     assert len(reads) == 2
     assert parallel.rows == serial.rows
+
+
+def test_trace_is_checked_once_at_load(tmp_path, monkeypatch):
+    # the loaded Trace is checked when it is made; no cell checks it again
+    path = tmp_path / "trace.csv"
+    datacenter.write_trace(path, datacenter.uniform_trace(60, seed=2))
+    config = harness.config_from_mapping(_with(
+        _FARM, {"trace": {"path": str(path)}}, v_values=[5.0, 50.0],
+        replications=2))
+
+    def refuse(self):
+        raise AssertionError("trace checked after load")
+
+    monkeypatch.setattr(datacenter.Trace, "__post_init__", refuse)
+    assert harness.run_experiment(config).n_rows == 4
 
 
 def test_ocmdp_path_instance_is_loaded_once_per_experiment(tmp_path, monkeypatch):
@@ -596,6 +616,38 @@ def test_cli_seed_override_changes_rows(tmp_path):
                          "--seed", str(seed)]) == 0
         outs.append((out / "rows.csv").read_bytes())
     assert outs[0] != outs[1]
+
+
+def test_cli_builds_each_instance_once(tmp_path, monkeypatch):
+    # the overrides touch no instance, so the config's load-time build is kept
+    datacenter.write_trace(tmp_path / "trace.csv", datacenter.uniform_trace(40, seed=5))
+    ocmdp.save_instance(ocmdp.two_mdp_example(), str(tmp_path / "two_mdp.json"))
+    calls = []
+    for module, name in ((datacenter, "load_trace"), (ocmdp, "load_instance")):
+        load = getattr(module, name)
+        monkeypatch.setattr(module, name,
+                            lambda p, load=load, name=name: calls.append(name) or load(p))
+    farm = _with(_FARM, {"trace": {"path": str(tmp_path / "trace.csv")}})
+    mdp = {"kind": "ocmdp", "horizon": 20, "alpha_values": [20.0],
+           "instance": {"path": str(tmp_path / "two_mdp.json")}}
+    for name, data in (("farm", farm), ("mdp", mdp)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(data))
+        assert cli.main(["--config", str(path), "--out", str(tmp_path / name),
+                         "--seed", "3", "--format", "json", "--jobs", "1"]) == 0
+    assert calls == ["load_trace", "load_instance"]
+    summary = json.loads((tmp_path / "farm" / "summary.json").read_text())
+    assert (tmp_path / "farm" / "rows.json").exists()
+    assert summary["experiment"]["seed"] == 3
+
+
+@pytest.mark.parametrize("flag,value,message", [
+    ("--jobs", "0", "<command line>: jobs must be at least 1, got 0"),
+    ("--seed", "-1", "<command line>: seed must be at least 0, got -1"),
+])
+def test_cli_override_checks(tmp_path, capsys, flag, value, message):
+    assert cli.main(["--config", str(_write_config(tmp_path)), flag, value]) == 1
+    assert message in capsys.readouterr().err
 
 
 def test_cli_errors_exit_one(tmp_path, capsys):
