@@ -491,9 +491,45 @@ def _random_bounded_lp(rng):
     return lp.LpProblem(c=c, a_eq=a_eq, b_eq=b_eq, g_ub=g, h_ub=h)
 
 
+def random_composite_chain(rng):
+    """Keyword arguments of one random composite download chain: 1-6 users,
+    each with 1-3 (phi, power) actions after the idle one, a power budget,
+    and 1 or 2 users served per slot."""
+    n_users = int(rng.integers(1, 7))
+    lam = rng.uniform(0.02, 0.9, n_users)
+    action_sets = [[(0.0, 0.0)] + [(float(rng.uniform(0, 1)), float(rng.uniform(0.5, 4)))
+                                   for _ in range(int(rng.integers(1, 4)))]
+                   for _ in range(n_users)]
+    # keyword arguments are drawn in this order, left to right
+    return dict(arrival_probs=lam, action_sets=action_sets,
+                weights=rng.uniform(0.5, 4, n_users),
+                mean_files=rng.uniform(0.5, 4, n_users),
+                served_limit=int(rng.integers(1, 3)),
+                power_budget=float(rng.uniform(0.3, 4)))
+
+
+def composite_chain_lp(arrival_probs, weights, mean_files, action_sets,
+                       served_limit, power_budget) -> lp.LpProblem:
+    """The composite download chain's occupation-measure LP, one variable per
+    state-action pair of ``lp._composite_chain``: minimize minus the weighted
+    throughput subject to one balance row per state, the normalization row and
+    the expected power row. Its optimum is minus ``lp.coupled_mdp_optimal``'s
+    value, which that function finds through the LP's Lagrangian dual."""
+    state_of, rows, rewards, powers = lp._composite_chain(
+        *(np.asarray(v, dtype=float) for v in (arrival_probs, weights, mean_files)),
+        action_sets, served_limit)
+    a_eq = np.vstack([rows.T, np.ones(rows.shape[0])])
+    a_eq[state_of, np.arange(rows.shape[0])] -= 1.0
+    b_eq = np.append(np.zeros(rows.shape[1]), 1.0)
+    return lp.LpProblem(c=-rewards, a_eq=a_eq, b_eq=b_eq,
+                        g_ub=powers.reshape(1, -1), h_ub=[float(power_budget)])
+
+
 def simplex_equivalence() -> CriterionResult:
     """The random bounded LPs of the suite (all of them have at most 12
-    variables), solved by the simplex and by vertex enumeration."""
+    variables), solved by the simplex and by vertex enumeration; then the
+    first 200 seeded composite download-chain LPs with 100 to 2,000
+    variables, slack included, against the chain's Lagrangian dual."""
     started = time.perf_counter()
     worst = 0.0
     count = 0
@@ -512,9 +548,21 @@ def simplex_equivalence() -> CriterionResult:
                 status_ok = False
                 continue
             worst = max(worst, abs(float(sol.objective_value) - value))
-    checks = [status_ok, worst <= 1e-8, count == 40]
-    detail = (f"{count} random LPs (<= 12 variables): statuses agree, worst "
-              f"optimum gap {worst:.2e} <= 1e-8")
+    chains, chain_worst = 0, 0.0
+    rng = np.random.default_rng(12345)
+    while chains < 200:
+        args = random_composite_chain(rng)
+        prob = composite_chain_lp(**args)
+        if 100 <= prob.c.size + 1 <= 2000:
+            chains += 1
+            sol = lp.solve_lp(prob)
+            status_ok &= sol.status == "optimal"
+            gap = (sol.objective_value or 0.0) + lp.coupled_mdp_optimal(**args).value
+            chain_worst = max(chain_worst, abs(gap))
+    checks = [status_ok, worst <= 1e-8, count == 40, chain_worst <= 1e-8]
+    detail = (f"{count} random LPs (<= 12 variables) against enumeration, worst gap "
+              f"{worst:.2e}; {chains} composite-chain LPs (100-2,000 variables) against "
+              f"the Lagrangian dual, worst gap {chain_worst:.2e}; all optimal, gaps <= 1e-8")
     return _finish("simplex-equivalence", started, checks, detail)
 
 

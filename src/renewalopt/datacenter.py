@@ -204,7 +204,13 @@ def ramp_trace(horizon: int, base_rate: float, peak_rate: float,
                seed: int = 0) -> Trace:
     """Synthetic load curve with the measured-trace shape: a steady stretch, a
     linear climb between the two marker slots, then steady at the peak.
-    Arrivals are Poisson around the phase rate; the cost column is constant."""
+    Arrivals are Poisson around the phase rate; the cost column is constant.
+    Both rates must be finite and nonnegative, the cost finite and positive."""
+    if not (0.0 <= base_rate < math.inf and 0.0 <= peak_rate < math.inf):
+        raise ValueError(f"base_rate and peak_rate must be finite and nonnegative, "
+                         f"got {base_rate!r} and {peak_rate!r}")
+    if not 0.0 < cost < math.inf:
+        raise ValueError(f"cost must be finite and positive, got {cost!r}")
     if not 0 <= ramp_start < ramp_end <= horizon:
         raise ValueError("need 0 <= ramp_start < ramp_end <= horizon")
     rng = np.random.default_rng(seed)

@@ -430,8 +430,8 @@ def _energy_simulate(n_servers, horizon, params, run_seed, aux_seed):
 
 def _trace_maker(spec, horizon: int):
     """The trace spec built for ``horizon``: a ``path``'s Trace of at least
-    ``horizon`` rows, or ``make(seed=aux_seed)``, whose uniform ranges a zero-slot
-    call checks and whose ramp has 0 <= ramp_start < ramp_end <= ``horizon``."""
+    ``horizon`` rows, or ``make(seed=aux_seed)``, whose arguments a zero-slot
+    (uniform) or one-slot (ramp) call checks once, here."""
     spec = {"kind": "uniform"} if spec is None else spec
     if not isinstance(spec, Mapping):
         raise ConfigError("instance key 'trace' must be an object", ("trace",))
@@ -450,6 +450,7 @@ def _trace_maker(spec, horizon: int):
             shape = (float(spec["base_rate"]), float(spec["peak_rate"]),
                      spec["ramp_start"], spec["ramp_end"])
             cost = float(spec.get("cost", 1.0))
+            datacenter.ramp_trace(1, *shape[:2], 0, 1, cost=cost)
     except KeyError as err:
         raise ConfigError(f"ramp trace needs key {err}", ("trace",)) from None
     except (OSError, IndexError, TypeError, ValueError) as err:
@@ -821,6 +822,12 @@ def invariants_report(config: Optional[ExperimentConfig] = None):
     """
     import tempfile
 
+    def variant(**changes):
+        # replace() drops the cached build; each rerun keeps the one made at load
+        rerun = replace(config, **changes)
+        vars(rerun)["built"] = config.built
+        return rerun
+
     if config is None:
         config = ExperimentConfig(kind="coupled-energy",
                                   v_values=(1.0, 10.0), horizon=200,
@@ -828,8 +835,8 @@ def invariants_report(config: Optional[ExperimentConfig] = None):
     report = []
     with tempfile.TemporaryDirectory() as scratch:
         dir_a, dir_b = (os.path.join(scratch, name) for name in "ab")
-        summary_a = run_experiment(replace(config, out_dir=dir_a, jobs=1))
-        run_experiment(replace(config, out_dir=dir_b, jobs=1))
+        summary_a = run_experiment(variant(out_dir=dir_a, jobs=1))
+        run_experiment(variant(out_dir=dir_b, jobs=1))
         _, differ, missing = filecmp.cmpfiles(
             dir_a, dir_b, sorted(os.listdir(dir_a)), shallow=False)
         differ += missing
@@ -837,7 +844,7 @@ def invariants_report(config: Optional[ExperimentConfig] = None):
                        f"{differ[0]} differs between identical runs" if differ
                        else "reran bit-identically"))
 
-        summary_par = run_experiment(replace(config, out_dir=None, jobs=2))
+        summary_par = run_experiment(variant(out_dir=None, jobs=2))
         agree = summary_par.aggregates == summary_a.aggregates \
             and summary_par.rows == summary_a.rows
         report.append(("parallel-fold", agree,

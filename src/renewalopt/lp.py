@@ -1,15 +1,18 @@
-"""Dense two-phase simplex, the renewal benchmark LPs, and the composite
+"""Two-phase revised simplex, the renewal benchmark LPs, and the composite
 download chain's optimum.
 
-The solver is intentionally self-contained: a tableau simplex with a
-lexicographic ratio test and Bland's entering rule as a degeneracy fallback,
-artificial variables in phase one, and explicit verification of any reported
-optimum: residuals, and an optimality certificate computed from the original
-data. ``fractional_to_lp`` and ``conditional_ratio_optimal`` turn renewal
-action sets and event-conditioned policies into LpProblem instances solved by
-it. The composite download chain's occupation LP is solved through its
-Lagrangian dual instead (policy iteration plus bisection on the power
-multiplier). The LPs over products of occupation polytopes live in ``ocmdp``.
+The solver is intentionally self-contained. It drops dependent equality rows,
+then runs phase one from artificial variables and phase two on the original
+costs with one pivot loop: every pivot inverts the basis columns of the
+original data afresh, prices by Dantzig's rule, and picks the leaving row by a
+Harris ratio test, a pivot-size threshold and the lexicographic rule. Any
+reported optimum is checked on the original data: residuals, and an
+optimality certificate. ``fractional_to_lp`` and ``conditional_ratio_optimal``
+turn renewal action sets and event-conditioned policies into LpProblem
+instances solved by it. The composite download chain's occupation LP is
+solved through its Lagrangian dual instead (policy iteration plus bisection on
+the power multiplier). The LPs over products of occupation polytopes live in
+``ocmdp``.
 """
 
 from __future__ import annotations
@@ -21,8 +24,9 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 PIVOT_TOL = 1e-9
-# a reported optimum's residual bound, and its certificate's reduced-cost
-# bound, -_COST_TOL * (1 + max|c|); also the pricing threshold
+# a reported optimum's residual bound, also the Harris ratio slack and the
+# consistency bound of a dropped row; its certificate's reduced-cost bound is
+# -_COST_TOL * (1 + max|c|), and _COST_TOL is also the pricing threshold
 _FEAS_TOL = 1e-8
 _COST_TOL = 1e-9
 _MAX_ITERATIONS = 100_000
@@ -42,23 +46,16 @@ class LpProblem:
 
     def __post_init__(self):
         self.c = np.asarray(self.c, dtype=float).ravel()
-        n = self.c.size
-        if self.a_eq is None or np.size(self.a_eq) == 0:
-            self.a_eq = np.zeros((0, n))
-            self.b_eq = np.zeros(0)
-        else:
-            self.a_eq = np.asarray(self.a_eq, dtype=float).reshape(-1, n)
-            self.b_eq = np.asarray(self.b_eq, dtype=float).ravel()
-            if self.b_eq.size != self.a_eq.shape[0]:
-                raise ValueError("b_eq length does not match a_eq rows")
-        if self.g_ub is None or np.size(self.g_ub) == 0:
-            self.g_ub = np.zeros((0, n))
-            self.h_ub = np.zeros(0)
-        else:
-            self.g_ub = np.asarray(self.g_ub, dtype=float).reshape(-1, n)
-            self.h_ub = np.asarray(self.h_ub, dtype=float).ravel()
-            if self.h_ub.size != self.g_ub.shape[0]:
-                raise ValueError("h_ub length does not match g_ub rows")
+        for mat, vec in (("a_eq", "b_eq"), ("g_ub", "h_ub")):
+            rows, rhs = getattr(self, mat), getattr(self, vec)
+            if rows is None or np.size(rows) == 0:
+                rows, rhs = np.zeros((0, self.c.size)), np.zeros(0)
+            rows = np.asarray(rows, dtype=float).reshape(-1, self.c.size)
+            rhs = np.asarray(rhs, dtype=float).ravel()
+            if rhs.size != rows.shape[0]:
+                raise ValueError(f"{vec} length does not match {mat} rows")
+            setattr(self, mat, rows)
+            setattr(self, vec, rhs)
 
 
 @dataclass
@@ -69,201 +66,142 @@ class LpSolution:
     iterations: int = 0
 
 
-# After this many consecutive degenerate pivots the entering rule switches
-# from Dantzig pricing to Bland's rule until a pivot makes progress again,
-# which rules out cycling while keeping the iteration count practical.
-_DEGENERATE_STREAK = 16
+def _independent_rows(a, b):
+    """Indices of the rows of a x = b kept by a greedy pass in row order.
 
-
-def _entering(reduced, bland):
-    if bland:
-        eligible = np.flatnonzero(reduced < -_COST_TOL)
-        return int(eligible[0]) if eligible.size else -1
-    j = int(np.argmin(reduced))
-    return j if reduced[j] < -_COST_TOL else -1
-
-
-def _leaving(a, b, n_real, col):
-    """Lexicographic minimum-ratio row.
-
-    Ratio ties are refined by comparing the scaled basis-inverse rows kept in
-    the tableau columns past ``n_real``; those rows are always linearly
-    independent, so the refinement singles out one row. Tie comparisons are
-    exact on purpose: the anti-cycling guarantee needs the true lexicographic
-    minimum, not a toleranced neighborhood of it.
+    Gram-Schmidt with one reorthogonalisation: a row whose residual, after the
+    kept rows are projected out, is at most PIVOT_TOL times its norm is
+    dropped. Returns None when a dropped row's right-hand side misses the
+    combination of the kept rows' by more than _FEAS_TOL, so no x solves it.
     """
-    colv = a[:, col]
-    rows = np.flatnonzero(colv > PIVOT_TOL)
-    if not rows.size:
-        return -1, 0.0
-    ratios = b[rows] / colv[rows]
-    rmin = ratios.min()
-    tied = rows[ratios == rmin]
-    if tied.size > 1:
-        for j in range(n_real, a.shape[1]):
-            vals = a[tied, j] / colv[tied]
-            tied = tied[vals == vals.min()]
-            if tied.size == 1:
-                break
-    return int(tied[0]), float(rmin)
+    q = np.zeros((0, a.shape[1]))  # orthonormal rows spanning the kept rows
+    qb = np.zeros(0)  # q x = qb for every x solving the kept rows
+    keep = []
+    for i, row in enumerate(a):
+        t = q @ row
+        r = row - t @ q
+        t2 = q @ r
+        r -= t2 @ q
+        rb = b[i] - (t + t2) @ qb
+        norm = np.linalg.norm(r)
+        if norm <= PIVOT_TOL * np.linalg.norm(row):
+            if abs(rb) > _FEAS_TOL:
+                return None
+            continue
+        keep.append(i)
+        q = np.vstack([q, r / norm])
+        qb = np.append(qb, rb / norm)
+    return keep
 
 
-def _apply_pivot(a, b, reduced, basis, row, col):
-    piv = a[row, col]
-    a[row] /= piv
-    b[row] /= piv
-    colvals = a[:, col].copy()
-    colvals[row] = 0.0
-    nz = np.abs(colvals) > 0.0
-    if np.any(nz):
-        a[nz] -= np.outer(colvals[nz], a[row])
-        b[nz] -= colvals[nz] * b[row]
-    r = reduced[col]
-    if r != 0.0:
-        reduced -= r * a[row, : reduced.size]
-    basis[row] = col
+def _pivot_until_optimal(a, b, cost, basis, n_real, iterations):
+    """Revised simplex on the columns of ``a``, from ``basis`` (modified).
 
-
-def _pivot_until_optimal(a, b, reduced, basis, n_real, iterations):
-    """Pivot until no reduced cost is negative.
-
-    Pricing is Dantzig's most-negative rule, switching to Bland's rule after
-    a streak of degenerate pivots and back once progress resumes; the leaving
-    row follows the lexicographic ratio test, so no basis ever repeats even
-    on fully degenerate plateaus. Returns (outcome, iterations) with outcome
-    "optimal", "no_pivot" for an entering column with no positive entry, or
-    "iteration_limit".
+    Every pivot inverts the basis columns of ``a`` afresh, so no error carries
+    from one pivot to the next. Only the first ``n_real`` columns may enter,
+    by Dantzig's rule. With x_B clipped at zero, the leaving row passes three
+    filters: Harris's ratio bound with _FEAS_TOL slack, then pivots of at
+    least a tenth of the largest left, then the lexicographic minimum of
+    [x_B, B^-1] / d. The size filter keeps bases well conditioned but can
+    cycle on a degenerate vertex, so a basis visited before in this call
+    skips it: the lexicographic rule alone cannot cycle in exact arithmetic.
+    Returns (outcome, x_B, iterations) with outcome "optimal", "unbounded" for
+    an entering column with no positive entry, or "failed" for a singular
+    basis or after _MAX_ITERATIONS pivots.
     """
-    streak = 0
-    bland = False
+    seen = set()
     while True:
-        col = _entering(reduced, bland)
-        if col < 0:
-            return "optimal", iterations
-        row, rmin = _leaving(a, b, n_real, col)
-        if row < 0:
-            return "no_pivot", iterations
-        _apply_pivot(a, b, reduced, basis, row, col)
+        try:
+            b_inv = np.linalg.inv(a[:, basis])
+        except np.linalg.LinAlgError:
+            return "failed", None, iterations
+        x_b = b_inv @ b
+        reduced = cost[:n_real] - (cost[basis] @ b_inv) @ a[:, :n_real]
+        reduced[[j for j in basis if j < n_real]] = 0.0
+        col = int(np.argmin(reduced))
+        if reduced[col] >= -_COST_TOL:
+            return "optimal", x_b, iterations
+        if iterations >= _MAX_ITERATIONS:
+            return "failed", None, iterations
+        d = b_inv @ a[:, col]
+        rows = np.flatnonzero(d > PIVOT_TOL)
+        if not rows.size:
+            return "unbounded", None, iterations
+        x_pos = np.maximum(x_b, 0.0)
+        rows = rows[x_pos[rows] / d[rows] <= np.min((x_pos[rows] + _FEAS_TOL) / d[rows])]
+        if tuple(basis) not in seen:
+            seen.add(tuple(basis))
+            rows = rows[d[rows] >= 0.1 * d[rows].max()]
+        lex = np.column_stack([x_pos[rows], b_inv[rows]]) / d[rows, None]
+        basis[rows[np.lexsort(lex.T[::-1])[0]]] = col
         iterations += 1
-        if iterations > _MAX_ITERATIONS:
-            return "iteration_limit", iterations
-        if rmin <= 1e-12:
-            streak += 1
-            bland = bland or streak >= _DEGENERATE_STREAK
-        else:
-            streak = 0
-            bland = False
 
 
 def solve_lp(problem: LpProblem) -> LpSolution:
-    """Two-phase dense simplex with anti-cycling safeguards.
+    """Two-phase revised simplex, checked on the original data.
 
-    Leaving rows follow the lexicographic ratio test; entering columns use
-    Dantzig pricing with Bland's rule engaged on long degenerate streaks.
-    Reported optima satisfy equality residuals within 1e-8, inequality
-    overshoot within 1e-8, and componentwise x >= -1e-12, and their basis
-    certifies optimality on the original data: every reduced cost, slack
-    columns included, is at least -1e-9 * (1 + max|c|). A final basis failing
-    either check is reported as status "failed", never trusted. More than
-    100,000 pivots also end "failed".
+    Dependent equality rows are dropped first; one whose right-hand side
+    disagrees with the rows kept makes the LP "infeasible". Phase one starts
+    from an artificial identity, and each artificial left basic at zero level
+    is swapped out on its row's largest real entry before phase two. Reported
+    optima satisfy equality residuals within 1e-8, inequality overshoot
+    within 1e-8, and componentwise x >= -1e-12, and their basis certifies
+    optimality on the original data: every reduced cost, slack columns
+    included, is at least -1e-9 * (1 + max|c|). A final basis failing either
+    check is reported as status "failed", never trusted. More than 100,000
+    pivots also end "failed".
     """
     n = problem.c.size
-    m_eq = problem.a_eq.shape[0]
-    m_ub = problem.g_ub.shape[0]
-    m = m_eq + m_ub
+    m_eq, m_ub = problem.a_eq.shape[0], problem.g_ub.shape[0]
     n_real = n + m_ub
+    keep = _independent_rows(problem.a_eq, problem.b_eq)
+    if keep is None:
+        return LpSolution(status="infeasible")
 
-    a = np.zeros((m, n_real))
-    b = np.zeros(m)
-    if m_eq:
-        a[:m_eq, :n] = problem.a_eq
-        b[:m_eq] = problem.b_eq
-    if m_ub:
-        a[m_eq:, :n] = problem.g_ub
-        a[m_eq:, n:] = np.eye(m_ub)
-        b[m_eq:] = problem.h_ub
-    neg = b < 0
-    a[neg] *= -1.0
-    b[neg] *= -1.0
-    # append the artificial identity: those columns carry the running basis
-    # inverse, which the lexicographic ratio test in _leaving compares
-    a = np.hstack([a, np.eye(m)])
+    full = np.block([[problem.a_eq, np.zeros((m_eq, m_ub))],
+                     [problem.g_ub, np.eye(m_ub)]])
+    rhs = np.concatenate([problem.b_eq, problem.h_ub])
+    rows = keep + list(range(m_eq, m_eq + m_ub))
+    m = len(rows)
+    sign = np.where(rhs[rows] < 0, -1.0, 1.0)
+    a = np.hstack([sign[:, None] * full[rows], np.eye(m)])
+    b = sign * rhs[rows]
+    basis = list(range(n_real, n_real + m))  # artificial variables
 
-    basis = [n_real + i for i in range(m)]  # artificial variables
-    reduced = -a[:, :n_real].sum(axis=0)  # phase-one reduced costs
-
-    outcome, iterations = _pivot_until_optimal(a, b, reduced, basis, n_real, 0)
+    cost = np.concatenate([np.zeros(n_real), np.ones(m)])
+    outcome, x_b, iterations = _pivot_until_optimal(a, b, cost, basis, n_real, 0)
     if outcome != "optimal":
         # the phase-one objective is bounded below by zero, so a missing
         # pivot row here is numeric trouble, not unboundedness
         return LpSolution(status="failed", iterations=iterations)
-
-    phase1 = sum(b[i] for i in range(m) if basis[i] >= n_real)
-    if phase1 > _FEAS_TOL:
+    if cost[basis] @ x_b > _FEAS_TOL:
         return LpSolution(status="infeasible", iterations=iterations)
-
-    # drive leftover zero-level artificials out of the basis; a row with no
-    # usable pivot is a redundant constraint and is dropped
-    keep = np.ones(m, dtype=bool)
-    for i in range(m):
-        if basis[i] < n_real:
-            continue
-        piv_col = -1
-        for j in range(n_real):
-            if abs(a[i, j]) > PIVOT_TOL:
-                piv_col = j
-                break
-        if piv_col < 0:
-            keep[i] = False
-        else:
-            _apply_pivot(a, b, reduced, basis, i, piv_col)
-    if not np.all(keep):
-        a = a[keep]
-        b = b[keep]
-        basis = [bv for bv, k in zip(basis, keep) if k]
-    m = a.shape[0]
+    for i in [i for i in range(m) if basis[i] >= n_real]:
+        entries = np.abs(np.linalg.inv(a[:, basis])[i] @ a[:, :n_real])
+        basis[i] = int(np.argmax(entries))
+        if entries[basis[i]] <= PIVOT_TOL:
+            return LpSolution(status="failed", iterations=iterations)
 
     cost_full = np.concatenate([problem.c, np.zeros(m_ub)])
-    c_basis = cost_full[np.array(basis, dtype=int)] if m else np.zeros(0)
-    reduced = cost_full - (c_basis @ a[:, :n_real] if m else 0.0)
+    cost[:n_real] = cost_full
+    outcome, x_b, iterations = _pivot_until_optimal(a, b, cost, basis, n_real, iterations)
+    if outcome != "optimal":
+        return LpSolution(status=outcome, iterations=iterations)
 
-    outcome, iterations = _pivot_until_optimal(a, b, reduced, basis, n_real, iterations)
-    if outcome == "no_pivot":
-        return LpSolution(status="unbounded", iterations=iterations)
-    if outcome == "iteration_limit":
-        return LpSolution(status="failed", iterations=iterations)
-
-    x_full = np.zeros(n_real)
-    for i, bv in enumerate(basis):
-        if bv < n_real:
-            x_full[bv] = b[i]
-
-    # basis repair: the final basis is combinatorial and survives roundoff,
-    # the tableau arithmetic does not. Recompute the basic values against the
-    # original data and keep whichever candidate passes verification. The
-    # same basis must certify optimality: multipliers y with B^T y = c_B on
-    # the original data leave no reduced cost below -tol, slacks included.
-    basic = [bv for bv in basis if bv < n_real]
-    full = np.zeros((m_eq + m_ub, n_real))
-    full[:m_eq, :n] = problem.a_eq
-    full[m_eq:, :n] = problem.g_ub
-    full[m_eq:, n:] = np.eye(m_ub)
-    y = np.zeros(m_eq + m_ub)
-    x_repaired = None
-    if basic:
-        rhs = np.concatenate([problem.b_eq, problem.h_ub])
-        vals, *_ = np.linalg.lstsq(full[:, basic], rhs, rcond=None)
-        x_repaired = np.zeros(n_real)
-        x_repaired[basic] = vals
-        y, *_ = np.linalg.lstsq(full[:, basic].T, cost_full[basic], rcond=None)
+    # the final basis is combinatorial and survives roundoff: on the original
+    # data, every row and slack included, its multipliers y (B^T y = c_B)
+    # leave no reduced cost below -tol, and its values come from least squares
+    # or else the last pivot's B^-1 b, whichever first passes the residuals
+    x_lstsq, *_ = np.linalg.lstsq(full[:, basis], rhs, rcond=None)
+    y, *_ = np.linalg.lstsq(full[:, basis].T, cost_full[basis], rcond=None)
     tol = _COST_TOL * (1.0 + np.abs(problem.c).max(initial=0.0))
     if np.min(cost_full - y @ full, initial=0.0) < -tol:
         return LpSolution(status="failed", iterations=iterations)
 
-    for cand in (x_repaired, x_full):
-        if cand is None:
-            continue
-        x = cand[:n]
+    for vals in (x_lstsq, x_b):
+        x_full = np.zeros(n_real)
+        x_full[basis] = vals
+        x = x_full[:n]
         if not np.all(np.isfinite(x)):
             continue
         if m_eq and np.max(np.abs(problem.a_eq @ x - problem.b_eq)) > _FEAS_TOL:

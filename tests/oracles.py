@@ -5,7 +5,10 @@ enumeration, grid search, direct linear solves) and must not call into the packa
 implementations it is used to check. Slow is fine here; these run on small instances.
 Vertex enumeration of LPs and the grid-plus-face projection minimizer are not here:
 the acceptance battery needs them in the installed package, so the tests import
-``acceptance.lp_by_enumeration`` and ``acceptance.grid_project``.
+``acceptance.lp_by_enumeration`` and ``acceptance.grid_project``. So is the composite
+download-chain LP and its seeded family (``acceptance.composite_chain_lp`` and
+``acceptance.random_composite_chain``); the Kronecker-product reference for that
+chain's rows stays here.
 
 The exceptions are the reference-version sections, earlier and plainer versions of
 package code kept so the tests can require the package to reproduce them bit for
@@ -28,7 +31,6 @@ from renewalopt.core import (
     FrameProfile,
     dpp_linear_select,
 )
-from renewalopt.lp import LpProblem
 
 
 # ---------------------------------------------------------------------------
@@ -287,51 +289,6 @@ def composite_chain_by_kron(arrival_probs, weights, mean_files, action_sets,
                     powers.append(power)
     return (np.array(state_of), np.array(rows), np.array(rewards),
             np.array(powers))
-
-
-def composite_chain_lp(arrival_probs, weights, mean_files, action_sets,
-                       served_limit, power_budget=None) -> LpProblem:
-    """The composite download chain's occupation-measure LP.
-
-    One variable per state-action pair of :func:`composite_chain_by_kron`:
-    minimize minus the weighted throughput subject to one balance row per
-    state, the normalization row, and the expected power row when a budget
-    is given. Its optimum is minus ``lp.coupled_mdp_optimal``'s value.
-    """
-    state_of, rows, rewards, powers = composite_chain_by_kron(
-        arrival_probs, weights, mean_files, action_sets, served_limit)
-    n_vars, n_states = rows.shape
-    a_eq = np.zeros((n_states + 1, n_vars))
-    a_eq[:n_states] = rows.T
-    a_eq[state_of, np.arange(n_vars)] -= 1.0
-    a_eq[n_states, :] = 1.0
-    b_eq = np.zeros(n_states + 1)
-    b_eq[n_states] = 1.0
-    has_budget = power_budget is not None
-    return LpProblem(
-        c=-rewards, a_eq=a_eq, b_eq=b_eq,
-        g_ub=powers.reshape(1, -1) if has_budget else None,
-        h_ub=np.array([float(power_budget)]) if has_budget else None,
-    )
-
-
-def random_composite_chain(rng):
-    """Keyword arguments of one random composite download chain: 1-6 users,
-    each with 1-3 (phi, power) actions after the idle one, a power budget,
-    and 1 or 2 users served per slot."""
-    n_users = int(rng.integers(1, 7))
-    lam = rng.uniform(0.02, 0.9, n_users)
-    action_sets = []
-    for _ in range(n_users):
-        k = int(rng.integers(1, 4))
-        action_sets.append([(0.0, 0.0)] + [
-            (float(rng.uniform(0, 1)), float(rng.uniform(0.5, 4))) for _ in range(k)])
-    weights = rng.uniform(0.5, 4, n_users)
-    mean_files = rng.uniform(0.5, 4, n_users)
-    served_limit = int(rng.integers(1, 3))
-    return dict(arrival_probs=lam, weights=weights, mean_files=mean_files,
-                action_sets=action_sets, served_limit=served_limit,
-                power_budget=float(rng.uniform(0.3, 4)))
 
 
 # ---------------------------------------------------------------------------

@@ -128,6 +128,16 @@ _BAD_CONFIGS = {
     "farm-uniform-cost-range": (
         _with(_FARM, {"trace": {"kind": "uniform", "cost_range": [0, 3]}}),
         "trace", 0, r"trace: cost_range .* 1 <= low <= high, got \[0, 3\]"),
+    "farm-ramp-cost-zero": (_with(_FARM, {"trace": dict(_RAMP, cost=0.0)}), "trace", 0,
+                            "trace: cost must be finite and positive, got 0.0"),
+    "farm-ramp-cost-nan": (_with(_FARM, {"trace": dict(_RAMP, cost=float("nan"))}),
+                           "trace", 0, "trace: cost must be finite and positive, got nan"),
+    "farm-ramp-base-rate-negative": (
+        _with(_FARM, {"trace": dict(_RAMP, base_rate=-2)}), "trace", 0,
+        "trace: base_rate and peak_rate must be finite and nonnegative, got -2.0 and 8.0"),
+    "farm-ramp-peak-rate-inf": (
+        _with(_FARM, {"trace": dict(_RAMP, peak_rate=float("inf"))}), "trace", 0,
+        "trace: base_rate and peak_rate must be finite and nonnegative, got 2.0 and inf"),
     "farm-ramp-end-past-horizon": (_with(_FARM, {"trace": dict(_RAMP, ramp_end=50)}),
                                    "ramp_end", 0, "ramp_end <= horizon 40"),
     "farm-ramp-fractional-start": (_with(_FARM, {"trace": dict(_RAMP, ramp_start=10.7)}),
@@ -639,6 +649,20 @@ def test_cli_builds_each_instance_once(tmp_path, monkeypatch):
     summary = json.loads((tmp_path / "farm" / "summary.json").read_text())
     assert (tmp_path / "farm" / "rows.json").exists()
     assert summary["experiment"]["seed"] == 3
+
+
+def test_invariants_suite_keeps_the_load_time_build(tmp_path, monkeypatch, capsys):
+    # the three reruns of the invariants suite use the config's load-time
+    # build, so a trace path is read once
+    datacenter.write_trace(tmp_path / "trace.csv", datacenter.uniform_trace(40, seed=5))
+    calls = []
+    load = datacenter.load_trace
+    monkeypatch.setattr(datacenter, "load_trace", lambda p: calls.append(p) or load(p))
+    path = tmp_path / "farm.json"
+    path.write_text(json.dumps(_with(_FARM, {"trace": {"path": str(tmp_path / "trace.csv")}})))
+    assert cli.main(["--suite", "invariants", "--config", str(path)]) == 0
+    assert len(calls) == 1
+    assert "FAIL" not in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("flag,value,message", [

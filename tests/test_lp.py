@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 import oracles
-from renewalopt.acceptance import _random_bounded_lp, lp_by_enumeration
+from renewalopt.acceptance import (
+    _random_bounded_lp,
+    composite_chain_lp,
+    lp_by_enumeration,
+    random_composite_chain,
+)
 from renewalopt.bandit import table_one_users
 from renewalopt.lp import (
     CoupledMdpResult,
@@ -79,6 +84,39 @@ def test_simplex_drops_redundant_equalities():
     sol = solve_lp(prob)
     assert sol.status == "optimal"
     assert sol.objective_value == pytest.approx(1.0)
+
+
+def test_simplex_solves_beales_cycling_example():
+    # Beale (1955): Dantzig pricing with the lowest-index ratio tie-break
+    # cycles through six degenerate bases at the origin; the optimum is
+    # x = (1, 0, 1, 0) with value -5/4
+    prob = LpProblem(
+        c=[-0.75, 20.0, -0.5, 6.0],
+        g_ub=[[0.25, -8.0, -1.0, 9.0], [0.5, -12.0, -0.5, 3.0], [0.0, 0.0, 1.0, 0.0]],
+        h_ub=[0.0, 0.0, 1.0],
+    )
+    sol = solve_lp(prob)
+    assert sol.status == "optimal"
+    assert sol.objective_value == pytest.approx(-1.25, abs=1e-12)
+    assert sol.x == pytest.approx([1.0, 0.0, 1.0, 0.0], abs=1e-12)
+
+
+def test_simplex_leaves_a_cycle_of_the_pivot_size_filter():
+    # on this badly scaled, degenerate LP, preferring the larger pivots among
+    # the ratio-test candidates cycles; a revisited basis takes the
+    # lexicographic rule alone and leaves the cycle. The optimum is
+    # x = (0, 0, 1, 2, 0) with value -10
+    prob = LpProblem(
+        c=[3.0, 4.0, -4.0, -3.0, 0.0],
+        g_ub=[[-0.9, -0.8, 0.9, 0.2, -0.3], [-800.0, 900.0, -600.0, -900.0, -200.0],
+              [-20.0, -80.0, -30.0, -60.0, -20.0], [5.0, 2.0, 2.0, -1.0, 2.0],
+              [90.0, 20.0, 20.0, -50.0, 60.0], [1.0, 1.0, 1.0, 1.0, 1.0]],
+        h_ub=[2.0, 0.0, 0.0, 0.0, 0.0, 3.0],
+    )
+    sol = solve_lp(prob)
+    assert sol.status == "optimal"
+    assert sol.objective_value == pytest.approx(-10.0, abs=1e-9)
+    assert sol.x == pytest.approx([0.0, 0.0, 1.0, 2.0, 0.0], abs=1e-9)
 
 
 def test_simplex_zero_rows_edge_cases():
@@ -289,7 +327,7 @@ def test_coupled_dual_route_matches_simplex_route():
         served_limit=2,
         power_budget=3.0,
     )
-    problem = oracles.composite_chain_lp(**args)
+    problem = composite_chain_lp(**args)
     via_simplex = solve_lp(problem)
     via_dual = coupled_mdp_optimal(**args)
     assert via_simplex.status == "optimal"
@@ -330,7 +368,7 @@ def test_coupled_matches_lagrangian_oracle():
 def _random_chains(count):
     """The first ``count`` instances of the seeded random composite chains."""
     rng = np.random.default_rng(12345)
-    return [oracles.random_composite_chain(rng) for _ in range(count)]
+    return [random_composite_chain(rng) for _ in range(count)]
 
 
 def test_coupled_dual_route_agrees_on_random_small_chains():
@@ -346,14 +384,15 @@ def test_coupled_dual_route_agrees_on_random_small_chains():
 
 @pytest.mark.parametrize("index", [33, 68, 148, 188])
 def test_solve_lp_never_reports_a_wrong_optimum(index):
-    # instances on which the simplex once stopped at a suboptimal basis and
-    # called it optimal; the optimality certificate must refuse such a basis
+    # each chain has a dependent balance row and, pivoted on roundoff-sized
+    # entries, near-singular bases; the solve must still end optimal at the
+    # dual route's value
     args = _random_chains(index + 1)[index]
     exact = coupled_mdp_optimal(**args).value
     assert exact == pytest.approx(oracles.coupled_chain_lagrangian(**args), abs=1e-8)
-    sol = solve_lp(oracles.composite_chain_lp(**args))
-    if sol.status == "optimal":
-        assert -sol.objective_value == pytest.approx(exact, abs=1e-8)
+    sol = solve_lp(composite_chain_lp(**args))
+    assert sol.status == "optimal"
+    assert -sol.objective_value == pytest.approx(exact, abs=1e-8)
 
 
 @pytest.mark.parametrize("bad", [
