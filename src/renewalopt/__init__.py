@@ -5,7 +5,8 @@ The package is organized around flat modules:
 - ``core``: frame totals and slot layouts, the frame queue update, per-frame
   action selection (the single-system ratio rule and the rate rule).
 - ``coupled``: slot-level simulator for several renewal systems sharing queues.
-- ``lp``: dense two-phase simplex and the stationary benchmark LPs built on it.
+- ``lp``: two-phase revised simplex, the stationary benchmark LPs built on it,
+  and the composite download chain's optimum through its Lagrangian dual.
 - ``datacenter``: threshold admission, sleep/setup scheduling, trace-driven runs.
 - ``bandit``: index policy for coupled download queues and its special cases.
 - ``online``: statistics-free ratio optimization with a truncated pseudo average.

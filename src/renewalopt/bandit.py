@@ -3,10 +3,12 @@
 Users flip between idle and active (file present). Serving an active user
 with a rate option completes the file with that option's success probability
 and spends its power; a shared virtual queue tracks the average power budget
-and the scheduler serves the users with the largest ratio indices. Includes
-the single-user frame algorithm, the fixed-rate special case where the
-highest-arrival-rate policy is optimal, its two-queue Markov chain oracle,
-and a robustness harness with non-geometric file lengths.
+and the scheduler serves the users with the largest ratio indices. One
+multi-user loop runs it under either file model the users carry: memoryless
+files, or files with integer lengths from a sampler (the robustness test).
+Includes the single-user frame algorithm, the fixed-rate special case where
+the highest-arrival-rate policy is optimal, and its two-queue Markov chain
+oracle.
 
 Timing convention: a file that completes in a slot can be replaced by a new
 arrival at the end of that same slot, so an active user served with success
@@ -34,8 +36,9 @@ class UserSpec:
 
     ``actions`` holds (success probability, power) pairs and must start with
     the designated zero action (0, 0); every other option needs positive
-    power. ``file_length_sampler`` optionally draws integer file lengths for
-    the non-memoryless harness; the index policy itself never looks at it.
+    power. ``file_length_sampler`` optionally draws integer file lengths; it
+    picks the file model :func:`multi_user_run` simulates, while the index
+    itself is priced on phi and the mean file size in both models.
     """
 
     lam: float
@@ -224,14 +227,6 @@ def _schedule(options, active, q, m_servers):
     return ranked, power, tput
 
 
-def _check_run_args(users, v, m_servers, beta, horizon):
-    if horizon < 1:
-        raise ValueError("horizon must be at least 1")
-    if not 0 < m_servers < len(users):
-        raise ValueError("server count must satisfy 0 < M < N")
-    _check_v_beta(v, beta)
-
-
 def multi_user_run(
     users: Sequence[UserSpec],
     v: float,
@@ -242,39 +237,79 @@ def multi_user_run(
 ) -> dict:
     """Simulate the multi-user scheduler for ``horizon`` slots, idle start.
 
-    Each slot draws two uniforms per user, completion then arrival, whether
-    or not they are used; they come from the generator in (4096, 2, N)
-    chunks. A served user's file completes when its completion uniform is
-    below phi, and an idle user (or one that just completed) gets a new file
-    when its arrival uniform is below lambda. The deterministic queue bound
-    is enforced as a hard check on every slot.
+    The users' ``file_length_sampler`` picks the file model. Without one,
+    files are memoryless: a served file completes when its completion
+    uniform is below phi, and throughput is the expected weighted bits of
+    the served options. When every user has one, files have integer lengths
+    drawn at arrival: a served file loses one packet with success
+    probability phi * mean_file, and throughput counts the weighted packets
+    delivered. Each slot draws two uniforms per user, completion then
+    arrival, whether or not they are used; an idle user (or one that just
+    completed) gets a new file when its arrival uniform is below lambda.
+    Memoryless runs draw the uniforms in (4096, 2, N) chunks, packet runs
+    one (1, 2, N) block per slot, since lengths come from the same
+    generator. The deterministic queue bound, which holds on every sample
+    path whatever the file model, is enforced as a hard check on every slot.
     """
-    _check_run_args(users, v, m_servers, beta, horizon)
+    if horizon < 1:
+        raise ValueError("horizon must be at least 1")
+    if not 0 < m_servers < len(users):
+        raise ValueError("server count must satisfy 0 < M < N")
+    _check_v_beta(v, beta)
+    samplers = [u.file_length_sampler for u in users]
+    packets = samplers[0] is not None
+    if any((s is not None) != packets for s in samplers):
+        raise ValueError("give every user a file_length_sampler, or none")
+    if packets and any(phi * u.mean_file > 1.0 + 1e-12
+                       for u in users for phi, _ in u.actions):
+        raise ValueError(
+            "phi * mean_file must stay within [0, 1] to be a packet "
+            "success probability"
+        )
     n_users = len(users)
     rng = np.random.default_rng(seed)
     options = _option_table(users, v)
     lams = [u.lam for u in users]
+    weights = [u.weight for u in users]
+    means = [u.mean_file for u in users]
     bound = multi_user_queue_bound(users, v, beta) + 1e-9
     tput_arr = np.empty(horizon)
     power_arr = np.empty(horizon)
     q_arr = np.empty(horizon)
-    active = [0] * n_users
+    # packets left in each user's file; 1 while a memoryless file is held
+    residual = [0] * n_users
     q = 0.0
-    pos = _CHUNK
+    chunk = 1 if packets else _CHUNK
+    pos = chunk
     block = None
     for t in range(horizon):
-        if pos == _CHUNK:
-            block = rng.random((_CHUNK, 2, n_users)).tolist()
+        if pos == chunk:
+            block = rng.random((chunk, 2, n_users)).tolist()
             pos = 0
         comp_u, arr_u = block[pos]
         pos += 1
-        served, power, tput = _schedule(options, active, q, m_servers)
-        for _, n, row in served:
-            if comp_u[n] < row[2]:
-                active[n] = 0
-        for n in range(n_users):
-            if not active[n] and arr_u[n] < lams[n]:
-                active[n] = 1
+        served, power, tput = _schedule(options, residual, q, m_servers)
+        if packets:
+            success = [0.0] * n_users
+            for _, n, row in served:
+                success[n] = row[2] * means[n]
+            tput = 0.0
+            for n in range(n_users):
+                if residual[n]:
+                    if comp_u[n] < success[n]:
+                        residual[n] -= 1
+                        tput += weights[n]
+                        if residual[n] == 0 and arr_u[n] < lams[n]:
+                            residual[n] = samplers[n](rng)
+                elif arr_u[n] < lams[n]:
+                    residual[n] = samplers[n](rng)
+        else:
+            for _, n, row in served:
+                if comp_u[n] < row[2]:
+                    residual[n] = 0
+            for n in range(n_users):
+                if not residual[n] and arr_u[n] < lams[n]:
+                    residual[n] = 1
         q = q + power - beta
         if q < 0.0:
             q = 0.0
@@ -382,7 +417,7 @@ def two_queue_markov_throughput(lam1: float, lam2: float, priority: int) -> floa
 
 
 # ---------------------------------------------------------------------------
-# non-memoryless robustness harness
+# file length samplers for the packet model
 # ---------------------------------------------------------------------------
 
 
@@ -416,84 +451,6 @@ def poisson_file_sampler(mean: float) -> Callable[[np.random.Generator], int]:
     if not mean >= 1:
         raise ValueError("mean file length must be at least 1")
     return functools.partial(_poisson_draw, mean)
-
-
-def multi_user_run_nonmemoryless(
-    users: Sequence[UserSpec],
-    v: float,
-    m_servers: int,
-    beta: float,
-    horizon: int,
-    seed: int,
-) -> dict:
-    """Run the index policy against files with true integer residual lengths.
-
-    The policy still prices actions with the memoryless model (phi and the
-    mean file size), but a served file now loses one packet with per-packet
-    success probability phi * mean_file and completes when its residual hits
-    zero. Every user needs a ``file_length_sampler``. Throughput counts
-    weighted packets actually delivered. The power-queue bound stays a hard
-    per-slot check; it is a sample-path result that does not depend on the
-    file length model.
-    """
-    _check_run_args(users, v, m_servers, beta, horizon)
-    n_users = len(users)
-    packet_success = []
-    for u in users:
-        if u.file_length_sampler is None:
-            raise ValueError("every user needs a file_length_sampler")
-        probs = [phi * u.mean_file for phi, _ in u.actions]
-        if max(probs) > 1.0 + 1e-12:
-            raise ValueError(
-                "phi * mean_file must stay within [0, 1] to be a packet "
-                "success probability"
-            )
-        packet_success.append(probs)
-    rng = np.random.default_rng(seed)
-    options = _option_table(users, v)
-    lams = [u.lam for u in users]
-    weights = [u.weight for u in users]
-    samplers = [u.file_length_sampler for u in users]
-    bound = multi_user_queue_bound(users, v, beta) + 1e-9
-    residual = [0] * n_users
-    q = 0.0
-    tput_arr = np.empty(horizon)
-    power_arr = np.empty(horizon)
-    q_arr = np.empty(horizon)
-    for t in range(horizon):
-        comp_u = rng.random(n_users).tolist()
-        arr_u = rng.random(n_users).tolist()
-        served, power, _ = _schedule(options, residual, q, m_servers)
-        success = [0.0] * n_users
-        for _, n, row in served:
-            success[n] = packet_success[n][row[5]]
-        tput = 0.0
-        for n in range(n_users):
-            if residual[n]:
-                if comp_u[n] < success[n]:
-                    residual[n] -= 1
-                    tput += weights[n]
-                    if residual[n] == 0 and arr_u[n] < lams[n]:
-                        residual[n] = samplers[n](rng)
-            elif arr_u[n] < lams[n]:
-                residual[n] = samplers[n](rng)
-        q = q + power - beta
-        if q < 0.0:
-            q = 0.0
-        elif q > bound:
-            raise RuntimeError(
-                f"power queue {q:.6f} exceeded its deterministic bound {bound:.6f}"
-            )
-        tput_arr[t] = tput
-        power_arr[t] = power
-        q_arr[t] = q
-    return {
-        "throughput": tput_arr,
-        "power": power_arr,
-        "queue": q_arr,
-        "throughput_avg": float(tput_arr.mean()),
-        "power_avg": float(power_arr.mean()),
-    }
 
 
 # ---------------------------------------------------------------------------

@@ -39,15 +39,18 @@ def _apply_overrides(config: harness.ExperimentConfig,
                      args: argparse.Namespace) -> harness.ExperimentConfig:
     """``config`` with --seed, --out, --format and --jobs set on it, checked as
     the loader checks them; none touches the instance, so its build is kept."""
-    for key, minimum in (("seed", 0), ("jobs", 1)):
-        value = getattr(args, key)
-        if value is not None and value < minimum:
-            raise harness.ConfigError(f"<command line>: {key} must be at least "
-                                      f"{minimum}, got {value}", (key,))
-    for name, value in (("seed", args.seed), ("out_dir", args.out),
-                        ("format", args.format), ("jobs", args.jobs)):
-        if value is not None:
-            setattr(config, name, value)
+    overrides = {"seed": args.seed, "out_dir": args.out, "format": args.format,
+                 "jobs": args.jobs}
+    for key, value in overrides.items():
+        if value is None:
+            continue
+        if key in harness._COUNT_MINIMUMS:
+            try:
+                harness._as_number(overrides, key, None,
+                                   harness._COUNT_MINIMUMS[key])
+            except harness.ConfigError as err:
+                raise harness._located(err, "<command line>", None) from None
+        setattr(config, key, value)
     return config
 
 

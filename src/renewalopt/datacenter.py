@@ -175,14 +175,6 @@ def load_trace(path) -> Trace:
     return Trace(arrivals, costs)
 
 
-def write_trace(path, trace: Trace) -> None:
-    """Write ``trace`` as the CSV :func:`load_trace` reads, slots 0, 1, ..."""
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["slot", "arrivals", "cost"])
-        writer.writerows(zip(range(len(trace)), trace.arrivals, map(repr, trace.costs)))
-
-
 def uniform_trace(horizon: int, arrival_range=(10, 30), cost_range=(1, 6),
                   seed: int = 0) -> Trace:
     """I.i.d. trace: integer arrivals and rejection costs drawn uniformly from

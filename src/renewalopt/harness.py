@@ -31,7 +31,7 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -49,11 +49,6 @@ class ConfigError(ValueError):
     def __init__(self, message: str, keys: Tuple[str, ...] = ()):
         super().__init__(message)
         self.keys = keys
-
-
-_TOP_KEYS = ("kind", "instance", "v_values", "delta_values", "alpha_values",
-             "horizon", "replications", "seed", "out_dir", "format", "oracle",
-             "jobs")
 
 
 @dataclass
@@ -116,6 +111,11 @@ class ExperimentConfig:
         field except the output location and worker count."""
         return {key: value for key, value in self.to_mapping().items()
                 if key not in ("out_dir", "jobs")}
+
+
+_TOP_KEYS = tuple(f.name for f in fields(ExperimentConfig))
+# the least value of each integer field, for the loader and the CLI overrides
+_COUNT_MINIMUMS = {"horizon": 1, "replications": 1, "seed": 0, "jobs": 1}
 
 
 def _as_number(data, key, default, minimum, integer=True):
@@ -190,8 +190,7 @@ def _validated(data: Mapping) -> ExperimentConfig:
     instance = data.get("instance", {})
     defaults = ExperimentConfig(kind=kind)
     counts = {key: _as_number(data, key, getattr(defaults, key), minimum)
-              for key, minimum in (("horizon", 1), ("replications", 1),
-                                   ("seed", 0), ("jobs", 1))}
+              for key, minimum in _COUNT_MINIMUMS.items()}
     built = _under("instance", _build, kind, instance, counts["horizon"])
 
     sweeps = {}
@@ -284,45 +283,6 @@ def write_metrics(log: Mapping[str, Sequence], path, format: str = "csv") -> Non
         with open(path, "w") as handle:
             handle.write(json.dumps({"columns": columns, "values": values},
                                     indent=2) + "\n")
-
-
-_INT_ONLY = frozenset("-0123456789")
-
-
-def read_metrics(path, format: Optional[str] = None) -> Dict[str, np.ndarray]:
-    """Read a metrics file back into ordered named arrays.
-
-    ``format`` defaults to the file extension. Columns whose cells are all
-    integer literals come back as int64, everything else as float64.
-    """
-    if format is None:
-        format = "json" if str(path).endswith(".json") else "csv"
-    if format == "json":
-        with open(path) as handle:
-            payload = json.load(handle)
-        out = {}
-        for name in payload["columns"]:
-            raw = payload["values"][name]
-            integral = bool(raw) and all(
-                isinstance(x, int) and not isinstance(x, bool) for x in raw)
-            out[name] = np.asarray(raw, dtype=np.int64 if integral else float)
-        return out
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: metrics file is empty")
-        rows = [row for row in reader if row]
-    out = {}
-    for j, name in enumerate(header):
-        cells = [row[j] for row in rows]
-        integral = bool(cells) and all(
-            cell and set(cell) <= _INT_ONLY for cell in cells)
-        out[name] = np.asarray(
-            [int(c) for c in cells] if integral else [float(c) for c in cells],
-            dtype=np.int64 if integral else float)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -541,10 +501,8 @@ def _bandit_build(instance: Mapping, horizon: int):
 
 def _bandit_simulate(built, horizon, params, run_seed, aux_seed):
     users, m_servers, beta, _ = built
-    runner = bandit.multi_user_run
-    if any(u.file_length_sampler is not None for u in users):
-        runner = bandit.multi_user_run_nonmemoryless
-    out = runner(users, params["v"], m_servers, beta, horizon, run_seed)
+    out = bandit.multi_user_run(users, params["v"], m_servers, beta, horizon,
+                                run_seed)
     return {"throughput_avg": out["throughput_avg"], "power_avg": out["power_avg"],
             "queue_max": float(out["queue"].max())}
 

@@ -36,7 +36,12 @@ _STATE_CAP = 8192
 
 @dataclass
 class LpProblem:
-    """min c.x subject to a_eq x = b_eq, g_ub x <= h_ub, x >= 0."""
+    """min c.x subject to a_eq x = b_eq, g_ub x <= h_ub, x >= 0.
+
+    Each row block is given with its right-hand side or left out whole, and
+    every entry is finite; anything else raises ``ValueError`` naming the
+    field.
+    """
 
     c: np.ndarray
     a_eq: Optional[np.ndarray] = None
@@ -48,14 +53,19 @@ class LpProblem:
         self.c = np.asarray(self.c, dtype=float).ravel()
         for mat, vec in (("a_eq", "b_eq"), ("g_ub", "h_ub")):
             rows, rhs = getattr(self, mat), getattr(self, vec)
+            if (rows is None) != (rhs is None):
+                raise ValueError(f"{mat} and {vec} must be given together")
             if rows is None or np.size(rows) == 0:
-                rows, rhs = np.zeros((0, self.c.size)), np.zeros(0)
+                rows = np.zeros((0, self.c.size))
             rows = np.asarray(rows, dtype=float).reshape(-1, self.c.size)
-            rhs = np.asarray(rhs, dtype=float).ravel()
+            rhs = np.asarray(() if rhs is None else rhs, dtype=float).ravel()
             if rhs.size != rows.shape[0]:
                 raise ValueError(f"{vec} length does not match {mat} rows")
             setattr(self, mat, rows)
             setattr(self, vec, rhs)
+        for name in ("c", "a_eq", "b_eq", "g_ub", "h_ub"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"{name} must be finite")
 
 
 @dataclass

@@ -17,10 +17,12 @@ bit, and the last section, helpers that only the tests use.
 
 from __future__ import annotations
 
+import csv
 import itertools
+import json
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -890,3 +892,50 @@ def coupled_chain_lp_shape(n_users, nonzero_actions, served_limit,
         n_vars += int(round(sum(poly)))
     n_rows = 2 ** n_users + 1 + (1 if has_power_budget else 0)
     return n_vars + (1 if has_power_budget else 0), n_rows
+
+
+def write_trace(path, trace: Trace) -> None:
+    """Write ``trace`` as the CSV ``datacenter.load_trace`` reads, slots 0, 1, ..."""
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["slot", "arrivals", "cost"])
+        writer.writerows(zip(range(len(trace)), trace.arrivals, map(repr, trace.costs)))
+
+
+_INT_ONLY = frozenset("-0123456789")
+
+
+def read_metrics(path, format: Optional[str] = None) -> Dict[str, np.ndarray]:
+    """Read a metrics file back into ordered named arrays.
+
+    ``format`` defaults to the file extension. Columns whose cells are all
+    integer literals come back as int64, everything else as float64.
+    """
+    if format is None:
+        format = "json" if str(path).endswith(".json") else "csv"
+    if format == "json":
+        with open(path) as handle:
+            payload = json.load(handle)
+        out = {}
+        for name in payload["columns"]:
+            raw = payload["values"][name]
+            integral = bool(raw) and all(
+                isinstance(x, int) and not isinstance(x, bool) for x in raw)
+            out[name] = np.asarray(raw, dtype=np.int64 if integral else float)
+        return out
+    with open(path, newline="") as handle:
+        reader = csv.reader(handle)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise ValueError(f"{path}: metrics file is empty")
+        rows = [row for row in reader if row]
+    out = {}
+    for j, name in enumerate(header):
+        cells = [row[j] for row in rows]
+        integral = bool(cells) and all(
+            cell and set(cell) <= _INT_ONLY for cell in cells)
+        out[name] = np.asarray(
+            [int(c) for c in cells] if integral else [float(c) for c in cells],
+            dtype=np.int64 if integral else float)
+    return out

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 from fractions import Fraction
@@ -16,7 +17,6 @@ from renewalopt.bandit import (
     maxlambda_run,
     multi_user_queue_bound,
     multi_user_run,
-    multi_user_run_nonmemoryless,
     poisson_file_sampler,
     single_user_queue_bound,
     single_user_queue_update,
@@ -186,9 +186,7 @@ class TestMultiUser:
                 multi_user_run(users, 1.0, m, 5.0, horizon=10, seed=0)
         for m in (0, 9):
             with pytest.raises(ValueError):
-                multi_user_run_nonmemoryless(
-                    table_two_users(), 1.0, m, 5.0, horizon=10, seed=0
-                )
+                multi_user_run(table_two_users(), 1.0, m, 5.0, horizon=10, seed=0)
 
     def test_run_matches_step_composition(self):
         # (users, v, m_servers, beta, seed): the benchmark, then three users
@@ -295,9 +293,7 @@ def test_runners_reject_bad_v_and_beta(runner, v, beta):
         elif runner == "multi":
             multi_user_run(table_one_users(), v, 4, beta, horizon=2000, seed=0)
         else:
-            multi_user_run_nonmemoryless(
-                table_two_users(), v, 4, beta, horizon=2000, seed=0
-            )
+            multi_user_run(table_two_users(), v, 4, beta, horizon=2000, seed=0)
 
 
 def test_zero_budget_is_allowed():
@@ -399,7 +395,7 @@ class TestNonMemoryless:
     @pytest.mark.parametrize("dist", ["uniform", "poisson"])
     def test_benchmark_runs_within_queue_bound(self, dist):
         users = table_two_users(dist)
-        out = multi_user_run_nonmemoryless(
+        out = multi_user_run(
             users, v=70.0, m_servers=4, beta=5.0, horizon=20_000, seed=21
         )
         bound = multi_user_queue_bound(users, v=70.0, beta=5.0)
@@ -408,22 +404,30 @@ class TestNonMemoryless:
 
     def test_geometric_packets_match_memoryless_model(self):
         users = table_two_users("geometric")
-        packet = multi_user_run_nonmemoryless(
+        packet = multi_user_run(
             users, v=70.0, m_servers=4, beta=5.0, horizon=120_000, seed=4
         )
+        memoryless = [dataclasses.replace(u, file_length_sampler=None) for u in users]
         model = multi_user_run(
-            users, v=70.0, m_servers=4, beta=5.0, horizon=120_000, seed=17
+            memoryless, v=70.0, m_servers=4, beta=5.0, horizon=120_000, seed=17
         )
         assert packet["throughput_avg"] == pytest.approx(
             model["throughput_avg"], rel=0.1
         )
 
     def test_missing_sampler_rejected(self):
-        users = table_one_users()
-        with pytest.raises(ValueError):
-            multi_user_run_nonmemoryless(
-                users, v=10.0, m_servers=4, beta=5.0, horizon=10, seed=0
-            )
+        # a sampler picks the packet model, so users must all carry one or none
+        for missing in (0, 8):
+            users = table_two_users("uniform")
+            users[missing] = dataclasses.replace(users[missing], file_length_sampler=None)
+            with pytest.raises(ValueError, match="file_length_sampler"):
+                multi_user_run(users, v=10.0, m_servers=4, beta=5.0, horizon=10, seed=0)
+
+    def test_packet_success_must_be_a_probability(self):
+        users = table_two_users("uniform")
+        users[3] = dataclasses.replace(users[3], mean_file=20.0)
+        with pytest.raises(ValueError, match="packet success probability"):
+            multi_user_run(users, v=10.0, m_servers=4, beta=5.0, horizon=10, seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -435,11 +439,11 @@ _PIN_RUNS = {
     "table-one-seed-0": (multi_user_run, table_one_users, 70.0, 4, 5.0, 20_000, 0),
     "table-one-seed-1": (multi_user_run, table_one_users, 70.0, 4, 5.0, 20_000, 1),
     "tied-three-users": (multi_user_run, _tied_users, 10.0, 1, 0.6, 20_000, 2),
-    "nonmemoryless-geometric": (multi_user_run_nonmemoryless,
+    "nonmemoryless-geometric": (multi_user_run,
                                 lambda: table_two_users("geometric"), 70.0, 4, 5.0, 10_000, 3),
-    "nonmemoryless-uniform": (multi_user_run_nonmemoryless,
+    "nonmemoryless-uniform": (multi_user_run,
                               lambda: table_two_users("uniform"), 70.0, 4, 5.0, 10_000, 3),
-    "nonmemoryless-poisson": (multi_user_run_nonmemoryless,
+    "nonmemoryless-poisson": (multi_user_run,
                               lambda: table_two_users("poisson"), 70.0, 4, 5.0, 10_000, 3),
 }
 

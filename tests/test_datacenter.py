@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from oracles import queue_update
+from oracles import queue_update, write_trace
 from renewalopt import datacenter as dc
 from renewalopt.datacenter import (
     ServerConfig,
@@ -22,7 +22,6 @@ from renewalopt.datacenter import (
     run_datacenter,
     server_frame_decide,
     uniform_trace,
-    write_trace,
     zipf_mean,
 )
 

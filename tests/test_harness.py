@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import importlib
 import json
 import pickle
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from renewalopt import cli, coupled, datacenter, harness, ocmdp
 
 _SERVER = {"active_power": 4.0, "mu": ["constant", 3.0],
@@ -196,7 +198,7 @@ def _write_bad_files(where):
     doc["systems"][0]["f_mean"][0][0] = float("nan")
     (where / "nan_f_mean.json").write_text(json.dumps(doc))
     (where / "gap.csv").write_text("slot,arrivals,cost\n0,12,2.0\n2,5,1.0\n")
-    datacenter.write_trace(where / "short.csv", datacenter.uniform_trace(2, seed=1))
+    oracles.write_trace(where / "short.csv", datacenter.uniform_trace(2, seed=1))
 
 
 @pytest.mark.parametrize("name", sorted(_BAD_CONFIGS))
@@ -307,7 +309,7 @@ def test_parallel_fold_matches_serial(tmp_path, monkeypatch, name):
     # the config builds its instance once, at load; tasks pickle that build
     # to the workers, which only simulate it
     monkeypatch.chdir(tmp_path)
-    datacenter.write_trace(tmp_path / "trace.csv", datacenter.uniform_trace(40, seed=5))
+    oracles.write_trace(tmp_path / "trace.csv", datacenter.uniform_trace(40, seed=5))
     base = dict(_FOLD_CONFIGS[name], replications=2)
     config = harness.config_from_mapping(base)
     pickle.dumps(config.built)
@@ -380,6 +382,24 @@ def test_bandit_kind_with_explicit_users():
         ], "m_servers": 1, "beta": 1.0}})
     summary = harness.run_experiment(config)
     assert set(summary.rows[0]) >= {"throughput_avg", "power_avg", "queue_max"}
+
+
+# sha256 of rows.csv, recorded while each file model had its own runner
+_BANDIT_ROWS_PINS = {
+    "table-one": ({}, "ed415d8999f3ae45a499d4c10a24aad8915a4a850b2a7474c310dc6e5694a8be"),
+    "table-two-uniform": ({"users": "table-two", "file_dist": "uniform"},
+                          "0e43c04283e8ceae2f6ed9b101b5bed258975e4bbdd73f3291ae6f21dcb7361d"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BANDIT_ROWS_PINS))
+def test_bandit_rows_are_pinned(tmp_path, name):
+    instance, digest = _BANDIT_ROWS_PINS[name]
+    config = harness.config_from_mapping(_with(
+        _BANDIT, instance, horizon=3000, v_values=[20.0, 70.0], replications=2,
+        seed=5, out_dir=str(tmp_path)))
+    harness.run_experiment(config)
+    assert hashlib.sha256((tmp_path / "rows.csv").read_bytes()).hexdigest() == digest
 
 
 def _table_two_mapping(file_dist):
@@ -462,7 +482,7 @@ def test_ingest_rejects_gaps_and_negatives(tmp_path):
 
 def test_trace_file_is_read_once_per_experiment(tmp_path, monkeypatch):
     path = tmp_path / "trace.csv"
-    datacenter.write_trace(path, datacenter.uniform_trace(60, seed=2))
+    oracles.write_trace(path, datacenter.uniform_trace(60, seed=2))
     mapping = {
         "kind": "datacenter", "horizon": 60, "v_values": [5.0, 50.0],
         "replications": 2,
@@ -485,7 +505,7 @@ def test_trace_file_is_read_once_per_experiment(tmp_path, monkeypatch):
 def test_trace_is_checked_once_at_load(tmp_path, monkeypatch):
     # the loaded Trace is checked when it is made; no cell checks it again
     path = tmp_path / "trace.csv"
-    datacenter.write_trace(path, datacenter.uniform_trace(60, seed=2))
+    oracles.write_trace(path, datacenter.uniform_trace(60, seed=2))
     config = harness.config_from_mapping(_with(
         _FARM, {"trace": {"path": str(path)}}, v_values=[5.0, 50.0],
         replications=2))
@@ -515,7 +535,7 @@ def test_ocmdp_path_instance_is_loaded_once_per_experiment(tmp_path, monkeypatch
 def test_generated_trace_roundtrips(tmp_path):
     records = datacenter.uniform_trace(50, seed=4)
     path = tmp_path / "trace.csv"
-    datacenter.write_trace(path, records)
+    oracles.write_trace(path, records)
     assert datacenter.load_trace(path) == records
 
 
@@ -532,7 +552,7 @@ def test_metrics_roundtrip_both_formats(tmp_path):
     for fmt in ("csv", "json"):
         path = tmp_path / f"m.{fmt}"
         harness.write_metrics(table, path, fmt)
-        back = harness.read_metrics(path)
+        back = oracles.read_metrics(path)
         assert list(back) == ["first", "second", "slot"]
         for name in ("first", "second"):
             rel = np.abs(back[name] - table[name]) / np.abs(table[name])
@@ -546,8 +566,8 @@ def test_metrics_csv_and_json_parse_identically(tmp_path):
     table = {"x": rng.normal(size=500), "n": rng.integers(0, 9, size=500)}
     harness.write_metrics(table, tmp_path / "m.csv", "csv")
     harness.write_metrics(table, tmp_path / "m.json", "json")
-    from_csv = harness.read_metrics(tmp_path / "m.csv")
-    from_json = harness.read_metrics(tmp_path / "m.json")
+    from_csv = oracles.read_metrics(tmp_path / "m.csv")
+    from_json = oracles.read_metrics(tmp_path / "m.json")
     for name in table:
         assert np.array_equal(from_csv[name], from_json[name])
 
@@ -570,7 +590,7 @@ def test_metrics_validation(tmp_path):
 def test_metrics_roundtrip_property(tmp_path_factory, values):
     path = tmp_path_factory.mktemp("metrics") / "m.csv"
     harness.write_metrics({"col": values}, path)
-    back = harness.read_metrics(path)["col"]
+    back = oracles.read_metrics(path)["col"]
     expected = np.asarray(values, dtype=float)
     scale = np.maximum(np.abs(expected), 1e-300)
     assert (np.abs(back - expected) / scale).max() < 1e-11
@@ -630,7 +650,7 @@ def test_cli_seed_override_changes_rows(tmp_path):
 
 def test_cli_builds_each_instance_once(tmp_path, monkeypatch):
     # the overrides touch no instance, so the config's load-time build is kept
-    datacenter.write_trace(tmp_path / "trace.csv", datacenter.uniform_trace(40, seed=5))
+    oracles.write_trace(tmp_path / "trace.csv", datacenter.uniform_trace(40, seed=5))
     ocmdp.save_instance(ocmdp.two_mdp_example(), str(tmp_path / "two_mdp.json"))
     calls = []
     for module, name in ((datacenter, "load_trace"), (ocmdp, "load_instance")):
@@ -654,7 +674,7 @@ def test_cli_builds_each_instance_once(tmp_path, monkeypatch):
 def test_invariants_suite_keeps_the_load_time_build(tmp_path, monkeypatch, capsys):
     # the three reruns of the invariants suite use the config's load-time
     # build, so a trace path is read once
-    datacenter.write_trace(tmp_path / "trace.csv", datacenter.uniform_trace(40, seed=5))
+    oracles.write_trace(tmp_path / "trace.csv", datacenter.uniform_trace(40, seed=5))
     calls = []
     load = datacenter.load_trace
     monkeypatch.setattr(datacenter, "load_trace", lambda p: calls.append(p) or load(p))

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -122,6 +124,26 @@ def test_simplex_leaves_a_cycle_of_the_pivot_size_filter():
 def test_simplex_zero_rows_edge_cases():
     assert solve_lp(LpProblem(c=[1.0, 1.0])).status == "optimal"
     assert solve_lp(LpProblem(c=[-1.0])).status == "unbounded"
+
+
+_BAD_PROBLEMS = {
+    "a_eq-without-b_eq": (dict(c=[1, 2], a_eq=[[1, 1]]), "a_eq and b_eq"),
+    "b_eq-without-a_eq": (dict(c=[1, 2], b_eq=[1]), "a_eq and b_eq"),
+    "g_ub-without-h_ub": (dict(c=[1, 1], g_ub=[[1, 1]]), "g_ub and h_ub"),
+    "h_ub-without-g_ub": (dict(c=[1, 1], h_ub=[1]), "g_ub and h_ub"),
+    "c-nan": (dict(c=[1, math.nan]), "^c must be finite"),
+    "a_eq-inf": (dict(c=[1, 1], a_eq=[[1, math.inf]], b_eq=[1]), "a_eq must be finite"),
+    "b_eq-nan": (dict(c=[1, 1], a_eq=[[1, 1]], b_eq=[math.nan]), "b_eq must be finite"),
+    "g_ub-nan": (dict(c=[1, 1], g_ub=[[math.nan, 1]], h_ub=[1]), "g_ub must be finite"),
+    "h_ub-inf": (dict(c=[1, 1], g_ub=[[1, 1]], h_ub=[math.inf]), "h_ub must be finite"),
+}
+
+
+@pytest.mark.parametrize("name", list(_BAD_PROBLEMS))
+def test_problem_refuses_missing_or_nonfinite_data(name):
+    kwargs, message = _BAD_PROBLEMS[name]
+    with pytest.raises(ValueError, match=message):
+        LpProblem(**kwargs)
 
 
 def test_fractional_single_action_example():
