@@ -15,14 +15,16 @@ every system takes a projected gradient step (:func:`ocmdp_step`)
 
 and the shared virtual queues absorb the expected constraint usage of the new
 occupation vectors. Projections are exact: an active-set method walks the
-faces of the polyhedron and stops, after finitely many, when the bound
-multipliers certify optimality. Membership is enforced there, once per
-update: the projection clamps theta at zero and raises unless its affine
+faces of the polyhedron, warm-started from the system's previous theta, and
+stops when the bound multipliers certify optimality. It computes each face
+point from the input alone, so warm and cold starts that end on the same
+face agree bit for bit. It clamps theta at zero and raises unless the affine
 residual is within 1e-8; the ocmdp-scaling acceptance criterion re-checks
-every logged theta against the same bound. Play draws from the visited
-state's row of theta: actions and next states are drawn by inverting the
-same CDFs, on the same uniform draws, as ``Generator.choice``, and realized
-penalties feed the regret accounting against the best stationary baseline.
+every logged theta against the same bound. The slot loop runs on Python
+floats; numpy holds the logs and each system's uniforms, drawn in chunks of
+slots. Play inverts the same CDFs, on the same uniforms, as
+``Generator.choice``, and realized penalties feed the regret accounting
+against the best stationary baseline.
 
 The module also owns the LPs over products of occupation polyhedra: the
 stationary baseline (:func:`stationary_baseline`) and the Slater margin
@@ -33,9 +35,12 @@ coupling rows, and are solved by ``lp.solve_lp``.
 from __future__ import annotations
 
 import bisect
+import functools
 import hashlib
+import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
@@ -49,6 +54,9 @@ _ROW_SUM_TOL = 1e-12
 _SLATER_TOL = 1e-6
 # Generator.choice rejects p whose sum misses 1 by more than this
 _CHOICE_ATOL = math.sqrt(np.finfo(np.float64).eps)
+# slots of uniforms each system draws at once; a larger chunk's Python lists
+# raise the run's peak memory for little time
+_CHUNK = 256
 
 
 @dataclass
@@ -116,9 +124,7 @@ class MdpSpec:
             if not math.isfinite(self.psi):
                 raise ValueError("psi must be finite")
             if self.psi + 1e-12 < needed:
-                raise ValueError(
-                    f"psi={self.psi} cannot bound tables reaching {needed}"
-                )
+                raise ValueError(f"psi={self.psi} cannot bound tables reaching {needed}")
 
     def _tightest_bound(self) -> float:
         peak = float(np.abs(self.f_mean).max())
@@ -152,30 +158,24 @@ class MdpSpec:
         direction, period = self.f_drift
         return self.f_mean + math.sin(2.0 * math.pi * slot / period) * direction
 
-    def sample_tables(self, slot: int, rng: np.random.Generator) -> Tuple[np.ndarray, np.ndarray]:
-        """Realized (f, g) tables for one slot: mean + uniform noise, clipped.
+    def sample_tables(self, slot: int, uniforms: Sequence[float] = ()) -> List[float]:
+        """Realized tables for one slot, flat: f's entries, then each g's,
+        row-major. Each is its mean plus uniform noise, clipped to [-psi, psi].
 
-        f and g are views of one buffer, noised by one uniform draw over f
-        then g: the same stream as one draw for f followed by one for g.
+        ``uniforms`` holds one draw on [0, 1) per entry, unread when noise
+        is 0. An entry's noise is -noise + 2 * noise * u, what
+        ``Generator.uniform(-noise, noise)`` makes of the same u.
         """
-        f_mean = self.mean_f_at(slot)
-        tables = np.concatenate((f_mean.ravel(), self.g_means.ravel()))
+        tables = self.mean_f_at(slot).ravel().tolist() + self.g_means.ravel().tolist()
         if self.noise > 0.0:
-            tables += rng.uniform(-self.noise, self.noise, size=tables.size)
-        np.maximum(tables, -self.psi, out=tables)
-        np.minimum(tables, self.psi, out=tables)
-        split = f_mean.size
-        return tables[:split].reshape(f_mean.shape), tables[split:].reshape(self.g_means.shape)
-
-
-def _stationary_distribution(p: np.ndarray) -> np.ndarray:
-    """Stationary distribution of one row-stochastic matrix via least squares."""
-    n = p.shape[0]
-    a = np.vstack([p.T - np.eye(n), np.ones((1, n))])
-    b = np.zeros(n + 1)
-    b[-1] = 1.0
-    d, *_ = np.linalg.lstsq(a, b, rcond=None)
-    return d
+            if len(uniforms) != len(tables):
+                raise ValueError(f"need {len(tables)} uniforms, got {len(uniforms)}")
+            low = -self.noise
+            span = self.noise - low
+            tables = [x + (low + span * u) for x, u in zip(tables, uniforms)]
+        bottom, top = -self.psi, self.psi
+        tables = [x if x > bottom else bottom for x in tables]
+        return [x if x < top else top for x in tables]
 
 
 @dataclass
@@ -185,7 +185,7 @@ class PolyhedronTheta:
     ``aff_a theta = aff_b`` stacks the balance equations (one redundant row
     dropped) and the simplex normalization; the orthant theta >= 0 completes
     the set. ``uniform_theta`` is the uniform policy's stationary occupation
-    vector: membership witness and the projection's start.
+    vector: membership witness and the projection's cold start.
     ``next_state_cdfs[a][s]`` is the inverse CDF of the next state after
     action a in state s (see :func:`_choice_cdf`). ``faces`` memoises
     :meth:`face` on the object itself, so no memo outlives its polyhedron.
@@ -212,16 +212,20 @@ class PolyhedronTheta:
         negative = float(max(0.0, -theta.min()))
         return max(affine, negative)
 
-    def face(self, free: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Null-space projector of M = [aff_a; identity rows off ``free``],
-        and pinv(M)^T's bound rows, which map z - x to bound multipliers."""
-        key = free.tobytes()
-        if key not in self.faces:
-            rows = np.vstack([self.aff_a, np.eye(self.dim)[~free]])
+    def face(self, free: Tuple[bool, ...]) -> Tuple[list, List[float], list]:
+        """The face whose entries off ``free`` are zero, as Python lists: the
+        null-space projector N of M = [aff_a; identity rows off ``free``],
+        the offset c = pinv(M)[:, :m] aff_b, so that N x + c is the face
+        point nearest x, and pinv(M)^T's bound rows, which map that point
+        minus x to the bound multipliers."""
+        if free not in self.faces:
+            rows = np.vstack([self.aff_a, np.eye(self.dim)[~np.array(free)]])
             back = np.linalg.pinv(rows)
-            self.faces[key] = (np.eye(self.dim) - back @ rows,
-                               back.T[self.aff_a.shape[0]:])
-        return self.faces[key]
+            m = self.aff_a.shape[0]
+            self.faces[free] = ((np.eye(self.dim) - back @ rows).tolist(),
+                                (back[:, :m] @ self.aff_b).tolist(),
+                                back.T[m:].tolist())
+        return self.faces[free]
 
 
 def build_polyhedron(spec: MdpSpec) -> PolyhedronTheta:
@@ -246,16 +250,15 @@ def build_polyhedron(spec: MdpSpec) -> PolyhedronTheta:
     aff_b = np.zeros(n_s)
     aff_b[-1] = 1.0
 
-    d = _stationary_distribution(p.mean(axis=0))
+    # the uniform policy's chain, stationary by least squares
+    chain = p.mean(axis=0)
+    d = np.linalg.lstsq(np.vstack([chain.T - np.eye(n_s), np.ones((1, n_s))]),
+                        np.eye(n_s + 1)[-1], rcond=None)[0]
     uniform_theta = np.repeat(d, n_a) / n_a
     poly = PolyhedronTheta(
-        aff_a=aff_a,
-        aff_b=aff_b,
-        dim=dim,
-        n_states=n_s,
-        n_actions=n_a,
+        aff_a=aff_a, aff_b=aff_b, dim=dim, n_states=n_s, n_actions=n_a,
         uniform_theta=uniform_theta,
-        next_state_cdfs=[[_choice_cdf(row) for row in p[a]] for a in range(n_a)],
+        next_state_cdfs=[[_choice_cdf(row) for row in p[a].tolist()] for a in range(n_a)],
     )
     witness = poly.membership_residual(uniform_theta)
     if not witness <= 1e-9:
@@ -265,136 +268,162 @@ def build_polyhedron(spec: MdpSpec) -> PolyhedronTheta:
     return poly
 
 
-def project_onto_theta(poly: PolyhedronTheta, x: np.ndarray) -> np.ndarray:
+def _dot(row: Sequence[float], vec: Sequence[float]) -> float:
+    """The products' exact sum, rounded once: the same on every Python,
+    where ``sum``'s rounding changed in 3.12."""
+    return math.fsum(map(operator.mul, row, vec))
+
+
+def project_onto_theta(poly: PolyhedronTheta, x: Sequence[float],
+                       start: Optional[Sequence[float]] = None) -> np.ndarray:
     """Euclidean projection onto the occupation polyhedron.
 
     Primal active-set method on the bounds theta >= 0 (Nocedal & Wright,
-    Algorithm 16.3) from ``poly.uniform_theta``, its zero entries bound. Each
-    step projects x - z onto the face and goes as far as the free entries stay
-    nonnegative, binding the one that blocks; after a full step the bound with
-    the most negative multiplier is freed, until none is negative beyond
-    rounding. The result is exactly nonnegative, with affine residual <= 1e-8.
+    Algorithm 16.3), from ``start``, a member such as the previous slot's
+    theta (a warm start, their section 16.5), or else ``poly.uniform_theta``;
+    the start's zero entries are bound. Each iteration takes the current
+    face's point nearest x, N_F x + c_F (see :meth:`PolyhedronTheta.face`),
+    and goes from z towards it as far as the free entries stay nonnegative,
+    binding the one that blocks; after a full step the bound with the most
+    negative multiplier is freed, until none is negative beyond rounding.
+    The result, N_F x + c_F of the last face clamped at zero, depends on the
+    start only through that face, and no residual carries over from a warm
+    start. It is exactly nonnegative, with affine residual <= 1e-8.
     """
-    x = np.asarray(x, dtype=float).ravel()
-    if x.size != poly.dim:
+    x = np.asarray(x, dtype=float).ravel().tolist()
+    z = poly.uniform_theta.tolist() if start is None else [float(v) for v in start]
+    if len(x) != poly.dim or len(z) != poly.dim:
         raise ValueError("vector length does not match the polyhedron")
-    if not np.isfinite(x).all():
+    if not all(map(math.isfinite, x)) or not all(map(math.isfinite, z)):
         raise ValueError("projection input must be finite")
-    z = np.maximum(poly.uniform_theta, 0.0)
-    free = z > 0.0
+    z = [v if v > 0.0 else 0.0 for v in z]
+    free = [v > 0.0 for v in z]
     # freeing a bound whose multiplier is only rounding below zero can re-bind
     # it at once with a zero-length step, and so on without end
-    rounding = 1e-12 * (1.0 + float(np.abs(x).max()))
+    rounding = 1e-12 * (1.0 + max(map(abs, x)))
     while True:
-        null_proj, multipliers = poly.face(free)
-        p = np.where(free, null_proj @ (x - z), 0.0)
-        shrinking = (free & (p < 0.0)).nonzero()[0]
-        ratios = z[shrinking] / -p[shrinking]
-        if ratios.size and ratios.min() < 1.0:
-            k = int(ratios.argmin())
-            z = np.maximum(z + ratios[k] * p, 0.0)
-            z[shrinking[k]] = 0.0
-            free[shrinking[k]] = False
+        null_proj, offset, multipliers = poly.face(tuple(free))
+        y = [_dot(row, x) + c if f else 0.0 for row, c, f in zip(null_proj, offset, free)]
+        ratio, block = 1.0, -1
+        for j, (yj, zj) in enumerate(zip(y, z)):
+            if yj < zj and zj / (zj - yj) < ratio:
+                ratio, block = zj / (zj - yj), j
+        if block >= 0:
+            z = [0.0 if v <= 0.0 else v for v in (zj + ratio * (yj - zj) for yj, zj in zip(y, z))]
+            z[block] = 0.0
+            free[block] = False
             continue
-        z = z + p
-        mu = multipliers @ (z - x)
-        if not mu.size or mu.min() >= -rounding:
+        z = y
+        gap = [zj - xj for zj, xj in zip(z, x)]
+        lowest, release = -rounding, -1
+        for j, row in zip([j for j, f in enumerate(free) if not f], multipliers):
+            mu = _dot(row, gap)
+            if mu < lowest:
+                lowest, release = mu, j
+        if release < 0:
             break
-        free[(~free).nonzero()[0][mu.argmin()]] = True
-    z = np.maximum(z, 0.0)
-    affine = float(np.abs(poly.aff_a @ z - poly.aff_b).max())
+        free[release] = True
+    z = [0.0 if v <= 0.0 else v for v in z]
+    residuals = [abs(_dot(row, z) - b) for row, b in zip(poly.aff_a.tolist(), poly.aff_b.tolist())]
+    affine = math.nan if any(r != r for r in residuals) else max(residuals)
     if not affine <= _MEMBERSHIP_TOL:
         raise RuntimeError(
             f"projection affine residual {affine:.3e} exceeds {_MEMBERSHIP_TOL}"
         )
-    return z
+    return np.array(z)
 
 
-def _choice_cdf(p: np.ndarray) -> List[float]:
-    """The inverse CDF that ``Generator.choice(p.size, p=p)`` searches.
+def _row_sum(values: List[float]) -> float:
+    """``np.sum`` of a list, bit for bit: under 8 entries numpy adds them in
+    order from 0.0, from 8 on it sums pairwise, so it is left to numpy."""
+    if len(values) >= 8:
+        return float(np.sum(values))
+    return functools.reduce(operator.add, values, 0.0)
+
+
+def _choice_cdf(p: List[float]) -> List[float]:
+    """The inverse CDF that ``Generator.choice(len(p), p=p)`` searches.
 
     Raises unless p passes choice's own check: nonnegative, with a Kahan sum
-    within sqrt(eps) of 1. ``bisect_right(cdf, rng.random())`` then draws
-    the index choice would draw, from the same uniform.
+    within sqrt(eps) of 1. The CDF is p's running sum over its last entry,
+    and ``bisect_right(cdf, u)`` draws the index choice draws from u.
     """
-    values = p.tolist()
-    total, carry = values[0], 0.0
-    for value in values[1:]:
+    total, carry = p[0], 0.0
+    for value in p[1:]:
         y = value - carry
         t = total + y
         carry = (t - total) - y
         total = t
-    if not abs(total - 1.0) <= _CHOICE_ATOL or min(values) < 0.0:
+    if not abs(total - 1.0) <= _CHOICE_ATOL or min(p) < 0.0:
         raise ValueError("probabilities must be nonnegative and sum to 1")
-    cdf = p.cumsum()
-    cdf /= cdf[-1]
-    return cdf.tolist()
+    cdf = list(itertools.accumulate(p))
+    last = cdf[-1]
+    return [c / last for c in cdf]
 
 
-def _play(poly: PolyhedronTheta, theta: np.ndarray, s: int,
-          rng: np.random.Generator) -> Tuple[int, int]:
+def _play(poly: PolyhedronTheta, theta: List[float], s: int,
+          u_action: float, u_next: float) -> Tuple[int, int]:
     """Draw an action at state s under the policy theta encodes, then the
-    next state.
+    next state, from two uniforms on [0, 1).
 
-    The action distribution is theta(s, .) over its marginal, renormalised;
-    a state with no positive marginal carries no mass under theta, so any
-    distribution works there and the uniform one is used.
+    The action distribution is theta(s, .) over its marginal, renormalised
+    as ``Generator.choice`` is given it; a state with no positive marginal
+    carries no mass under theta, so any distribution works there and the
+    uniform one is used.
     """
     n_a = poly.n_actions
     row = theta[s * n_a : (s + 1) * n_a]
-    marginal = row.sum()
-    row = row / marginal if marginal > 0.0 else np.full(n_a, 1.0 / n_a)
-    a = bisect.bisect_right(_choice_cdf(row / row.sum()), rng.random())
-    return a, bisect.bisect_right(poly.next_state_cdfs[a][s], rng.random())
+    marginal = _row_sum(row)
+    row = [v / marginal for v in row] if marginal > 0.0 else [1.0 / n_a] * n_a
+    total = _row_sum(row)
+    a = bisect.bisect_right(_choice_cdf([v / total for v in row]), u_action)
+    return a, bisect.bisect_right(poly.next_state_cdfs[a][s], u_next)
 
 
-def ocmdp_step(
-    polys: Sequence[PolyhedronTheta],
-    thetas: Sequence[np.ndarray],
-    queues: np.ndarray,
-    f_prev: Sequence[np.ndarray],
-    g_prev: Sequence[np.ndarray],
-    v: float,
-    alpha: float,
-) -> Tuple[List[np.ndarray], np.ndarray]:
-    """The projected update, from one slot's revealed tables.
+def _check_weights(v: float, alpha: float) -> None:
+    if not 0.0 <= v < math.inf:
+        raise ValueError(f"v must be finite and nonnegative, got {v}")
+    if not 0.0 < alpha < math.inf:
+        raise ValueError(f"alpha must be finite and positive, got {alpha}")
 
-    Per system: fold the tables into w = v*f + sum_i Q_i * g_i and project
-    theta - w/(2*alpha) back onto the polyhedron. The virtual queues then
-    absorb the expected constraint usage of the new occupation vectors.
-    Returns (next slot's thetas, next slot's queues). Membership of each new
-    theta is enforced by :func:`project_onto_theta`, which clamps it at zero
-    and raises if its affine residual exceeds 1e-8, and re-checked per logged
-    slot by the ocmdp-scaling acceptance criterion.
+
+def ocmdp_step(polys: Sequence[PolyhedronTheta], thetas: Sequence[List[float]],
+               queues: List[float], tables: Sequence[List[float]],
+               v: float, alpha: float) -> Tuple[List[List[float]], List[float]]:
+    """The projected update, from one slot's revealed tables, on Python floats.
+
+    Per system: fold its flat tables (see :meth:`MdpSpec.sample_tables`)
+    into w = v*f + sum_i Q_i * g_i and project theta - w/(2*alpha) back onto
+    the polyhedron, warm-started from theta. The virtual queues then absorb
+    the expected constraint usage of the new occupation vectors. Returns
+    (next slot's thetas, next slot's queues). :func:`project_onto_theta`
+    enforces each new theta's membership.
     """
-    if not alpha > 0.0:
-        raise ValueError("alpha must be positive")
+    _check_weights(v, alpha)
     step = 2.0 * alpha
-    new_thetas: List[np.ndarray] = []
-    drift = np.zeros(queues.shape)
-    for poly, theta, f, g in zip(polys, thetas, f_prev, g_prev):
-        g_flat = g.reshape(queues.size, poly.dim)
-        w = v * f.ravel()
-        if queues.size:
-            w = w + queues @ g_flat
-        theta = project_onto_theta(poly, theta - w / step)
-        if queues.size:
-            drift += g_flat @ theta
+    new_thetas: List[List[float]] = []
+    drift = [0.0] * len(queues)
+    for poly, theta, table in zip(polys, thetas, tables):
+        dim = poly.dim
+        x = []
+        for j in range(dim):
+            w = v * table[j]
+            for i, q in enumerate(queues, 1):
+                w += q * table[i * dim + j]
+            x.append(theta[j] - w / step)
+        theta = project_onto_theta(poly, x, start=theta).tolist()
+        for i in range(len(queues)):
+            drift[i] += _dot(table[(i + 1) * dim : (i + 2) * dim], theta)
         new_thetas.append(theta)
-    return new_thetas, np.maximum(queues + drift, 0.0)
+    return new_thetas, [0.0 if q + d <= 0.0 else q + d for q, d in zip(queues, drift)]
 
 
 def _spec_record(spec: MdpSpec) -> dict:
     """One system's fields as plain JSON values: what :func:`save_instance`
     writes, :func:`load_instance` reads back and
     :func:`instance_fingerprint` hashes."""
-    record = {
-        "transitions": spec.transitions.tolist(),
-        "f_mean": spec.f_mean.tolist(),
-        "g_means": spec.g_means.tolist(),
-        "noise": spec.noise,
-        "psi": spec.psi,
-    }
+    record = {"transitions": spec.transitions.tolist(), "f_mean": spec.f_mean.tolist(),
+              "g_means": spec.g_means.tolist(), "noise": spec.noise, "psi": spec.psi}
     if spec.f_drift is not None:
         direction, period = spec.f_drift
         record["f_drift"] = {"direction": direction.tolist(), "period": period}
@@ -439,11 +468,8 @@ def _coupled_polytope_rows(polys, g_means, extra=0):
     return a_eq, b_eq, g_ub, offs
 
 
-def stationary_baseline(
-    polyhedra: Sequence[object],
-    mean_f: Sequence[np.ndarray],
-    mean_g: Sequence[np.ndarray],
-) -> Tuple[List[np.ndarray], float]:
+def stationary_baseline(polyhedra: Sequence[object], mean_f: Sequence[np.ndarray],
+                        mean_g: Sequence[np.ndarray]) -> Tuple[List[np.ndarray], float]:
     """Best stationary occupation vectors for parallel MDPs under coupling.
 
     Minimizes sum_k <mean_f[k], theta_k> over theta_k in each polytope subject
@@ -463,10 +489,7 @@ def stationary_baseline(
     return thetas, float(sol.objective_value)
 
 
-def slater_margin(
-    polys: Sequence[PolyhedronTheta],
-    g_means: Sequence[np.ndarray],
-) -> float:
+def slater_margin(polys: Sequence[PolyhedronTheta], g_means: Sequence[np.ndarray]) -> float:
     """Largest s with sum_k <g_i, theta_k> <= -s feasible for every i.
 
     A positive margin certifies strict feasibility of the coupling
@@ -497,15 +520,10 @@ class StationaryBaseline:
 
 def solve_baseline(specs: Sequence[MdpSpec]) -> StationaryBaseline:
     """Solve the coupled stationary benchmark on the instance's true means."""
-    polys = [build_polyhedron(spec) for spec in specs]
-    thetas, value = stationary_baseline(
-        polys,
-        [spec.f_mean for spec in specs],
-        [spec.g_means for spec in specs],
-    )
-    return StationaryBaseline(
-        thetas=thetas, value=value, fingerprint=instance_fingerprint(specs)
-    )
+    thetas, value = stationary_baseline([build_polyhedron(spec) for spec in specs],
+                                        [spec.f_mean for spec in specs],
+                                        [spec.g_means for spec in specs])
+    return StationaryBaseline(thetas=thetas, value=value, fingerprint=instance_fingerprint(specs))
 
 
 @dataclass
@@ -544,15 +562,9 @@ def _common_constraint_count(specs: Sequence[MdpSpec]) -> int:
     return counts.pop()
 
 
-def run_ocmdp(
-    specs: Sequence[MdpSpec],
-    horizon: int,
-    v: float,
-    alpha: float,
-    seed: int = 0,
-    theta0: Optional[Sequence[np.ndarray]] = None,
-    initial_states: Optional[Sequence[int]] = None,
-) -> OcmdpLog:
+def run_ocmdp(specs: Sequence[MdpSpec], horizon: int, v: float, alpha: float,
+              seed: int = 0, theta0: Optional[Sequence[np.ndarray]] = None,
+              initial_states: Optional[Sequence[int]] = None) -> OcmdpLog:
     """Simulate the projected-update controller on its true chains.
 
     Every slot runs the same way: each system plays its current theta at its
@@ -570,10 +582,7 @@ def run_ocmdp(
         raise ValueError("need at least one system")
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
-    if not v >= 0.0:
-        raise ValueError("v must be nonnegative")
-    if not alpha > 0.0:
-        raise ValueError("alpha must be positive")
+    _check_weights(v, alpha)
     v, alpha = float(v), float(alpha)
     m = _common_constraint_count(specs)
     polys = [build_polyhedron(spec) for spec in specs]
@@ -585,11 +594,11 @@ def run_ocmdp(
             )
     n_sys = len(specs)
     if theta0 is None:
-        thetas = [poly.uniform_theta.copy() for poly in polys]
+        thetas = [poly.uniform_theta.tolist() for poly in polys]
     else:
         if len(theta0) != n_sys:
             raise ValueError("theta0 must give one vector per system")
-        thetas = [np.asarray(t, dtype=float).ravel().copy() for t in theta0]
+        thetas = [np.asarray(t, dtype=float).ravel().tolist() for t in theta0]
         for poly, theta in zip(polys, thetas):
             residual = poly.membership_residual(theta)
             if not residual <= _MEMBERSHIP_TOL:
@@ -607,7 +616,10 @@ def run_ocmdp(
                 raise ValueError("initial state out of range")
         states = states.tolist()
     rngs = _spawn_rngs(seed, n_sys)
-    queues = np.zeros(m)
+    # per slot, each system's stream gives its action and next-state
+    # uniforms, then, if it is noisy, one per table entry
+    widths = [2 + spec.dim * (1 + m) if spec.noise > 0.0 else 2 for spec in specs]
+    queues = [0.0] * m
 
     queues_log = np.zeros((horizon + 1, m))
     realized_f = np.zeros(horizon)
@@ -617,25 +629,31 @@ def run_ocmdp(
     thetas_log = [np.zeros((horizon, spec.dim)) for spec in specs]
 
     for t in range(horizon):
-        visited, acts, states = states, [], []
-        for poly, theta, s, rng in zip(polys, thetas, visited, rngs):
-            a, s_next = _play(poly, theta, s, rng)
+        row = t % _CHUNK
+        if not row:
+            draws = [rng.random((min(_CHUNK, horizon - t), width)).tolist()
+                     for rng, width in zip(rngs, widths)]
+        visited, acts, states, tables = states, [], [], []
+        penalty, usage = 0.0, [0.0] * m
+        for k, (spec, poly, theta, s) in enumerate(zip(specs, polys, thetas, visited)):
+            u = draws[k][row]
+            a, s_next = _play(poly, theta, s, u[0], u[1])
+            table = spec.sample_tables(t, u[2:])
+            entry = s * poly.n_actions + a
+            penalty += table[entry]
+            for i in range(m):
+                usage[i] += table[(i + 1) * poly.dim + entry]
             acts.append(a)
             states.append(s_next)
-        f_tabs, g_tabs = zip(*[spec.sample_tables(t, rng) for spec, rng in zip(specs, rngs)])
+            tables.append(table)
+            thetas_log[k][t] = theta
         queues_log[t + 1] = queues
         states_log[t] = visited
         actions_log[t] = acts
-        penalty = 0.0
-        for k in range(n_sys):
-            s, a = visited[k], acts[k]
-            thetas_log[k][t] = thetas[k]
-            penalty += f_tabs[k][s, a]
-            if m:
-                realized_g[t] += g_tabs[k][:, s, a]
         realized_f[t] = penalty
+        realized_g[t] = usage
         if t + 1 < horizon:
-            thetas, queues = ocmdp_step(polys, thetas, queues, f_tabs, g_tabs, v, alpha)
+            thetas, queues = ocmdp_step(polys, thetas, queues, tables, v, alpha)
 
     return OcmdpLog(
         horizon=horizon,
@@ -709,28 +727,10 @@ def two_mdp_example(noise: float = 0.25) -> List[MdpSpec]:
     on the infeasible side, which makes both regret and cumulative
     violation grow through the transient.
     """
-    first = MdpSpec(
-        transitions=np.array(
-            [
-                [[0.9, 0.1], [0.5, 0.5]],
-                [[0.2, 0.8], [0.1, 0.9]],
-            ]
-        ),
-        f_mean=np.array([[0.2, 1.0], [0.1, 0.8]]),
-        g_means=np.array([[[0.9, -0.35], [0.8, -0.5]]]),
-        noise=noise,
-        psi=1.5,
-    )
-    second = MdpSpec(
-        transitions=np.array(
-            [
-                [[0.7, 0.3], [0.4, 0.6]],
-                [[0.3, 0.7], [0.2, 0.8]],
-            ]
-        ),
-        f_mean=np.array([[0.1, 0.9], [0.3, 1.1]]),
-        g_means=np.array([[[0.8, -0.4], [1.0, -0.25]]]),
-        noise=noise,
-        psi=1.5,
-    )
+    first = MdpSpec(transitions=[[[0.9, 0.1], [0.5, 0.5]], [[0.2, 0.8], [0.1, 0.9]]],
+                    f_mean=[[0.2, 1.0], [0.1, 0.8]],
+                    g_means=[[[0.9, -0.35], [0.8, -0.5]]], noise=noise, psi=1.5)
+    second = MdpSpec(transitions=[[[0.7, 0.3], [0.4, 0.6]], [[0.3, 0.7], [0.2, 0.8]]],
+                     f_mean=[[0.1, 0.9], [0.3, 1.1]],
+                     g_means=[[[0.8, -0.4], [1.0, -0.25]]], noise=noise, psi=1.5)
     return [first, second]

@@ -493,12 +493,14 @@ def run_fixed_policy(specs, thetas, horizon, seed=0, initial_states=None):
             row = policies[k][s_now]
             a = int(rng.choice(spec.n_actions, p=row / row.sum()))
             states[k] = int(rng.choice(spec.n_states, p=spec.transitions[a, s_now]))
-            f_tab, g_tab = spec.sample_tables(t, rng)
+            size = spec.dim * (1 + m)
+            tables = spec.sample_tables(t, rng.random(size).tolist() if spec.noise else [])
             states_log[t, k] = s_now
             actions_log[t, k] = a
-            realized_f[t] += f_tab[s_now, a]
+            entry = s_now * spec.n_actions + a
+            realized_f[t] += tables[entry]
             if m:
-                realized_g[t] += g_tab[:, s_now, a]
+                realized_g[t] += tables[spec.dim + entry :: spec.dim]
     return ocmdp.OcmdpLog(
         horizon=horizon,
         fingerprint=ocmdp.instance_fingerprint(specs),

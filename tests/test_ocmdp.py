@@ -96,9 +96,9 @@ class TestMdpSpec:
         spec = _spec_2x2(7, noise=0.6)
         rng = np.random.default_rng(0)
         for t in range(200):
-            f, g = spec.sample_tables(t, rng)
-            assert np.abs(f).max() <= spec.psi + 1e-12
-            assert np.abs(g).max() <= spec.psi + 1e-12
+            tables = spec.sample_tables(t, rng.random(2 * spec.dim).tolist())
+            assert len(tables) == 2 * spec.dim
+            assert max(map(abs, tables)) <= spec.psi + 1e-12
 
     @pytest.mark.parametrize("noise, m, drift", [
         (0.0, 1, False), (0.4, 1, False), (0.4, 0, False), (0.4, 2, True), (0.0, 0, True),
@@ -111,11 +111,19 @@ class TestMdpSpec:
                              rng.uniform(-1.0, 1.0, size=(m, 2, 3)),
                              noise=noise, f_drift=direction)
         ours, twin = np.random.default_rng(9), np.random.default_rng(9)
+        size = spec.dim * (1 + m)
         for t in range(60):
-            for new, old in zip(spec.sample_tables(t, ours), sample_tables_two_draws(spec, t, twin)):
-                assert new.shape == old.shape
-                assert new.tobytes() == old.tobytes()
+            uniforms = ours.random(size).tolist() if noise else []
+            new = spec.sample_tables(t, uniforms)
+            f, g = sample_tables_two_draws(spec, t, twin)
+            assert len(new) == f.size + g.size == size
+            assert np.array(new).tobytes() == np.concatenate((f.ravel(), g.ravel())).tobytes()
         assert ours.bit_generator.state == twin.bit_generator.state
+
+    def test_noisy_tables_need_one_uniform_per_entry(self):
+        spec = _spec_2x2(7, noise=0.6)
+        with pytest.raises(ValueError, match="need 8 uniforms, got 7"):
+            spec.sample_tables(0, [0.5] * 7)
 
     def test_drift_moves_the_mean(self):
         p = np.full((2, 2, 2), 0.5)
@@ -270,7 +278,7 @@ class TestProjection:
             face = poly.face
 
             def counted(free):
-                visits.append(free.tobytes())
+                visits.append(free)
                 assert len(visits) <= 2 * poly.dim, "projection keeps revisiting faces"
                 return face(free)
 
@@ -305,6 +313,44 @@ class TestProjection:
         if not support.all():
             assert mu[~support].min() >= -1e-9
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=4),
+        st.integers(min_value=1, max_value=3),
+        st.booleans(),
+        st.sampled_from([0.1, 1.0, 5.0]),
+        st.floats(min_value=0.0, max_value=1.0),
+        st.integers(min_value=0, max_value=10 ** 6),
+    )
+    def test_warm_start_gives_the_cold_start_bits(self, n_s, n_a, same_chain, sigma, mix, seed):
+        # the family of test_output_satisfies_the_kkt_conditions; the start is
+        # a member: a mix of a projected point, on a face, and the interior
+        # uniform point, with mix = 1 keeping the face exactly
+        rng = np.random.default_rng(seed)
+        p = rng.uniform(size=(n_a, n_s, n_s)) ** 3
+        if same_chain:
+            p[:] = p[0]
+        p /= p.sum(axis=2, keepdims=True)
+        poly = ocmdp.build_polyhedron(
+            ocmdp.MdpSpec(p, np.zeros((n_s, n_a)), np.zeros((0, n_s, n_a))))
+        x = poly.uniform_theta + rng.normal(scale=sigma, size=poly.dim)
+        on_face = ocmdp.project_onto_theta(
+            poly, poly.uniform_theta + rng.normal(scale=sigma, size=poly.dim))
+        start = on_face if mix == 1.0 else mix * on_face + (1.0 - mix) * poly.uniform_theta
+        assert poly.membership_residual(start) <= 1e-8
+        cold = ocmdp.project_onto_theta(poly, x)
+        warm = ocmdp.project_onto_theta(poly, x, start=start)
+        assert warm.tobytes() == cold.tobytes()
+        # and from the answer itself, as the run's next slot would start
+        assert ocmdp.project_onto_theta(poly, x, start=cold).tobytes() == cold.tobytes()
+
+    def test_rejects_nonfinite_or_short_start(self):
+        poly = ocmdp.build_polyhedron(_spec_2x2(1))
+        with pytest.raises(ValueError, match="finite"):
+            ocmdp.project_onto_theta(poly, np.zeros(4), start=[np.inf, 0.0, 0.0, 1.0])
+        with pytest.raises(ValueError, match="length"):
+            ocmdp.project_onto_theta(poly, np.zeros(4), start=[1.0])
+
     @settings(max_examples=60, deadline=None)
     @given(st.integers(min_value=0, max_value=10 ** 6), st.integers(min_value=0, max_value=10 ** 6))
     def test_projection_lands_inside_for_random_inputs(self, inst_seed, x_seed):
@@ -335,15 +381,29 @@ class TestStep:
     def test_v_zero_and_empty_queue_keeps_theta(self):
         specs = [_spec_2x2(21), _spec_2x2(22)]
         polys = [ocmdp.build_polyhedron(s) for s in specs]
-        thetas = [p.uniform_theta.copy() for p in polys]
-        tables = [s.sample_tables(0, np.random.default_rng(k)) for k, s in enumerate(specs)]
-        nxt, queues = ocmdp.ocmdp_step(
-            polys, thetas, np.zeros(1),
-            [t[0] for t in tables], [t[1] for t in tables], 0.0, 100.0,
-        )
+        thetas = [p.uniform_theta.tolist() for p in polys]
+        tables = [s.sample_tables(0) for s in specs]
+        nxt, queues = ocmdp.ocmdp_step(polys, thetas, [0.0], tables, 0.0, 100.0)
         for before, after in zip(thetas, nxt):
-            assert np.abs(after - before).max() < 1e-10
-        assert queues.shape == (1,)
+            assert np.abs(np.subtract(after, before)).max() < 1e-10
+        assert len(queues) == 1
+
+    @pytest.mark.parametrize("v, alpha, name", [
+        (math.nan, 10.0, "v"), (math.inf, 10.0, "v"), (-1.0, 10.0, "v"),
+        (1.0, math.nan, "alpha"), (1.0, math.inf, "alpha"), (1.0, 0.0, "alpha"),
+    ])
+    def test_nonfinite_v_or_alpha_is_refused_up_front(self, monkeypatch, v, alpha, name):
+        # an infinite v used to fail in slot 1 as "projection input must be
+        # finite", and an infinite alpha froze the controller without a word
+        specs = ocmdp.two_mdp_example()
+        polys = [ocmdp.build_polyhedron(s) for s in specs]
+        message = f"{name} must be finite and"
+        with pytest.raises(ValueError, match=message):
+            ocmdp.ocmdp_step(polys, [p.uniform_theta.tolist() for p in polys], [0.0],
+                             [s.sample_tables(0, [0.5] * 8) for s in specs], v, alpha)
+        monkeypatch.setattr(ocmdp, "slater_margin", lambda *args: pytest.fail("Slater LP solved"))
+        with pytest.raises(ValueError, match=message):
+            ocmdp.run_ocmdp(specs, 10, v=v, alpha=alpha)
 
     def test_no_constraints_runs_unconstrained(self):
         specs = [_spec_2x2(31, m=1), ]
@@ -367,26 +427,26 @@ class TestStep:
         polys = [ocmdp.build_polyhedron(s) for s in specs]
         for poly in polys:
             poly.face = face
-        rngs = [np.random.default_rng(k) for k in range(2)]
-        tables = [s.sample_tables(0, rngs[k]) for k, s in enumerate(specs)]
         return ocmdp.ocmdp_step(
-            polys, [p.uniform_theta.copy() for p in polys], np.zeros(1),
-            [t[0] for t in tables], [t[1] for t in tables], 1.0, 10.0,
+            polys, [p.uniform_theta.tolist() for p in polys], [0.0],
+            [s.sample_tables(0) for s in specs], 1.0, 10.0,
         )
 
     def test_bad_projection_output_is_caught(self):
         # The projection's clamp and affine check is the one membership gate
-        # on each new theta. A face "projector" that steps straight to the
-        # input leaves the affine hull, and the step must stop there.
+        # on each new theta. A face whose "nearest point" is the input itself
+        # leaves the affine hull, and the step must stop there.
         def identity_face(free):
-            return np.eye(free.size), np.zeros(((~free).sum(), free.size))
+            n = len(free)
+            return np.eye(n).tolist(), [0.0] * n, [[0.0] * n for f in free if not f]
 
         with pytest.raises(RuntimeError, match="projection affine residual"):
             self._step_with_face(identity_face)
 
     def test_nan_projection_output_is_caught(self):
         def nan_face(free):
-            return np.full((free.size, free.size), np.nan), np.zeros(((~free).sum(), free.size))
+            n = len(free)
+            return [[math.nan] * n] * n, [0.0] * n, [[0.0] * n for f in free if not f]
 
         with pytest.raises(RuntimeError, match="projection affine residual nan"):
             self._step_with_face(nan_face)
@@ -415,7 +475,7 @@ class TestSampling:
         seed = data.draw(st.integers(min_value=0, max_value=2 ** 32 - 1))
         p, poly = self._two_states(n, seed)
         ours, twin = np.random.default_rng(seed), np.random.default_rng(seed)
-        a, s_next = ocmdp._play(poly, theta, s, ours)
+        a, s_next = ocmdp._play(poly, theta.tolist(), s, ours.random(), ours.random())
         row = recover_policy(theta, 2, n)[s]
         assert a == twin.choice(n, p=row / row.sum())
         assert s_next == twin.choice(2, p=p[a, s])
@@ -434,20 +494,12 @@ class TestSampling:
         poly = ocmdp.build_polyhedron(ocmdp.MdpSpec(p, np.zeros((n, 1)), np.zeros((0, n, 1))))
         s = data.draw(st.integers(min_value=0, max_value=n - 1))
         ours, twin = np.random.default_rng(seed), np.random.default_rng(seed)
-        assert bisect.bisect_right(ocmdp._choice_cdf(law), ours.random()) == twin.choice(n, p=law)
-        a, s_next = ocmdp._play(poly, law, s, ours)
+        cdf = ocmdp._choice_cdf(law.tolist())
+        assert bisect.bisect_right(cdf, ours.random()) == twin.choice(n, p=law)
+        a, s_next = ocmdp._play(poly, law.tolist(), s, ours.random(), ours.random())
         assert a == twin.choice(1, p=[1.0])
         assert s_next == twin.choice(n, p=law)
         assert ours.bit_generator.state == twin.bit_generator.state
-
-    class _Uniforms:
-        """Stands in for a Generator whose next uniforms are given."""
-
-        def __init__(self, *values):
-            self.values = list(values)
-
-        def random(self):
-            return self.values.pop(0)
 
     @staticmethod
     def _choice_cdf_reference(p):
@@ -474,7 +526,7 @@ class TestSampling:
                 a = int(action_cdf.searchsorted(u, "right"))
                 state_cdf = self._choice_cdf_reference(p[a, s])
                 for w in (np.nextafter(state_cdf[0], 0.0), state_cdf[0], np.nextafter(state_cdf[0], 1.0)):
-                    drawn = ocmdp._play(poly, theta, s, self._Uniforms(float(u), float(w)))
+                    drawn = ocmdp._play(poly, theta.tolist(), s, float(u), float(w))
                     assert drawn == (a, int(state_cdf.searchsorted(w, "right")))
 
     @pytest.mark.parametrize("p, accepted", [
@@ -489,12 +541,12 @@ class TestSampling:
         p = np.array(p)
         if accepted:
             np.random.default_rng(0).choice(p.size, p=p)
-            ocmdp._choice_cdf(p)
+            ocmdp._choice_cdf(p.tolist())
             return
         with pytest.raises(ValueError):
             np.random.default_rng(0).choice(p.size, p=p)
         with pytest.raises(ValueError, match="nonnegative and sum to 1"):
-            ocmdp._choice_cdf(p)
+            ocmdp._choice_cdf(p.tolist())
 
 
 class TestRun:
@@ -593,15 +645,47 @@ class TestRun:
         assert ocmdp.solve_baseline(specs).value.hex() == "0x1.4c0cf1dce9b00p+0"
 
 
-# sha256 of actions, states, realized_f, realized_g, queues and the thetas of
-# run_ocmdp(two_mdp_example(), 2000, v=sqrt(2000), alpha, seed), keyed by
-# (alpha, seed): any change to what a seed produces shows here
+# Two sha256 digests of run_ocmdp(two_mdp_example(), 2000, v=sqrt(2000),
+# alpha, seed), keyed by (alpha, seed). The draw digest covers actions,
+# states, realized_f and realized_g: what the seed's stream decides, which no
+# change of float arithmetic may move. The float digest covers queues and the
+# thetas, whose last bits follow the projection's rounding.
 PINNED_RUNS = {
-    (2000.0, 0): "207990451e1d62eaebc50be194c79d957f1166ef93ebf334725a7f10b955c37e",
-    (2000.0, 1): "3694bd49521570d9bda7364de428957790f43ead22533cc33138f00bc940ca98",
-    (200.0, 0): "43715d0e0a67e13305e4163f1e0fdee468b2d595330cf319516539b0c813fe67",
-    (200.0, 1): "1ffa11d26d74e6ceade292a77960d1a0bedbd2c9cb06711dda808a48fb839633",
+    (2000.0, 0): ("026be63d6e41cc110de1ce1f773d13056ec8c35104e10f8714e688919e591898",
+                  "cc58c10c4cd2b70ded83d0d889a5bd1e9fdb68a53e9579e765210bc9aa414fa9"),
+    (2000.0, 1): ("1bd22198cf7729e71f7848049c679ba443fe8d1bfd9cc578cc8007e445a34588",
+                  "294ee50ac5a430ab8919a11fff59ea983208e1b0f5a1a5af50f84b1de80a4bca"),
+    (200.0, 0): ("403831438a7ae924e9e4ce23665a152b47e98d6e7a64f490499c405a5f2501e3",
+                 "91e9483323202cecf670361348d7c5e9ac687d618900d0d47c62412482ce6937"),
+    (200.0, 1): ("f11c89188d97ffd43deaebb08725b531d39ad3e343c28e06f076813eefb688cf",
+                 "96edcb50a2774754353f946b4641407c86bfc860331b9b668be0383acb849269"),
 }
+
+
+def _digests(log):
+    draw, floats = hashlib.sha256(), hashlib.sha256()
+    for arr in (log.actions, log.states, log.realized_f, log.realized_g):
+        draw.update(np.ascontiguousarray(arr).tobytes())
+    for arr in (log.queues, *log.thetas):
+        floats.update(np.ascontiguousarray(arr).tobytes())
+    return draw.hexdigest(), floats.hexdigest()
+
+
+def _three_systems():
+    # every draw width: noise 0 (two uniforms a slot), noise on a 3x2 system
+    # and noise with a drifting f on a 2x3 one (2 + 6 * 3), two constraints
+    # that action 0 satisfies everywhere
+    rng = np.random.default_rng(2024)
+    specs = []
+    for n_s, n_a, noise, drift in ((2, 2, 0.0, False), (3, 2, 0.3, False), (2, 3, 0.2, True)):
+        p = rng.uniform(0.05, 1.0, size=(n_a, n_s, n_s))
+        p /= p.sum(axis=2, keepdims=True)
+        f = rng.uniform(0.0, 1.0, size=(n_s, n_a))
+        g = rng.uniform(0.1, 0.6, size=(2, n_s, n_a))
+        g[:, :, 0] = -rng.uniform(0.3, 0.6, size=(2, n_s))
+        f_drift = (rng.uniform(-0.5, 0.5, size=(n_s, n_a)), 97.0) if drift else None
+        specs.append(ocmdp.MdpSpec(p, f, g, noise=noise, f_drift=f_drift))
+    return specs
 
 
 @pytest.mark.parametrize("horizon", [1, 2, 7])
@@ -623,10 +707,15 @@ def test_run_steps_once_between_slots(monkeypatch, horizon):
 @pytest.mark.parametrize("alpha, seed", sorted(PINNED_RUNS))
 def test_seeded_output_is_pinned(alpha, seed):
     log = ocmdp.run_ocmdp(ocmdp.two_mdp_example(), 2000, v=math.sqrt(2000), alpha=alpha, seed=seed)
-    digest = hashlib.sha256()
-    for arr in (log.actions, log.states, log.realized_f, log.realized_g, log.queues, *log.thetas):
-        digest.update(np.ascontiguousarray(arr).tobytes())
-    assert digest.hexdigest() == PINNED_RUNS[(alpha, seed)]
+    assert _digests(log) == PINNED_RUNS[(alpha, seed)]
+
+
+def test_draws_of_every_width_across_chunks_are_pinned():
+    # 600 slots cross two chunk boundaries and end inside a third chunk; the
+    # draw digest was recorded when each system drew per slot, not in chunks
+    log = ocmdp.run_ocmdp(_three_systems(), 600, v=math.sqrt(600), alpha=600.0, seed=3)
+    assert log.horizon > 2 * ocmdp._CHUNK
+    assert _digests(log)[0] == "d4722a365f2dc5bed3e523922cb4de69bb784b83ebf33800a898220c69da0c5a"
 
 
 class TestRegret:
