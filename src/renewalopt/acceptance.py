@@ -257,9 +257,8 @@ def ocmdp_scaling() -> CriterionResult:
     against their polytopes at every logged slot.
     """
     started = time.perf_counter()
-    specs = ocmdp.two_mdp_example()
-    polys = [ocmdp.build_polyhedron(s) for s in specs]
-    baseline = ocmdp.solve_baseline(specs)
+    instance = ocmdp.two_mdp_example()
+    baseline = ocmdp.solve_baseline(instance)
     horizons = (2500, 10000, 40000)
     seeds = range(5)
     mean_regret = {}
@@ -269,12 +268,12 @@ def ocmdp_scaling() -> CriterionResult:
         regrets = []
         viols = []
         for seed in seeds:
-            log = ocmdp.run_ocmdp(specs, horizon, v=math.sqrt(horizon),
+            log = ocmdp.run_ocmdp(instance, horizon, v=math.sqrt(horizon),
                                   alpha=float(horizon), seed=seed)
-            regret, violations = ocmdp.measure_regret(specs, log, baseline)
+            regret, violations = ocmdp.measure_regret(instance, log, baseline)
             regrets.append(regret)
             viols.append(violations)
-            for poly, thetas in zip(polys, log.thetas):
+            for poly, thetas in zip(instance.polys, log.thetas):
                 affine = np.abs(thetas @ poly.aff_a.T - poly.aff_b).max()
                 # np.max, unlike max, carries a NaN through to the check
                 worst_membership = float(np.max(

@@ -52,18 +52,18 @@ class UserSpec:
     def __post_init__(self):
         if not 0.0 < self.lam < 1.0:
             raise ValueError("arrival probability must be strictly inside (0, 1)")
-        if not self.mean_file > 0:
-            raise ValueError("mean file size must be positive")
-        if not self.weight > 0:
-            raise ValueError("weight must be positive")
+        if not 0 < self.mean_file < math.inf:
+            raise ValueError(f"mean_file must be finite and positive, got {self.mean_file}")
+        if not 0 < self.weight < math.inf:
+            raise ValueError(f"weight must be finite and positive, got {self.weight}")
         acts = tuple((float(phi), float(p)) for phi, p in self.actions)
         if not acts or acts[0] != (0.0, 0.0):
             raise ValueError("first action must be the zero action (0, 0)")
         for phi, p in acts:
             if not 0.0 <= phi <= 1.0:
                 raise ValueError("success probability must lie in [0, 1]")
-            if p < 0:
-                raise ValueError("power must be nonnegative")
+            if not 0 <= p < math.inf:
+                raise ValueError(f"power must be finite and nonnegative, got {p}")
         for phi, p in acts[1:]:
             if not p > 0:
                 raise ValueError("nonzero actions must have positive power")

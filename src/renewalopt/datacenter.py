@@ -43,10 +43,11 @@ class SleepMode:
     setup_mean: float
 
     def __post_init__(self) -> None:
-        if self.idle_power < 0 or self.setup_power < 0:
-            raise ValueError("sleep mode powers must be nonnegative")
-        if self.setup_mean < 1:
-            raise ValueError("setup_mean must be at least 1")
+        for name, value in (("idle_power", self.idle_power), ("setup_power", self.setup_power)):
+            if not 0 <= value < math.inf:
+                raise ValueError(f"{name} must be finite and nonnegative, got {value}")
+        if not 1 <= self.setup_mean < math.inf:
+            raise ValueError(f"setup_mean must be finite and at least 1, got {self.setup_mean}")
 
     @property
     def setup_var(self) -> float:
@@ -70,22 +71,23 @@ class ServerConfig:
     r_max: float
 
     def __post_init__(self) -> None:
-        if self.active_power < 0:
-            raise ValueError("active_power must be nonnegative")
+        for name, value in (("active_power", self.active_power), ("r_max", self.r_max)):
+            if not 0 <= value < math.inf:
+                raise ValueError(f"{name} must be finite and nonnegative, got {value}")
         if self.i_max < 1:
             raise ValueError("i_max must be at least 1")
-        if self.r_max < 0:
-            raise ValueError("r_max must be nonnegative")
         if not self.sleep_modes:
             raise ValueError("at least one sleep mode is required")
         self.sleep_modes = list(self.sleep_modes)
         tag = self.mu_dist[0] if self.mu_dist else None
         if tag == "constant":
-            if len(self.mu_dist) != 2 or self.mu_dist[1] <= 0:
-                raise ValueError("constant service needs one positive value")
+            if len(self.mu_dist) != 2 or not 0 < self.mu_dist[1] < math.inf:
+                raise ValueError(f"constant service needs one finite positive mu, "
+                                 f"got {self.mu_dist!r}")
         elif tag == "zipf":
-            if len(self.mu_dist) != 3 or int(self.mu_dist[1]) < 1:
-                raise ValueError("zipf service needs support size >= 1 and an exponent")
+            if len(self.mu_dist) != 3 or int(self.mu_dist[1]) < 1 \
+                    or not math.isfinite(self.mu_dist[2]):
+                raise ValueError("zipf service needs support size >= 1 and a finite exponent")
         else:
             raise ValueError(f"unknown service distribution {self.mu_dist!r}")
 

@@ -27,8 +27,8 @@ import filecmp
 import functools
 import itertools
 import json
-import math
 import os
+import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
@@ -116,6 +116,8 @@ class ExperimentConfig:
 _TOP_KEYS = tuple(f.name for f in fields(ExperimentConfig))
 # the least value of each integer field, for the loader and the CLI overrides
 _COUNT_MINIMUMS = {"horizon": 1, "replications": 1, "seed": 0, "jobs": 1}
+# a finite float's bound: NaN, infinities and integers too large for a float exceed it
+_FLOAT_MAX = sys.float_info.max
 
 
 def _as_number(data, key, default, minimum, integer=True):
@@ -124,7 +126,7 @@ def _as_number(data, key, default, minimum, integer=True):
     value = data.get(key, default)
     what = (int, "an integer") if integer else ((int, float), "a finite number")
     if isinstance(value, bool) or not isinstance(value, what[0]) \
-            or not -math.inf < value < math.inf:
+            or not (integer or abs(value) <= _FLOAT_MAX):
         raise ConfigError(f"{key} must be {what[1]}", (key,))
     if value < minimum:
         raise ConfigError(f"{key} must be at least {minimum}, got {value}", (key,))
@@ -140,7 +142,7 @@ def _as_sweep(data, key, default):
     out = []
     for entry in value:
         if isinstance(entry, bool) or not isinstance(entry, (int, float)) \
-                or not np.isfinite(entry):
+                or not abs(entry) <= _FLOAT_MAX:
             raise ConfigError(f"{key} entries must be finite numbers", (key,))
         out.append(float(entry))
     return tuple(out)
@@ -413,7 +415,7 @@ def _trace_maker(spec, horizon: int):
             datacenter.ramp_trace(1, *shape[:2], 0, 1, cost=cost)
     except KeyError as err:
         raise ConfigError(f"ramp trace needs key {err}", ("trace",)) from None
-    except (OSError, IndexError, TypeError, ValueError) as err:
+    except (OSError, IndexError, TypeError, ValueError, OverflowError) as err:
         raise ConfigError(f"trace: {err}", ("trace",)) from None
     if tag != "ramp":
         raise ConfigError(f"trace kind must be 'uniform' or 'ramp', got {tag!r}",
@@ -448,7 +450,7 @@ def _datacenter_build(instance: Mapping, horizon: int):
                 sleep_modes=[datacenter.SleepMode(*m) for m in entry["sleep_modes"]],
                 i_max=_as_number(entry, "i_max", None, 1),
                 r_max=float(entry["r_max"])))
-        except (KeyError, TypeError, ValueError) as err:
+        except (KeyError, TypeError, ValueError, OverflowError) as err:
             raise ConfigError(f"servers[{pos}]: {err}", ("servers",)) from None
     return (cfgs, _parse_mode(instance.get("mode")),
             _as_number(instance, "min_active", 0, 0),
@@ -485,7 +487,7 @@ def _bandit_build(instance: Mapping, horizon: int):
                     lam=float(entry["lam"]), mean_file=float(entry["mean_file"]),
                     actions=tuple(tuple(a) for a in entry["actions"]),
                     weight=float(entry.get("weight", 1.0))))
-            except (KeyError, TypeError, ValueError) as err:
+            except (KeyError, TypeError, ValueError, OverflowError) as err:
                 raise ConfigError(f"users[{pos}]: {err}", ("users",)) from None
     else:
         raise ConfigError("instance key 'users' must be 'table-one', "
@@ -558,7 +560,7 @@ def _ocmdp_build(instance: Mapping, horizon: int):
     if "path" in instance:
         try:
             return ocmdp.load_instance(instance["path"])
-        except (OSError, KeyError, TypeError, ValueError) as err:
+        except (OSError, KeyError, TypeError, ValueError, OverflowError) as err:
             raise ConfigError(f"cannot load ocmdp instance: {err}",
                               ("path",)) from None
     example = instance.get("example", "two-mdp")
@@ -567,8 +569,8 @@ def _ocmdp_build(instance: Mapping, horizon: int):
     return ocmdp.two_mdp_example(_as_number(instance, "noise", 0.25, 0, False))
 
 
-def _ocmdp_simulate(specs, horizon, params, run_seed, aux_seed):
-    log = ocmdp.run_ocmdp(specs, horizon, v=params["v"], alpha=params["alpha"],
+def _ocmdp_simulate(instance, horizon, params, run_seed, aux_seed):
+    log = ocmdp.run_ocmdp(instance, horizon, v=params["v"], alpha=params["alpha"],
                           seed=run_seed)
     row = {"penalty_avg": float(log.realized_f.mean())}
     for i in range(log.n_constraints):
@@ -610,7 +612,7 @@ _RECORDS: Dict[str, _Kind] = {
     "ocmdp": _Kind(
         ("v", "alpha"), ("alpha",), ("path", "example", "noise"),
         _ocmdp_build, _ocmdp_simulate,
-        lambda specs: lambda: ocmdp.solve_baseline(specs).value,
+        lambda instance: lambda: ocmdp.solve_baseline(instance).value,
         ("penalty_avg", 1)),
     # builds to its target's oracle solve, which is then its own oracle
     "oracle-only": _Kind((), (), ("target", "instance"), _oracle_only_build,

@@ -26,6 +26,11 @@ slots. Play inverts the same CDFs, on the same uniforms, as
 ``Generator.choice``, and realized penalties feed the regret accounting
 against the best stationary baseline.
 
+An :class:`Instance` is a set of frozen systems checked together once,
+when made: one constraint count for all, each system's polyhedron, a Slater
+margin above 1e-6 when constrained, and a content fingerprint. The run, the
+baseline and the regret accounting all take it, and rebuild nothing.
+
 The module also owns the LPs over products of occupation polyhedra: the
 stationary baseline (:func:`stationary_baseline`) and the Slater margin
 (:func:`slater_margin`) share one builder for the polyhedra's rows and the
@@ -50,7 +55,7 @@ from renewalopt import lp
 
 _MEMBERSHIP_TOL = 1e-8
 _ROW_SUM_TOL = 1e-12
-# run_ocmdp refuses a constrained instance whose Slater margin is not above this
+# Instance refuses a constrained instance whose Slater margin is not above this
 _SLATER_TOL = 1e-6
 # Generator.choice rejects p whose sum misses 1 by more than this
 _CHOICE_ATOL = math.sqrt(np.finfo(np.float64).eps)
@@ -59,7 +64,13 @@ _CHOICE_ATOL = math.sqrt(np.finfo(np.float64).eps)
 _CHUNK = 256
 
 
-@dataclass
+def _read_only(value) -> np.ndarray:
+    out = np.array(value, dtype=float)
+    out.flags.writeable = False
+    return out
+
+
+@dataclass(frozen=True)
 class MdpSpec:
     """One system: transition tensor plus penalty/constraint generators.
 
@@ -73,7 +84,9 @@ class MdpSpec:
     adds sin(2*pi*t/period) * direction to ``f_mean`` at slot t. The
     constraint tables stay i.i.d.; only f may drift. Every array and number
     must be finite. This is the instance's one validation gate: the
-    polyhedron, the sampler and the LPs trust what it admits.
+    polyhedron, the sampler and the LPs trust what it admits. A spec is
+    frozen and holds read-only copies of its arrays, so nothing built from
+    it can go stale.
     """
 
     transitions: np.ndarray
@@ -84,47 +97,50 @@ class MdpSpec:
     f_drift: Optional[Tuple[np.ndarray, float]] = None
 
     def __post_init__(self) -> None:
-        self.transitions = np.asarray(self.transitions, dtype=float)
-        self.f_mean = np.asarray(self.f_mean, dtype=float)
-        self.g_means = np.asarray(self.g_means, dtype=float)
-        if self.transitions.ndim != 3 or self.transitions.shape[1] != self.transitions.shape[2]:
+        p, f_mean, g_means = map(_read_only, (self.transitions, self.f_mean, self.g_means))
+        if p.ndim != 3 or p.shape[1] != p.shape[2]:
             raise ValueError("transitions must be shaped (actions, states, states)")
-        n_a, n_s, _ = self.transitions.shape
+        n_a, n_s, _ = p.shape
         if n_a < 1 or n_s < 1:
             raise ValueError("need at least one state and one action")
-        for name in ("transitions", "f_mean", "g_means"):
-            if not np.isfinite(getattr(self, name)).all():
+        for name, value in (("transitions", p), ("f_mean", f_mean), ("g_means", g_means)):
+            if not np.isfinite(value).all():
                 raise ValueError(f"{name} must be finite")
-        if (self.transitions < 0.0).any():
+        if (p < 0.0).any():
             raise ValueError("transition probabilities must be nonnegative")
-        row_err = np.abs(self.transitions.sum(axis=2) - 1.0).max()
+        row_err = np.abs(p.sum(axis=2) - 1.0).max()
         if row_err > _ROW_SUM_TOL:
             raise ValueError(f"transition rows must sum to 1 (off by {row_err:.3e})")
-        if self.f_mean.shape != (n_s, n_a):
+        if f_mean.shape != (n_s, n_a):
             raise ValueError("f_mean must be shaped (states, actions)")
-        self.g_means = self.g_means.reshape(-1, n_s, n_a)
-        self.noise = float(self.noise)
-        if not 0.0 <= self.noise < math.inf:
+        noise = float(self.noise)
+        if not 0.0 <= noise < math.inf:
             raise ValueError("noise must be finite and nonnegative")
-        if self.f_drift is not None:
-            direction, period = self.f_drift
-            direction = np.asarray(direction, dtype=float)
+        f_drift = self.f_drift
+        if f_drift is not None:
+            direction, period = _read_only(f_drift[0]), float(f_drift[1])
             if direction.shape != (n_s, n_a):
                 raise ValueError("drift direction must be shaped (states, actions)")
             if not np.isfinite(direction).all():
                 raise ValueError("drift direction must be finite")
-            if not 0.0 < float(period) < math.inf:
+            if not 0.0 < period < math.inf:
                 raise ValueError("drift period must be finite and positive")
-            self.f_drift = (direction, float(period))
-        needed = self._tightest_bound() + self.noise
-        if self.psi is None:
-            self.psi = needed
-        else:
-            self.psi = float(self.psi)
-            if not math.isfinite(self.psi):
-                raise ValueError("psi must be finite")
-            if self.psi + 1e-12 < needed:
-                raise ValueError(f"psi={self.psi} cannot bound tables reaching {needed}")
+            f_drift = (direction, period)
+        for name, value in (("transitions", p), ("f_mean", f_mean), ("noise", noise),
+                            ("g_means", g_means.reshape(-1, n_s, n_a)), ("f_drift", f_drift)):
+            object.__setattr__(self, name, value)
+        needed = self._tightest_bound() + noise
+        psi = needed if self.psi is None else float(self.psi)
+        if not math.isfinite(psi):
+            raise ValueError("psi must be finite")
+        if psi + 1e-12 < needed:
+            raise ValueError(f"psi={psi} cannot bound tables reaching {needed}")
+        object.__setattr__(self, "psi", psi)
+
+    def __reduce__(self):
+        # made anew when unpickled, so a worker's copy is read-only too
+        return MdpSpec, (self.transitions, self.f_mean, self.g_means, self.noise, self.psi,
+                         self.f_drift)
 
     def _tightest_bound(self) -> float:
         peak = float(np.abs(self.f_mean).max())
@@ -420,21 +436,13 @@ def ocmdp_step(polys: Sequence[PolyhedronTheta], thetas: Sequence[List[float]],
 
 def _spec_record(spec: MdpSpec) -> dict:
     """One system's fields as plain JSON values: what :func:`save_instance`
-    writes, :func:`load_instance` reads back and
-    :func:`instance_fingerprint` hashes."""
+    writes, :func:`load_instance` reads back and :class:`Instance` hashes."""
     record = {"transitions": spec.transitions.tolist(), "f_mean": spec.f_mean.tolist(),
               "g_means": spec.g_means.tolist(), "noise": spec.noise, "psi": spec.psi}
     if spec.f_drift is not None:
         direction, period = spec.f_drift
         record["f_drift"] = {"direction": direction.tolist(), "period": period}
     return record
-
-
-def instance_fingerprint(specs: Sequence[MdpSpec]) -> str:
-    """Order-sensitive content hash of an instance: sha256 of its records
-    as JSON, whose float reprs round-trip exactly."""
-    text = json.dumps([_spec_record(spec) for spec in specs])
-    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def _coupled_polytope_rows(polys, g_means, extra=0):
@@ -518,12 +526,49 @@ class StationaryBaseline:
     fingerprint: str
 
 
-def solve_baseline(specs: Sequence[MdpSpec]) -> StationaryBaseline:
+@dataclass(frozen=True, eq=False)
+class Instance:
+    """A set of weakly coupled systems, checked together once, when made.
+
+    It needs at least one system and one constraint count for all of them,
+    builds each system's polyhedron (:func:`build_polyhedron`), and refuses
+    a constrained instance unless its Slater margin (:func:`slater_margin`)
+    is above 1e-6: the strict feasibility the learner's analysis assumes.
+    ``fingerprint`` is the order-sensitive sha256 of the systems' records as
+    JSON, whose float reprs round-trip exactly. The specs are frozen, so
+    neither the polyhedra nor the fingerprint can go stale.
+    """
+
+    specs: Tuple[MdpSpec, ...]
+    polys: Tuple[PolyhedronTheta, ...] = field(init=False, repr=False)
+    n_constraints: int = field(init=False)
+    fingerprint: str = field(init=False)
+
+    def __post_init__(self) -> None:
+        specs = tuple(self.specs)
+        if not specs:
+            raise ValueError("need at least one system")
+        counts = {spec.n_constraints for spec in specs}
+        if len(counts) != 1:
+            raise ValueError("all systems must share the same constraint count")
+        polys = tuple(build_polyhedron(spec) for spec in specs)
+        m = counts.pop()
+        if m:
+            margin = slater_margin(polys, [spec.g_means for spec in specs])
+            if not margin > _SLATER_TOL:
+                raise ValueError(
+                    f"instance fails the Slater check (margin {margin:.3e} <= {_SLATER_TOL})")
+        text = json.dumps([_spec_record(spec) for spec in specs])
+        for name, value in (("specs", specs), ("polys", polys), ("n_constraints", m),
+                            ("fingerprint", hashlib.sha256(text.encode()).hexdigest())):
+            object.__setattr__(self, name, value)
+
+
+def solve_baseline(instance: Instance) -> StationaryBaseline:
     """Solve the coupled stationary benchmark on the instance's true means."""
-    thetas, value = stationary_baseline([build_polyhedron(spec) for spec in specs],
-                                        [spec.f_mean for spec in specs],
-                                        [spec.g_means for spec in specs])
-    return StationaryBaseline(thetas=thetas, value=value, fingerprint=instance_fingerprint(specs))
+    thetas, value = stationary_baseline(instance.polys, [s.f_mean for s in instance.specs],
+                                        [s.g_means for s in instance.specs])
+    return StationaryBaseline(thetas=thetas, value=value, fingerprint=instance.fingerprint)
 
 
 @dataclass
@@ -555,66 +600,28 @@ def _spawn_rngs(seed: int, count: int) -> List[np.random.Generator]:
     return [np.random.default_rng(child) for child in children]
 
 
-def _common_constraint_count(specs: Sequence[MdpSpec]) -> int:
-    counts = {spec.n_constraints for spec in specs}
-    if len(counts) != 1:
-        raise ValueError("all systems must share the same constraint count")
-    return counts.pop()
-
-
-def run_ocmdp(specs: Sequence[MdpSpec], horizon: int, v: float, alpha: float,
-              seed: int = 0, theta0: Optional[Sequence[np.ndarray]] = None,
-              initial_states: Optional[Sequence[int]] = None) -> OcmdpLog:
+def run_ocmdp(instance: Instance, horizon: int, v: float, alpha: float,
+              seed: int = 0) -> OcmdpLog:
     """Simulate the projected-update controller on its true chains.
 
     Every slot runs the same way: each system plays its current theta at its
     true state, the slot's tables are revealed and logged, and then, unless
     this is the last slot, :func:`ocmdp_step` turns those tables into the
-    next slot's thetas and queues. Slot 0 plays ``theta0`` (default: each
-    system's uniform-policy stationary occupation vector), and Q(0) = Q(1) =
-    0 exactly. Each system draws all its randomness from its own spawned
+    next slot's thetas and queues. Slot 0 starts every system in state 0 on
+    its uniform-policy stationary occupation vector, and Q(0) = Q(1) = 0
+    exactly. Each system draws all its randomness from its own spawned
     stream, per slot its action and next state and then its table noise, so
     a run is reproducible for a fixed seed no matter how the per-system work
-    is scheduled. Constrained instances are rejected unless the strict
-    feasibility margin exceeds 1e-6.
+    is scheduled.
     """
-    if not specs:
-        raise ValueError("need at least one system")
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
     _check_weights(v, alpha)
     v, alpha = float(v), float(alpha)
-    m = _common_constraint_count(specs)
-    polys = [build_polyhedron(spec) for spec in specs]
-    if m:
-        margin = slater_margin(polys, [spec.g_means for spec in specs])
-        if not margin > _SLATER_TOL:
-            raise ValueError(
-                f"instance fails the Slater check (margin {margin:.3e} <= {_SLATER_TOL})"
-            )
+    specs, polys, m = instance.specs, instance.polys, instance.n_constraints
     n_sys = len(specs)
-    if theta0 is None:
-        thetas = [poly.uniform_theta.tolist() for poly in polys]
-    else:
-        if len(theta0) != n_sys:
-            raise ValueError("theta0 must give one vector per system")
-        thetas = [np.asarray(t, dtype=float).ravel().tolist() for t in theta0]
-        for poly, theta in zip(polys, thetas):
-            residual = poly.membership_residual(theta)
-            if not residual <= _MEMBERSHIP_TOL:
-                raise ValueError(
-                    f"theta0 lies outside its polyhedron (residual {residual:.3e})"
-                )
-    if initial_states is None:
-        states = [0] * n_sys
-    else:
-        states = np.asarray(initial_states, dtype=int)
-        if states.shape != (n_sys,):
-            raise ValueError("initial_states must give one state per system")
-        for spec, s in zip(specs, states):
-            if not 0 <= s < spec.n_states:
-                raise ValueError("initial state out of range")
-        states = states.tolist()
+    thetas = [poly.uniform_theta.tolist() for poly in polys]
+    states = [0] * n_sys
     rngs = _spawn_rngs(seed, n_sys)
     # per slot, each system's stream gives its action and next-state
     # uniforms, then, if it is noisy, one per table entry
@@ -655,23 +662,13 @@ def run_ocmdp(specs: Sequence[MdpSpec], horizon: int, v: float, alpha: float,
         if t + 1 < horizon:
             thetas, queues = ocmdp_step(polys, thetas, queues, tables, v, alpha)
 
-    return OcmdpLog(
-        horizon=horizon,
-        fingerprint=instance_fingerprint(specs),
-        queues=queues_log,
-        realized_f=realized_f,
-        realized_g=realized_g,
-        states=states_log,
-        actions=actions_log,
-        thetas=thetas_log,
-    )
+    return OcmdpLog(horizon=horizon, fingerprint=instance.fingerprint, queues=queues_log,
+                    realized_f=realized_f, realized_g=realized_g, states=states_log,
+                    actions=actions_log, thetas=thetas_log)
 
 
-def measure_regret(
-    specs: Sequence[MdpSpec],
-    log: OcmdpLog,
-    baseline: StationaryBaseline,
-) -> Tuple[float, np.ndarray]:
+def measure_regret(instance: Instance, log: OcmdpLog,
+                   baseline: StationaryBaseline) -> Tuple[float, np.ndarray]:
     """Realized regret against a stationary benchmark, plus violations.
 
     Regret is the run's summed realized penalty minus the benchmark's
@@ -680,11 +677,11 @@ def measure_regret(
     of realized constraint values per constraint row. Both sides must hash
     to the same instance.
     """
-    stamp = instance_fingerprint(specs)
+    stamp = instance.fingerprint
     if log.fingerprint != stamp or baseline.fingerprint != stamp:
-        raise ValueError("log, baseline and specs describe different instances")
+        raise ValueError("log, baseline and instance describe different instances")
     bench = 0.0
-    for spec, theta in zip(specs, baseline.thetas):
+    for spec, theta in zip(instance.specs, baseline.thetas):
         flat = np.asarray(theta, dtype=float).ravel()
         bench += log.horizon * float(spec.f_mean.ravel() @ flat)
         if spec.f_drift is not None:
@@ -696,28 +693,28 @@ def measure_regret(
     return regret, violations
 
 
-def save_instance(specs: Sequence[MdpSpec], path: str) -> None:
+def save_instance(instance: Instance, path: str) -> None:
     """Write an instance as a JSON document (arrays as nested lists)."""
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump({"systems": [_spec_record(spec) for spec in specs]}, handle, indent=2)
+        json.dump({"systems": [_spec_record(spec) for spec in instance.specs]}, handle,
+                  indent=2)
 
 
-def load_instance(path: str) -> List[MdpSpec]:
+def load_instance(path: str) -> Instance:
     """Read an instance written by :func:`save_instance`; :class:`MdpSpec`
-    checks every field."""
+    checks every field and :class:`Instance` the systems together."""
     with open(path, "r", encoding="utf-8") as handle:
         doc = json.load(handle)
     specs = []
     for entry in doc["systems"]:
-        entry = dict(entry)
         if "f_drift" in entry:
             drift = entry["f_drift"]
-            entry["f_drift"] = (drift["direction"], drift["period"])
+            entry = dict(entry, f_drift=(drift["direction"], drift["period"]))
         specs.append(MdpSpec(**entry))
-    return specs
+    return Instance(tuple(specs))
 
 
-def two_mdp_example(noise: float = 0.25) -> List[MdpSpec]:
+def two_mdp_example(noise: float = 0.25) -> Instance:
     """Fixed two-system instance with one binding coupling constraint.
 
     Action 1 is the expensive one in both systems: it raises the penalty
@@ -733,4 +730,4 @@ def two_mdp_example(noise: float = 0.25) -> List[MdpSpec]:
     second = MdpSpec(transitions=[[[0.7, 0.3], [0.4, 0.6]], [[0.3, 0.7], [0.2, 0.8]]],
                      f_mean=[[0.1, 0.9], [0.3, 1.1]],
                      g_means=[[[0.8, -0.4], [1.0, -0.25]]], noise=noise, psi=1.5)
-    return [first, second]
+    return Instance((first, second))

@@ -452,8 +452,9 @@ def recover_policy(theta, n_states, n_actions):
     return policy
 
 
-def run_fixed_policy(specs, thetas, horizon, seed=0, initial_states=None):
-    """Play fixed occupation vectors on the true chains, no adaptation.
+def run_fixed_policy(instance, thetas, horizon, seed=0):
+    """Play fixed occupation vectors on the true chains, no adaptation,
+    every system starting in state 0.
 
     Used to replay a stationary benchmark in the real system; the log has
     all-zero queues and constant theta rows so it can feed the same
@@ -461,13 +462,12 @@ def run_fixed_policy(specs, thetas, horizon, seed=0, initial_states=None):
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
-    m = ocmdp._common_constraint_count(specs)
+    specs, m = instance.specs, instance.n_constraints
     n_sys = len(specs)
     if len(thetas) != n_sys:
         raise ValueError("need one occupation vector per system")
-    polys = [ocmdp.build_polyhedron(spec) for spec in specs]
     fixed = [np.asarray(t, dtype=float).ravel() for t in thetas]
-    for poly, theta in zip(polys, fixed):
+    for poly, theta in zip(instance.polys, fixed):
         residual = poly.membership_residual(theta)
         if not residual <= ocmdp._MEMBERSHIP_TOL:
             raise ValueError(
@@ -477,10 +477,7 @@ def run_fixed_policy(specs, thetas, horizon, seed=0, initial_states=None):
         recover_policy(theta, spec.n_states, spec.n_actions)
         for spec, theta in zip(specs, fixed)
     ]
-    if initial_states is None:
-        states = np.zeros(n_sys, dtype=int)
-    else:
-        states = np.asarray(initial_states, dtype=int).copy()
+    states = np.zeros(n_sys, dtype=int)
     rngs = ocmdp._spawn_rngs(seed, n_sys)
 
     realized_f = np.zeros(horizon)
@@ -503,7 +500,7 @@ def run_fixed_policy(specs, thetas, horizon, seed=0, initial_states=None):
                 realized_g[t] += tables[spec.dim + entry :: spec.dim]
     return ocmdp.OcmdpLog(
         horizon=horizon,
-        fingerprint=ocmdp.instance_fingerprint(specs),
+        fingerprint=instance.fingerprint,
         queues=np.zeros((horizon + 1, m)),
         realized_f=realized_f,
         realized_g=realized_g,

@@ -66,6 +66,16 @@ class TestUserSpec:
         with pytest.raises(ValueError):
             _user(actions=((0.0, 0.0), (1.2, 2.0)))  # phi out of range
 
+    @pytest.mark.parametrize("field", ["mean_file", "weight", "power"])
+    def test_rejects_infinite_fields(self, field):
+        # each used to make multi_user_queue_bound infinite, voiding the
+        # hard per-slot bound; an infinite mean_file also gave inf throughput
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            if field == "power":
+                _user(actions=((0.0, 0.0), (0.6, math.inf)))
+            else:
+                _user(**{field: math.inf})
+
     def test_power_extremes(self):
         u = _user(actions=((0.0, 0.0), (0.4, 2.0), (0.9, 3.5)))
         assert u.p_min == 2.0

@@ -64,6 +64,28 @@ def test_server_config_validation():
     assert cfg.mu_mean == pytest.approx(zipf_mean(10, 1.9))
 
 
+# field: (a config or sleep mode with that field set to x, the message)
+_SERVER_FIELDS = {
+    "active_power": (lambda x: _cfg(active_power=x), "active_power must be finite"),
+    "mu": (lambda x: _cfg(mu=("constant", x)), "finite positive mu"),
+    "zipf-exponent": (lambda x: _cfg(mu=("zipf", 10, x)), "finite exponent"),
+    "r_max": (lambda x: _cfg(r_max=x), "r_max must be finite"),
+    "idle_power": (lambda x: SleepMode(x, 1.0, 2.0), "idle_power must be finite"),
+    "setup_power": (lambda x: SleepMode(0.0, x, 2.0), "setup_power must be finite"),
+    "setup_mean": (lambda x: SleepMode(0.0, 1.0, x), "setup_mean must be finite"),
+}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("field", sorted(_SERVER_FIELDS))
+def test_non_finite_server_fields_are_refused(field, bad):
+    # a NaN mu used to give max_queue [nan] and void the per-slot bound
+    # check, NaN powers a NaN power_avg, and an infinite r_max a crash mid-run
+    make, message = _SERVER_FIELDS[field]
+    with pytest.raises(ValueError, match=message):
+        make(bad)
+
+
 def test_zipf_mean_matches_reported_service_rate():
     # the trace experiment quotes 1.9933 requests per slot for K=10, p=1.9
     assert zipf_mean(10, 1.9) == pytest.approx(1.9933, abs=5e-4)

@@ -89,11 +89,20 @@ _RAMP = {"kind": "ramp", "base_rate": 2.0, "peak_rate": 8.0,
          "ramp_start": 10, "ramp_end": 30}
 _ENERGY = {"kind": "coupled-energy", "horizon": 10, "instance": {}}
 _ORACLE = {"kind": "oracle-only", "instance": {"target": "coupled-energy"}}
+# a 401-digit integer: valid JSON, too large for a float
+_HUGE = 10 ** 400
+_NAN, _INF = float("nan"), float("inf")
 
 # (config, key whose line the error must name, its occurrence, message)
 _BAD_CONFIGS = {
     "bandit-beta-negative": (_with(_BANDIT, {"beta": -1}), "beta", 0, "beta"),
     "bandit-beta-nan": (_with(_BANDIT, {"beta": float("nan")}), "beta", 0, "beta"),
+    "bandit-beta-huge": (_with(_BANDIT, {"beta": _HUGE}), "beta", 0,
+                         "beta must be a finite number"),
+    "bandit-user-mean-file-huge": (
+        _with(_BANDIT, {"users": [{"lam": 0.3, "mean_file": _HUGE,
+                                   "actions": [[0, 0], [0.6, 2]]}]}),
+        "users", 0, r"users\[0\]: int too large"),
     "bandit-m-servers-zero": (_with(_BANDIT, {"m_servers": 0}), "m_servers", 0,
                               "m_servers must be at least 1"),
     "bandit-m-servers-text": (_with(_BANDIT, {"m_servers": "x"}), "m_servers", 0,
@@ -137,6 +146,8 @@ _BAD_CONFIGS = {
     "farm-ramp-base-rate-negative": (
         _with(_FARM, {"trace": dict(_RAMP, base_rate=-2)}), "trace", 0,
         "trace: base_rate and peak_rate must be finite and nonnegative, got -2.0 and 8.0"),
+    "farm-ramp-base-rate-huge": (_with(_FARM, {"trace": dict(_RAMP, base_rate=_HUGE)}),
+                                 "trace", 0, "trace: int too large"),
     "farm-ramp-peak-rate-inf": (
         _with(_FARM, {"trace": dict(_RAMP, peak_rate=float("inf"))}), "trace", 0,
         "trace: base_rate and peak_rate must be finite and nonnegative, got 2.0 and inf"),
@@ -151,6 +162,17 @@ _BAD_CONFIGS = {
     "farm-oracle": (_with(_FARM, oracle=True), "oracle", 0, "no oracle"),
     "farm-fractional-i-max": (_with(_FARM, {"servers": [dict(_SERVER, i_max=1.5)]}),
                               "servers", 0, r"servers\[0\]: i_max must be an integer"),
+    **{f"farm-{name}": (_with(_FARM, {"servers": [dict(_SERVER, **server)]}), "servers", 0,
+                        rf"servers\[0\]: .*{message}")
+       for name, server, message in (
+           ("active-power-nan", {"active_power": _NAN}, "active_power must be finite"),
+           ("mu-nan", {"mu": ["constant", _NAN]}, "finite positive mu"),
+           ("zipf-exponent-inf", {"mu": ["zipf", 10, _INF]}, "finite exponent"),
+           ("idle-power-nan", {"sleep_modes": [[_NAN, 2.0, 5.0]]}, "idle_power must be finite"),
+           ("setup-power-inf", {"sleep_modes": [[0.0, _INF, 5.0]]}, "setup_power must be finite"),
+           ("setup-mean-inf", {"sleep_modes": [[0.0, 2.0, _INF]]}, "setup_mean must be finite"),
+           ("r-max-inf", {"r_max": _INF}, "r_max must be finite"),
+           ("r-max-huge", {"r_max": _HUGE}, "int too large"))},
     "ocmdp-path-and-example": (
         {"kind": "ocmdp", "instance": {"path": "mdp.json", "example": "two-mdp"}},
         "path", 0, "not both"),
@@ -164,16 +186,30 @@ _BAD_CONFIGS = {
                            "check_slater", 0, "'check_slater' does not apply"),
     "ocmdp-path-nan": ({"kind": "ocmdp", "instance": {"path": "nan_f_mean.json"}},
                        "path", 0, "f_mean must be finite"),
+    "ocmdp-path-huge": ({"kind": "ocmdp", "instance": {"path": "huge_f_mean.json"}},
+                        "path", 0, "cannot load ocmdp instance: int too large"),
+    "ocmdp-path-slater": ({"kind": "ocmdp", "instance": {"path": "slater.json"}}, "path", 0,
+                          r"cannot load ocmdp instance: instance fails the Slater check "
+                          r"\(margin -inf <= 1e-06\)"),
+    "ocmdp-path-constraint-counts": (
+        {"kind": "ocmdp", "instance": {"path": "mixed_counts.json"}}, "path", 0,
+        "cannot load ocmdp instance: all systems must share the same constraint count"),
+    "ocmdp-noise-huge": ({"kind": "ocmdp", "instance": {"noise": _HUGE}}, "noise", 0,
+                         "noise must be a finite number"),
     "online-model": ({"kind": "online-renewal", "instance": {"model": "upload"}},
                      "model", 0, "unknown renewal model"),
     "online-theta-max": ({"kind": "online-renewal", "instance": {"theta_max": "x"}},
                          "theta_max", 0, "theta_max"),
+    "online-theta-max-huge": ({"kind": "online-renewal", "instance": {"theta_max": _HUGE}},
+                              "theta_max", 0, "theta_max must be a finite number"),
     "energy-no-servers": (_with(_ENERGY, {"n_servers": 0}), "n_servers", 0,
                           "n_servers must be at least 1"),
     "energy-fractional-servers": (_with(_ENERGY, {"n_servers": 2.7}), "n_servers", 0,
                                   "n_servers must be an integer"),
     "energy-v-zero": (_with(_ENERGY, v_values=[0.0]), "v_values", 0,
                       "strictly positive v"),
+    "energy-v-huge": (_with(_ENERGY, v_values=[1.0, _HUGE]), "v_values", 0,
+                      "v_values entries must be finite numbers"),
     "energy-oracle-overloaded": (_with(_ENERGY, {"n_servers": 3}, oracle=True),
                                  "oracle", 0, r"n_servers 3 .* \(load 1\.368 >= 1\)"),
     "energy-oracle-overloaded-at-4": (_with(_ENERGY, {"n_servers": 4}, oracle=True),
@@ -191,12 +227,20 @@ _BAD_CONFIGS = {
 
 
 def _write_bad_files(where):
-    """The two-MDP example saved with a NaN penalty mean, a trace with a slot
-    gap, and a 2-row trace."""
-    ocmdp.save_instance(ocmdp.two_mdp_example(), str(where / "nan_f_mean.json"))
-    doc = json.loads((where / "nan_f_mean.json").read_text())
-    doc["systems"][0]["f_mean"][0][0] = float("nan")
-    (where / "nan_f_mean.json").write_text(json.dumps(doc))
+    """The two-MDP example saved with a NaN or a 401-digit penalty mean, and
+    with no constraint in its second system; a one-system instance no
+    policy strictly satisfies; a trace with a slot gap, and a 2-row trace."""
+    ocmdp.save_instance(ocmdp.two_mdp_example(), str(where / "two_mdp.json"))
+    for name, change in (("nan_f_mean", ("f_mean", 0, [[_NAN, 1.0], [0.1, 0.8]])),
+                         ("huge_f_mean", ("f_mean", 0, [[_HUGE, 1.0], [0.1, 0.8]])),
+                         ("mixed_counts", ("g_means", 1, []))):
+        doc = json.loads((where / "two_mdp.json").read_text())
+        key, system, value = change
+        doc["systems"][system][key] = value
+        (where / f"{name}.json").write_text(json.dumps(doc))
+    hopeless = {"transitions": [[[0.5, 0.5]] * 2] * 2, "f_mean": [[0.0, 0.0]] * 2,
+                "g_means": [[[0.3, 0.3]] * 2]}
+    (where / "slater.json").write_text(json.dumps({"systems": [hopeless]}))
     (where / "gap.csv").write_text("slot,arrivals,cost\n0,12,2.0\n2,5,1.0\n")
     oracles.write_trace(where / "short.csv", datacenter.uniform_trace(2, seed=1))
 
@@ -530,6 +574,37 @@ def test_ocmdp_path_instance_is_loaded_once_per_experiment(tmp_path, monkeypatch
         "instance": {"path": str(path)}})
     summary = harness.run_experiment(config)
     assert summary.n_rows == 4 and len(loads) == 1
+
+
+_MDP_FOUR_CELLS = {"kind": "ocmdp", "horizon": 30, "v_values": [5.0],
+                   "alpha_values": [20.0, 40.0], "replications": 2, "oracle": True}
+
+
+def test_ocmdp_instance_is_built_and_checked_once(monkeypatch):
+    # the load-time Instance serves every cell and the oracle: one polyhedron
+    # per system and one Slater LP for the whole experiment
+    calls = []
+    for name in ("build_polyhedron", "slater_margin"):
+        fn = getattr(ocmdp, name)
+        monkeypatch.setattr(ocmdp, name,
+                            lambda *args, fn=fn, name=name: calls.append(name) or fn(*args))
+    summary = harness.run_experiment(harness.config_from_mapping(_MDP_FOUR_CELLS))
+    assert summary.n_rows == 4 and "oracle_value" in summary.columns
+    assert calls == ["build_polyhedron", "build_polyhedron", "slater_margin"]
+
+
+def test_invariants_report_passes_on_an_ocmdp_config(monkeypatch):
+    config = harness.config_from_mapping(_MDP_FOUR_CELLS)
+    # a worker gets the Instance as pickled, without rebuilding or rechecking it
+    for name in ("build_polyhedron", "slater_margin"):
+        monkeypatch.setattr(ocmdp, name, lambda *args: pytest.fail("instance rebuilt"))
+    copy = pickle.loads(pickle.dumps(config.built))
+    assert copy.fingerprint == config.built.fingerprint and len(copy.polys) == 2
+    assert not any(spec.f_mean.flags.writeable for spec in copy.specs)
+    report = harness.invariants_report(config)
+    assert [name for name, _, _ in report] == ["determinism", "parallel-fold"]
+    for name, passed, detail in report:
+        assert passed, f"{name}: {detail}"
 
 
 def test_generated_trace_roundtrips(tmp_path):

@@ -1,4 +1,5 @@
 import bisect
+import dataclasses
 import hashlib
 import json
 import math
@@ -177,13 +178,22 @@ class TestPolyhedron:
             theta[2] = bad
             assert poly.membership_residual(theta) == math.inf
 
-    def test_build_rejects_mutated_transitions(self):
-        # MdpSpec is the validation gate; a row changed after it is still
-        # refused by the inverse-CDF check that Generator.choice also makes
-        spec = _spec_2x2(3)
-        spec.transitions[0, 0, 0] += 0.2
-        with pytest.raises(ValueError, match="sum to 1"):
-            ocmdp.build_polyhedron(spec)
+    def test_frozen_spec_refuses_mutation(self):
+        # MdpSpec is the validation gate, and an Instance's polyhedra and
+        # fingerprint are built from it once: no field or entry may change
+        p = np.full((2, 2, 2), 0.5)
+        direction = np.zeros((2, 2))
+        spec = ocmdp.MdpSpec(p, np.zeros((2, 2)), np.zeros((1, 2, 2)), f_drift=(direction, 9.0))
+        for array in (spec.transitions, spec.f_mean, spec.g_means, spec.f_drift[0]):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0, 0] += 0.2
+        for name in ("transitions", "noise", "psi", "f_drift"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(spec, name, None)
+        # the spec holds copies, so the caller's arrays stay writable
+        p[0, 0, 0] += 0.2
+        direction[0, 0] = 1.0
+        assert spec.transitions[0, 0, 0] == 0.5 and spec.f_drift[0][0, 0] == 0.0
 
 
 class TestProjection:
@@ -395,20 +405,20 @@ class TestStep:
     def test_nonfinite_v_or_alpha_is_refused_up_front(self, monkeypatch, v, alpha, name):
         # an infinite v used to fail in slot 1 as "projection input must be
         # finite", and an infinite alpha froze the controller without a word
-        specs = ocmdp.two_mdp_example()
-        polys = [ocmdp.build_polyhedron(s) for s in specs]
+        instance = ocmdp.two_mdp_example()
+        polys = instance.polys
         message = f"{name} must be finite and"
         with pytest.raises(ValueError, match=message):
             ocmdp.ocmdp_step(polys, [p.uniform_theta.tolist() for p in polys], [0.0],
-                             [s.sample_tables(0, [0.5] * 8) for s in specs], v, alpha)
-        monkeypatch.setattr(ocmdp, "slater_margin", lambda *args: pytest.fail("Slater LP solved"))
+                             [s.sample_tables(0, [0.5] * 8) for s in instance.specs], v, alpha)
+        monkeypatch.setattr(ocmdp, "_spawn_rngs", lambda *args: pytest.fail("run started"))
         with pytest.raises(ValueError, match=message):
-            ocmdp.run_ocmdp(specs, 10, v=v, alpha=alpha)
+            ocmdp.run_ocmdp(instance, 10, v=v, alpha=alpha)
 
     def test_no_constraints_runs_unconstrained(self):
         specs = [_spec_2x2(31, m=1), ]
         spec = ocmdp.MdpSpec(specs[0].transitions, specs[0].f_mean, np.zeros((0, 2, 2)))
-        log = ocmdp.run_ocmdp([spec], 50, v=5.0, alpha=50.0, seed=1)
+        log = ocmdp.run_ocmdp(ocmdp.Instance((spec,)), 50, v=5.0, alpha=50.0, seed=1)
         assert log.queues.shape == (51, 0)
         assert log.realized_g.shape == (50, 0)
 
@@ -416,20 +426,19 @@ class TestStep:
         p = np.full((2, 2, 2), 0.5)
         f = np.array([[1.0, 0.0], [1.0, 0.0]])
         spec = ocmdp.MdpSpec(p, f, np.zeros((0, 2, 2)))
-        log = ocmdp.run_ocmdp([spec], 400, v=10.0, alpha=200.0, seed=0)
+        log = ocmdp.run_ocmdp(ocmdp.Instance((spec,)), 400, v=10.0, alpha=200.0, seed=0)
         start = log.thetas[0][0]
         end = log.thetas[0][-1]
         assert f.ravel() @ end < f.ravel() @ start - 0.2
 
     @staticmethod
     def _step_with_face(face):
-        specs = ocmdp.two_mdp_example(noise=0.0)
-        polys = [ocmdp.build_polyhedron(s) for s in specs]
-        for poly in polys:
+        instance = ocmdp.two_mdp_example(noise=0.0)
+        for poly in instance.polys:
             poly.face = face
         return ocmdp.ocmdp_step(
-            polys, [p.uniform_theta.tolist() for p in polys], [0.0],
-            [s.sample_tables(0) for s in specs], 1.0, 10.0,
+            instance.polys, [p.uniform_theta.tolist() for p in instance.polys], [0.0],
+            [s.sample_tables(0) for s in instance.specs], 1.0, 10.0,
         )
 
     def test_bad_projection_output_is_caught(self):
@@ -551,17 +560,21 @@ class TestSampling:
 
 class TestRun:
     def test_first_two_queue_rows_are_exactly_zero(self):
-        specs = ocmdp.two_mdp_example()
-        log = ocmdp.run_ocmdp(specs, 40, v=5.0, alpha=100.0, seed=2)
+        instance = ocmdp.two_mdp_example()
+        log = ocmdp.run_ocmdp(instance, 40, v=5.0, alpha=100.0, seed=2)
         assert np.all(log.queues[0] == 0.0)
         assert np.all(log.queues[1] == 0.0)
         assert log.queues.shape == (41, 1)
+        # every system starts in state 0 on its uniform-policy vector
+        assert log.states[0].tolist() == [0, 0]
+        for poly, thetas in zip(instance.polys, log.thetas):
+            assert thetas[0].tobytes() == poly.uniform_theta.tobytes()
 
     def test_noise_free_trajectory_matches_manual_replay(self):
-        specs = ocmdp.two_mdp_example(noise=0.0)
-        polys = [ocmdp.build_polyhedron(s) for s in specs]
+        instance = ocmdp.two_mdp_example(noise=0.0)
+        specs, polys = instance.specs, instance.polys
         v, alpha, horizon = 8.0, 60.0, 6
-        log = ocmdp.run_ocmdp(specs, horizon, v, alpha, seed=9)
+        log = ocmdp.run_ocmdp(instance, horizon, v, alpha, seed=9)
         thetas = [p.uniform_theta.copy() for p in polys]
         queues = np.zeros(1)
         for t in range(1, horizon):
@@ -582,51 +595,42 @@ class TestRun:
             np.testing.assert_allclose(log.queues[t + 1], queues, atol=1e-12)
 
     def test_same_seed_reproduces_and_seeds_differ(self):
-        specs = ocmdp.two_mdp_example()
-        a = ocmdp.run_ocmdp(specs, 300, v=5.0, alpha=300.0, seed=4)
-        b = ocmdp.run_ocmdp(specs, 300, v=5.0, alpha=300.0, seed=4)
-        c = ocmdp.run_ocmdp(specs, 300, v=5.0, alpha=300.0, seed=5)
+        instance = ocmdp.two_mdp_example()
+        a = ocmdp.run_ocmdp(instance, 300, v=5.0, alpha=300.0, seed=4)
+        b = ocmdp.run_ocmdp(instance, 300, v=5.0, alpha=300.0, seed=4)
+        c = ocmdp.run_ocmdp(instance, 300, v=5.0, alpha=300.0, seed=5)
         np.testing.assert_array_equal(a.realized_f, b.realized_f)
         np.testing.assert_array_equal(a.actions, b.actions)
         np.testing.assert_array_equal(a.queues, b.queues)
         assert not np.array_equal(a.realized_f, c.realized_f)
 
     def test_rejects_bad_arguments(self):
-        specs = ocmdp.two_mdp_example()
+        instance = ocmdp.two_mdp_example()
+        specs = instance.specs
         with pytest.raises(ValueError, match="horizon"):
-            ocmdp.run_ocmdp(specs, 0, 1.0, 1.0)
+            ocmdp.run_ocmdp(instance, 0, 1.0, 1.0)
         with pytest.raises(ValueError, match="alpha"):
-            ocmdp.run_ocmdp(specs, 10, 1.0, 0.0)
+            ocmdp.run_ocmdp(instance, 10, 1.0, 0.0)
         with pytest.raises(ValueError, match="nonnegative"):
-            ocmdp.run_ocmdp(specs, 10, -1.0, 1.0)
-        with pytest.raises(ValueError, match="theta0"):
-            ocmdp.run_ocmdp(specs, 10, 1.0, 10.0, theta0=[np.full(4, 0.5), np.full(4, 0.25)])
+            ocmdp.run_ocmdp(instance, 10, -1.0, 1.0)
         with pytest.raises(ValueError, match="constraint count"):
-            mixed = [specs[0], ocmdp.MdpSpec(specs[1].transitions, specs[1].f_mean, np.zeros((0, 2, 2)))]
-            ocmdp.run_ocmdp(mixed, 10, 1.0, 10.0)
-        with pytest.raises(ValueError, match="initial state"):
-            ocmdp.run_ocmdp(specs, 10, 1.0, 10.0, initial_states=[0, 7])
-
-    def test_nan_theta0_is_rejected(self):
-        specs = ocmdp.two_mdp_example()
-        uniform = ocmdp.build_polyhedron(specs[1]).uniform_theta
-        for horizon in (1, 5):
-            with pytest.raises(ValueError, match="theta0 lies outside its polyhedron"):
-                ocmdp.run_ocmdp(specs, horizon, v=1.0, alpha=10.0,
-                                theta0=[np.full(4, np.nan), uniform])
+            ocmdp.Instance((specs[0], ocmdp.MdpSpec(specs[1].transitions, specs[1].f_mean,
+                                                    np.zeros((0, 2, 2)))))
+        with pytest.raises(ValueError, match="at least one system"):
+            ocmdp.Instance(())
 
     def test_slater_violating_instance_is_rejected(self):
         p = np.full((2, 2, 2), 0.5)
         hopeless = ocmdp.MdpSpec(p, np.zeros((2, 2)), np.full((1, 2, 2), 0.3))
         with pytest.raises(ValueError, match="Slater"):
-            ocmdp.run_ocmdp([hopeless], 10, 1.0, 10.0)
+            ocmdp.Instance((hopeless,))
         poly = ocmdp.build_polyhedron(hopeless)
         assert ocmdp.slater_margin([poly], [hopeless.g_means]) <= 0.0
 
     def test_slater_margin_at_least_best_vertex_certificate(self):
-        specs = ocmdp.two_mdp_example()
-        polys = [ocmdp.build_polyhedron(s) for s in specs]
-        margin = ocmdp.slater_margin(polys, [s.g_means for s in specs])
+        instance = ocmdp.two_mdp_example()
+        specs = instance.specs
+        margin = ocmdp.slater_margin(instance.polys, [s.g_means for s in specs])
         certificate = 0.0
         for spec in specs:
             all_one = np.zeros(4)
@@ -638,11 +642,10 @@ class TestRun:
         assert margin > 0.1
 
     def test_slater_margin_and_baseline_values_are_pinned(self):
-        specs = ocmdp.two_mdp_example()
-        polys = [ocmdp.build_polyhedron(s) for s in specs]
-        margin = ocmdp.slater_margin(polys, [s.g_means for s in specs])
+        instance = ocmdp.two_mdp_example()
+        margin = ocmdp.slater_margin(instance.polys, [s.g_means for s in instance.specs])
         assert margin.hex() == "0x1.888888888888ap-1"
-        assert ocmdp.solve_baseline(specs).value.hex() == "0x1.4c0cf1dce9b00p+0"
+        assert ocmdp.solve_baseline(instance).value.hex() == "0x1.4c0cf1dce9b00p+0"
 
 
 # Two sha256 digests of run_ocmdp(two_mdp_example(), 2000, v=sqrt(2000),
@@ -685,7 +688,7 @@ def _three_systems():
         g[:, :, 0] = -rng.uniform(0.3, 0.6, size=(2, n_s))
         f_drift = (rng.uniform(-0.5, 0.5, size=(n_s, n_a)), 97.0) if drift else None
         specs.append(ocmdp.MdpSpec(p, f, g, noise=noise, f_drift=f_drift))
-    return specs
+    return ocmdp.Instance(tuple(specs))
 
 
 @pytest.mark.parametrize("horizon", [1, 2, 7])
@@ -720,8 +723,9 @@ def test_draws_of_every_width_across_chunks_are_pinned():
 
 class TestRegret:
     def test_baseline_matches_dual_scan_oracle(self):
-        specs = ocmdp.two_mdp_example()
-        base = ocmdp.solve_baseline(specs)
+        instance = ocmdp.two_mdp_example()
+        specs = instance.specs
+        base = ocmdp.solve_baseline(instance)
         scan = coupled_baseline_dual_scan(
             [s.transitions for s in specs],
             [s.f_mean for s in specs],
@@ -730,42 +734,46 @@ class TestRegret:
         assert base.value == pytest.approx(scan, abs=1e-3)
 
     def test_fixed_baseline_policy_has_near_zero_regret(self):
-        specs = ocmdp.two_mdp_example()
-        base = ocmdp.solve_baseline(specs)
+        instance = ocmdp.two_mdp_example()
+        base = ocmdp.solve_baseline(instance)
         horizon = 20000
-        log = run_fixed_policy(specs, base.thetas, horizon, seed=3)
-        regret, violations = ocmdp.measure_regret(specs, log, base)
+        log = run_fixed_policy(instance, base.thetas, horizon, seed=3)
+        regret, violations = ocmdp.measure_regret(instance, log, base)
         assert abs(regret) < 0.03 * horizon
         assert abs(violations[0]) < 0.05 * horizon
 
     def test_nan_fixed_policy_is_rejected(self):
-        specs = ocmdp.two_mdp_example()
-        base = ocmdp.solve_baseline(specs)
+        instance = ocmdp.two_mdp_example()
+        base = ocmdp.solve_baseline(instance)
         with pytest.raises(ValueError, match="outside its polyhedron"):
-            run_fixed_policy(specs, [np.full(4, np.nan), base.thetas[1]], 5)
+            run_fixed_policy(instance, [np.full(4, np.nan), base.thetas[1]], 5)
 
     def test_fingerprint_mismatch_is_rejected(self):
-        specs = ocmdp.two_mdp_example()
+        instance = ocmdp.two_mdp_example()
         other = ocmdp.two_mdp_example(noise=0.1)
-        base = ocmdp.solve_baseline(specs)
+        base = ocmdp.solve_baseline(instance)
         log = ocmdp.run_ocmdp(other, 20, 2.0, 20.0, seed=0)
         with pytest.raises(ValueError, match="different instances"):
-            ocmdp.measure_regret(specs, log, base)
+            ocmdp.measure_regret(instance, log, base)
         with pytest.raises(ValueError, match="different instances"):
             ocmdp.measure_regret(other, log, base)
 
     def test_fingerprint_tracks_content(self):
-        specs = ocmdp.two_mdp_example()
+        instance = ocmdp.two_mdp_example()
         again = ocmdp.two_mdp_example()
-        assert ocmdp.instance_fingerprint(specs) == ocmdp.instance_fingerprint(again)
-        again[0].f_mean[0, 0] += 1e-9
-        assert ocmdp.instance_fingerprint(specs) != ocmdp.instance_fingerprint(again)
+        assert instance.fingerprint == again.fingerprint
+        first, second = again.specs
+        f_mean = first.f_mean.copy()
+        f_mean[0, 0] += 1e-9
+        nudged = ocmdp.Instance((dataclasses.replace(first, f_mean=f_mean), second))
+        assert instance.fingerprint != nudged.fingerprint
+        assert instance.fingerprint != ocmdp.Instance((second, first)).fingerprint
 
     def test_short_run_stays_inside_polytopes_and_queues_stay_modest(self):
-        specs = ocmdp.two_mdp_example()
+        instance = ocmdp.two_mdp_example()
+        specs, polys = instance.specs, instance.polys
         horizon = 2500
-        log = ocmdp.run_ocmdp(specs, horizon, horizon ** 0.5, float(horizon), seed=0)
-        polys = [ocmdp.build_polyhedron(s) for s in specs]
+        log = ocmdp.run_ocmdp(instance, horizon, horizon ** 0.5, float(horizon), seed=0)
         for k, poly in enumerate(polys):
             worst = max(poly.membership_residual(row) for row in log.thetas[k][::50])
             assert worst <= 1e-8
@@ -779,26 +787,28 @@ class TestRegret:
 
 class TestInstanceFiles:
     def test_json_roundtrip_preserves_fingerprint(self, tmp_path):
-        specs = ocmdp.two_mdp_example()
+        instance = ocmdp.two_mdp_example()
         path = tmp_path / "instance.json"
-        ocmdp.save_instance(specs, str(path))
+        ocmdp.save_instance(instance, str(path))
         loaded = ocmdp.load_instance(str(path))
-        assert ocmdp.instance_fingerprint(loaded) == ocmdp.instance_fingerprint(specs)
+        assert loaded.fingerprint == instance.fingerprint
         doc = json.loads(path.read_text())
         assert len(doc["systems"]) == 2
 
     def test_json_roundtrip_with_drift(self, tmp_path):
         p = np.full((2, 2, 2), 0.5)
         direction = np.array([[0.5, 0.0], [0.0, 0.5]])
+        # a strictly feasible constraint: an Instance refuses a zero one
         spec = ocmdp.MdpSpec(
-            p, np.zeros((2, 2)), np.zeros((1, 2, 2)),
+            p, np.zeros((2, 2)), np.full((1, 2, 2), -0.5),
             noise=0.1, f_drift=(direction, 50.0),
         )
         path = tmp_path / "drifting.json"
-        ocmdp.save_instance([spec], str(path))
+        instance = ocmdp.Instance((spec,))
+        ocmdp.save_instance(instance, str(path))
         loaded = ocmdp.load_instance(str(path))
-        assert loaded[0].f_drift is not None
-        assert ocmdp.instance_fingerprint(loaded) == ocmdp.instance_fingerprint([spec])
+        assert loaded.specs[0].f_drift is not None
+        assert loaded.fingerprint == instance.fingerprint
 
 
 class TestDrift:
@@ -812,9 +822,10 @@ class TestDrift:
             noise=0.0,
             f_drift=(direction, 40.0),
         )
-        base = ocmdp.solve_baseline([spec])
-        log = run_fixed_policy([spec], base.thetas, 400, seed=0)
-        regret, _ = ocmdp.measure_regret([spec], log, base)
+        instance = ocmdp.Instance((spec,))
+        base = ocmdp.solve_baseline(instance)
+        log = run_fixed_policy(instance, base.thetas, 400, seed=0)
+        regret, _ = ocmdp.measure_regret(instance, log, base)
         flat = base.thetas[0]
         slots = np.arange(400)
         wave = np.sin(2 * np.pi * slots / 40.0)
