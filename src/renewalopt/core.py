@@ -3,12 +3,13 @@
 A renewal system runs in frames: at each frame start a controller picks an
 action, the frame plays out for a random number of slots, and the frame yields
 a penalty and one metric per tracked constraint. Virtual queues integrate the
-metric overshoot against allowed rates; the selectors below minimize the
+metric overshoot against allowed rates; the selector below minimizes the
 standard drift-plus-penalty trade-off between queue pressure and penalty.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional, Sequence, Tuple, Union
 
@@ -76,12 +77,12 @@ class FrameProfile(NamedTuple):
 class ActionModel:
     """One action available at a frame start.
 
-    ``exp_penalty`` and ``exp_metrics`` hold per-frame expected totals when the
-    model is used with :func:`dpp_ratio_select`, or per-slot expected rates when
-    used with :func:`dpp_linear_select`; ``exp_frame_len`` is the expected frame
-    length (at least 1) in both cases; all three must be finite. ``sampler``
-    draws a realized frame from a seeded generator: its totals as a
-    :class:`FrameOutcome`, or its slot layout as a :class:`FrameProfile`.
+    ``exp_penalty`` and ``exp_metrics`` hold per-slot expected rates and
+    ``exp_frame_len`` the expected frame length (at least 1), all finite.
+    ``sampler`` draws a realized frame from a seeded generator: its totals as
+    a :class:`FrameOutcome`, or its slot layout as a :class:`FrameProfile`.
+    ``sparse_metrics`` holds the nonzero metrics as ``(index, value)`` pairs
+    if there is at most one, else None.
     """
 
     action_id: object
@@ -91,17 +92,24 @@ class ActionModel:
     sampler: Optional[
         Callable[[np.random.Generator], Union[FrameOutcome, FrameProfile]]
     ] = field(default=None, repr=False)
+    sparse_metrics: Optional[tuple] = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "exp_metrics", np.asarray(self.exp_metrics, dtype=float)
-        )
-        # a NaN would lose every comparison in the selectors and so win them
-        if not (np.isfinite(self.exp_penalty) and np.isfinite(self.exp_frame_len)
-                and np.isfinite(self.exp_metrics).all()):
+        metrics = np.asarray(self.exp_metrics, dtype=float)
+        if metrics.ndim != 1:
+            raise ValueError("exp_metrics must be a vector")
+        penalty, frame_len = float(self.exp_penalty), float(self.exp_frame_len)
+        # a NaN would lose every comparison in the selector and so win it
+        if not (math.isfinite(penalty) and math.isfinite(frame_len)
+                and np.isfinite(metrics).all()):
             raise ValueError("expected penalty, metrics and frame length must be finite")
-        if not self.exp_frame_len >= 1.0:
+        if not frame_len >= 1.0:
             raise ValueError("exp_frame_len must be at least 1")
+        sparse = tuple((l, float(metrics[l])) for l in np.flatnonzero(metrics).tolist())
+        object.__setattr__(self, "exp_penalty", penalty)
+        object.__setattr__(self, "exp_metrics", metrics)
+        object.__setattr__(self, "exp_frame_len", frame_len)
+        object.__setattr__(self, "sparse_metrics", sparse if len(sparse) <= 1 else None)
 
 
 def queue_update_frame(
@@ -115,39 +123,35 @@ def queue_update_frame(
     return np.maximum(q + outcome.metrics_total - d_rates * outcome.frame_len, 0.0)
 
 
-def _select(actions: Sequence[ActionModel], q, v: float, divide: bool):
+def dpp_linear_select(actions: Sequence[ActionModel], q: Sequence[float], v: float):
+    """Pick the action minimizing v*penalty + q.metrics (rate normalized).
+
+    ``q`` is any float sequence, one entry per metric. Ties keep the lowest
+    list index. For finite ``q``, ``q[l]*m`` is the float ``ndarray.dot``
+    makes of one nonzero product among zeros; an action with more nonzero
+    metrics keeps ``ndarray.dot``, which may fuse or reorder its terms.
+    """
     if not actions:
         raise ValueError("action list is empty")
     if not v > 0.0:
         raise ValueError("penalty weight must be positive")
-    q = np.asarray(q, dtype=float)
-    best_id = None
-    best_val = None
+    ell = len(q)
+    dense = best_id = best_val = None
     for a in actions:
-        # ndarray.dot is the kernel ``@`` calls for two vectors, without the
-        # operator dispatch that costs more than the product at this size.
-        val = v * float(a.exp_penalty) + float(q.dot(a.exp_metrics))
-        if divide:
-            val /= float(a.exp_frame_len)
+        if len(a.exp_metrics) != ell:
+            raise ValueError("queue and metric vectors must share one length")
+        sparse = a.sparse_metrics
+        if sparse is None:
+            if dense is None:
+                dense = np.asarray(q, dtype=float)
+            dot = float(dense.dot(a.exp_metrics))
+        elif sparse:
+            l, m = sparse[0]
+            dot = q[l] * m
+        else:
+            dot = 0.0
+        val = v * a.exp_penalty + dot
         if best_val is None or val < best_val:
             best_val = val
             best_id = a.action_id
     return best_id
-
-
-def dpp_ratio_select(actions: Sequence[ActionModel], q, v: float):
-    """Pick the action minimizing (v*penalty + q.metrics) / frame_len.
-
-    Expected per-frame totals are divided by the expected frame length, the
-    frame-based drift-plus-penalty rule. Ties keep the lowest list index.
-    """
-    return _select(actions, q, v, divide=True)
-
-
-def dpp_linear_select(actions: Sequence[ActionModel], q, v: float):
-    """Pick the action minimizing v*penalty + q.metrics (rate normalized).
-
-    Use with models whose exp_penalty / exp_metrics are already per-slot rates.
-    Ties keep the lowest list index.
-    """
-    return _select(actions, q, v, divide=False)

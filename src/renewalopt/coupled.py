@@ -11,17 +11,13 @@ oracle.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import Callable, List, Tuple
 
 import numpy as np
 
-from renewalopt.core import (
-    ActionModel,
-    FrameOutcome,
-    FrameProfile,
-    dpp_linear_select,
-)
+from renewalopt.core import ActionModel, FrameOutcome, FrameProfile, dpp_linear_select
 from renewalopt import lp as lp_mod
 
 
@@ -45,14 +41,13 @@ class CoupledSystemSpec:
 
     def __post_init__(self):
         probe = np.random.default_rng(0)
-        shape = (self.n_constraints,)
         for actions in self.systems:
             if not actions:
                 raise ValueError("every system needs at least one action")
             if len({a.action_id for a in actions}) != len(actions):
                 raise ValueError("action ids must be distinct within a system")
             for a in actions:
-                if a.exp_metrics.shape != shape:
+                if a.exp_metrics.shape != (self.n_constraints,):
                     raise ValueError("exp_metrics length must equal n_constraints")
                 if a.sampler is None:
                     raise ValueError(f"action {a.action_id!r} has no sampler")
@@ -105,14 +100,11 @@ def _check_totals(frame: FrameProfile, n_constraints: int) -> None:
     for _, y, z in frame.impulses:
         penalty += y
         metrics += z
-    if abs(penalty - frame.penalty_total) > 1e-9 \
-            or np.abs(metrics - totals).max(initial=0.0) > 1e-9:
+    with np.errstate(invalid="ignore"):  # inf - inf: a NaN, refused below
+        gap = np.abs(metrics - totals).max(initial=0.0)
+    # written so that a NaN or infinite difference fails too
+    if not (abs(penalty - frame.penalty_total) <= 1e-9 and gap <= 1e-9):
         raise ValueError("frame slots do not add up to its totals")
-
-
-def _columns(cols: List[List[float]], horizon: int) -> np.ndarray:
-    """(horizon, len(cols)) C-ordered array whose column k is ``cols[k]``."""
-    return np.ascontiguousarray(np.array(cols, dtype=float).reshape(-1, horizon).T)
 
 
 def run(spec: CoupledSystemSpec, v: float, horizon: int, seed: int) -> MetricsLog:
@@ -127,6 +119,8 @@ def run(spec: CoupledSystemSpec, v: float, horizon: int, seed: int) -> MetricsLo
     previous slot and writes its whole frame's emissions ahead, so each
     slot's metrics add up in frame-start order; the queues then step slot by
     slot, ``max((q + metrics) - external, 0)``, up to the next decision.
+    A non-finite external draw is refused before the first slot, and a
+    non-finite penalty, metric or queue once the horizon is done.
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
@@ -141,6 +135,8 @@ def run(spec: CoupledSystemSpec, v: float, horizon: int, seed: int) -> MetricsLo
     external = np.asarray(spec.external(external_rng, horizon), dtype=float)
     if external.shape != (horizon, ell):
         raise ValueError("external returned the wrong shape")
+    if not np.isfinite(external).all():
+        raise ValueError("external returned a non-finite value")
     by_id = [{a.action_id: a for a in actions} for actions in systems]
     # systems holding the same action objects choose alike within a slot
     kinds = [tuple(map(id, actions)) for actions in systems]
@@ -151,19 +147,18 @@ def run(spec: CoupledSystemSpec, v: float, horizon: int, seed: int) -> MetricsLo
     external_cols = external.T.tolist()
     queues: List[List[float]] = [[] for _ in range(ell)]
     frame_log: List[Tuple[int, int, int, object]] = []
-    next_start = [0] * n_sys
+    # (next frame start, system): pops at one slot come in system order
+    starts = [(0, n) for n in range(n_sys)]
     columns = list(zip(metrics, external_cols, queues))
     q = [0.0] * ell
     t = 0
     while t < horizon:
-        q_vec = np.array(q)
-        chosen = {}
-        for n in range(n_sys):
-            if next_start[n] != t:
-                continue
-            model = chosen.get(kind[n])
+        chosen = [None] * n_sys
+        while starts and starts[0][0] == t:
+            n = heapq.heappop(starts)[1]
+            model = chosen[kind[n]]
             if model is None:
-                model = by_id[n][dpp_linear_select(systems[n], q_vec, v)]
+                model = by_id[n][dpp_linear_select(systems[n], q, v)]
                 chosen[kind[n]] = model
             frame = _as_profile(model.sampler(frames_rng))
             length = frame.check(ell)
@@ -173,13 +168,13 @@ def run(spec: CoupledSystemSpec, v: float, horizon: int, seed: int) -> MetricsLo
                 if s >= horizon:
                     break
                 emitted[s] = y
-                for l, z_l in enumerate(z):
-                    metrics[l][s] += z_l
+                for m_l, z_l in zip(metrics, z):
+                    m_l[s] += z_l
             start, end = t + frame.tail_start, min(t + length, horizon)
             emitted[start:end] = [frame.tail_penalty] * (end - start)
             frame_log.append((n, t, length, model.action_id))
-            next_start[n] = t + length
-        stop = min(next_start, default=horizon)
+            heapq.heappush(starts, (t + length, n))
+        stop = starts[0][0] if starts else horizon
         if stop > horizon:
             stop = horizon
         for l, (m_l, e_l, q_l) in enumerate(columns):
@@ -187,17 +182,19 @@ def run(spec: CoupledSystemSpec, v: float, horizon: int, seed: int) -> MetricsLo
             for s in range(t, stop):
                 x = x + m_l[s] - e_l[s]
                 # max(x, 0.0) as np.maximum takes it: NaN passes through
-                x = x if x > 0.0 or x != x else 0.0
+                x = 0.0 if x <= 0.0 else x
                 q_l.append(x)
             q[l] = x
         t = stop
-    return MetricsLog(
-        penalty=_columns(penalty, horizon),
-        metrics=_columns(metrics, horizon),
-        external=external,
-        queues=_columns(queues, horizon),
-        frame_log=frame_log,
-    )
+    # (horizon, len(cols)) C-ordered arrays whose column k is cols[k]
+    penalty, metrics, queues = (
+        np.ascontiguousarray(np.array(cols, dtype=float).reshape(-1, horizon).T)
+        for cols in (penalty, metrics, queues))
+    # a non-finite queue stays so to the horizon, so this also covers every
+    # decision taken against one
+    if not all(np.isfinite(a).all() for a in (penalty, metrics, queues)):
+        raise ValueError("run emitted a non-finite penalty, metric or queue")
+    return MetricsLog(penalty, metrics, external, queues, frame_log)
 
 
 # ---------------------------------------------------------------------------

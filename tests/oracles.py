@@ -12,7 +12,9 @@ chain's rows stays here.
 
 The exceptions are the reference-version sections, earlier and plainer versions of
 package code kept so the tests can require the package to reproduce them bit for
-bit, and the last section, helpers that only the tests use.
+bit, and the last section, helpers that only the tests use. The single-system
+frame rule ``dpp_ratio_select``, which no package code uses, sits beside the
+brute-force argmin that checks it.
 """
 
 from __future__ import annotations
@@ -38,6 +40,27 @@ from renewalopt.core import (
 # ---------------------------------------------------------------------------
 # selection oracles
 # ---------------------------------------------------------------------------
+
+def dpp_ratio_select(actions, q, v):
+    """Pick the action minimizing (v*penalty + q.metrics) / frame_len.
+
+    The single-system frame rule on expected per-frame totals: the reference
+    that ``ratio_select_bruteforce`` checks. Ties keep the lowest list index.
+    """
+    if not actions:
+        raise ValueError("action list is empty")
+    if not v > 0.0:
+        raise ValueError("penalty weight must be positive")
+    q = np.asarray(q, dtype=float)
+    best_id = None
+    best_val = None
+    for a in actions:
+        val = (v * a.exp_penalty + float(q.dot(a.exp_metrics))) / a.exp_frame_len
+        if best_val is None or val < best_val:
+            best_val = val
+            best_id = a.action_id
+    return best_id
+
 
 def ratio_select_bruteforce(actions, q, v):
     """Exhaustive argmin of (v*y + q.z) / T with lowest-index tie-breaking."""

@@ -13,7 +13,6 @@ from renewalopt.core import (
     FrameOutcome,
     FrameProfile,
     dpp_linear_select,
-    dpp_ratio_select,
     queue_update_frame,
 )
 from renewalopt.coupled import CoupledSystemSpec
@@ -22,6 +21,7 @@ from oracles import (
     action_from_dists,
     dense_slots,
     deterministic,
+    dpp_ratio_select,
     geometric_min1,
     outcome_sampler,
     queue_update_slot,
@@ -124,6 +124,78 @@ def test_select_breaks_exact_ties_toward_lowest_index():
     twin = [_mk_action(i, 1.0, [2.0], 2.0) for i in range(5)]
     assert dpp_ratio_select(twin, np.array([1.0]), 3.0) == 0
     assert dpp_linear_select(twin, np.array([1.0]), 3.0) == 0
+
+
+
+@pytest.mark.parametrize("z,sparse", [
+    ([0.0, 0.0, 0.0], ()),
+    ([0.0, -0.0], ()),
+    ([0.0, -2.5, 0.0], ((1, -2.5),)),
+    ([3.0], ((0, 3.0),)),
+    ([1.0, 0.0, -1.0], None),
+])
+def test_action_model_keeps_at_most_one_nonzero_metric_sparse(z, sparse):
+    assert _mk_action(0, 1.0, z, 1.0).sparse_metrics == sparse
+
+
+@pytest.mark.parametrize("z", [2.0, [[1.0, 0.0]]])
+def test_action_model_needs_a_metric_vector(z):
+    with pytest.raises(ValueError, match="vector"):
+        _mk_action(0, 1.0, z, 1.0)
+
+
+# Dyadic grid values: every product and sum below is exact, so the selector,
+# ndarray.dot and an fsum all score alike and exact ties stay ties.
+_grid = st.integers(-64, 64).map(lambda k: k / 8)
+_queue_grid = st.one_of(st.just(0.0), st.integers(0, 2**20).map(lambda k: k / 4))
+
+
+@st.composite
+def _selection(draw, metric, queue):
+    ell = draw(st.integers(1, 4))
+    actions = []
+    for i in range(draw(st.integers(1, 6))):
+        # 0, 1 or up to ell nonzero metrics, at drawn places
+        support = draw(st.sets(st.integers(0, ell - 1), max_size=ell))
+        z = [draw(metric) if l in support else 0.0 for l in range(ell)]
+        actions.append(_mk_action(i, draw(_grid), z, 1.0))
+        if draw(st.booleans()):  # an exact twin, which must lose its tie
+            actions.append(_mk_action(-i - 1, actions[-1].exp_penalty, z, 1.0))
+    q = [draw(queue) for _ in range(ell)]
+    return actions, q, draw(st.sampled_from([0.5, 1.0, 3.0, 100.0]))
+
+
+@given(_selection(_grid, _queue_grid))
+@settings(max_examples=300, deadline=None)
+def test_list_queue_selects_like_array_queue_and_bruteforce(case):
+    actions, q, v = case
+    chosen = dpp_linear_select(actions, q, v)
+    assert chosen == dpp_linear_select(actions, np.array(q), v)
+    ids = [a.action_id for a in actions]
+    assert ids.index(chosen) == oracles.linear_select_bruteforce(actions, q, v)
+
+
+@given(_selection(st.floats(-1e6, 1e6), st.floats(0.0, 1e12)))
+@settings(max_examples=300, deadline=None)
+def test_list_queue_selects_like_ndarray_dot_on_any_finite_values(case):
+    # the sparse score q[l]*m is the float ndarray.dot makes of one nonzero
+    # product among zeros; ties keep the lowest index
+    actions, q, v = case
+    chosen = dpp_linear_select(actions, q, v)
+    assert chosen == dpp_linear_select(actions, np.array(q), v)
+    qa = np.array(q)
+    scores = [v * a.exp_penalty + float(qa.dot(a.exp_metrics)) for a in actions]
+    assert chosen == actions[scores.index(min(scores))].action_id
+
+
+@pytest.mark.parametrize("z", [[0.0, 0.0], [0.0, 2.0], [1.0, 2.0]])
+def test_select_refuses_a_queue_of_the_wrong_length(z):
+    actions = [_mk_action(0, 1.0, z, 1.0)]
+    for q in ([1.0], [1.0, 2.0, 3.0]):
+        with pytest.raises(ValueError):
+            dpp_linear_select(actions, q, 1.0)
+        with pytest.raises(ValueError):
+            dpp_linear_select(actions, np.array(q), 1.0)
 
 
 def test_select_rejects_empty_and_bad_weight():

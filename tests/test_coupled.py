@@ -1,8 +1,10 @@
 import hashlib
+import math
 
 import numpy as np
 import pytest
 
+from renewalopt import coupled
 from renewalopt.core import ActionModel, FrameOutcome, FrameProfile
 from renewalopt.coupled import (
     ENERGY_CLASSES,
@@ -228,6 +230,83 @@ def test_spec_build_checks_each_action_once():
                           external=lambda rng, count: np.zeros((count, 2)),
                           n_constraints=2)
 
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_spec_build_refuses_a_non_finite_probe_frame(bad):
+    # every comparison with NaN is false, so "differs by more than" passes it
+    cases = [
+        FrameProfile(3, 5.0, [bad], ((0, 2.0, [bad]),), 1, 1.5),
+        FrameProfile(3, bad, [1.0], ((0, bad, [1.0]),), 1, 1.5),
+        FrameProfile(3, 5.0, [1.0], ((0, 2.0, [1.0]),), 1, bad),
+        FrameOutcome(3, bad, [1.0]),
+        FrameOutcome(3, 5.0, [bad]),
+    ]
+    for frame in cases:
+        with pytest.raises(ValueError, match="add up"):
+            _spec_with_sampler(lambda rng, frame=frame: frame)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_run_refuses_a_non_finite_external_before_the_first_slot(bad):
+    drawn = []
+
+    def sampler(rng):
+        drawn.append(rng)
+        return FrameOutcome(2, 1.0, [1.0])
+
+    def external(rng, count):
+        draws = np.zeros((count, 1))
+        draws[count // 2, 0] = bad
+        return draws
+
+    spec = _spec_with_sampler(sampler)
+    spec.external = external
+    drawn.clear()  # the probe frame drawn at spec build
+    with pytest.raises(ValueError, match="non-finite"):
+        run(spec, v=1.0, horizon=50, seed=0)
+    assert drawn == []
+
+
+@pytest.mark.parametrize("emit", [
+    lambda k: FrameProfile(2, 1.0, [1.0], ((1, 1.0, [1.0]),), 2) if k < 5 else
+    FrameProfile(2, 1.0, [math.nan], ((1, 1.0, [math.nan]),), 2),
+    lambda k: FrameProfile(2, 1.0, [1.0], ((1, 1.0, [1.0]),), 2) if k < 5 else
+    FrameProfile(2, math.inf, [1.0], ((1, math.inf, [1.0]),), 2),
+    lambda k: FrameProfile(2, 1.0, [1.0], ((1, 1.0, [1.0]),), 2, 0.0) if k < 5 else
+    FrameProfile(2, 1.0, [1.0], ((0, 1.0, [1.0]),), 1, -math.inf),
+    # finite emissions whose sum overflows the queue
+    lambda k: FrameProfile(2, 1.0, [1.6e308], ((1, 1.0, [1.6e308]),), 2),
+], ids=["nan-metric", "inf-penalty", "minus-inf-tail", "queue-overflow"])
+def test_run_refuses_non_finite_emissions_and_queues(emit):
+    draws = iter(range(1000))
+    spec = _spec_with_sampler(lambda rng: emit(next(draws)))
+    with pytest.raises(ValueError, match="non-finite penalty, metric or queue"):
+        run(spec, v=1.0, horizon=40, seed=0)
+
+
+def test_run_selects_once_per_action_kind_per_decision_slot(monkeypatch):
+    # the per-layer tracer wraps coupled.dpp_linear_select; a loop that
+    # stopped calling it there would read as zero selections
+    calls = []
+    inner = coupled.dpp_linear_select
+
+    def select(actions, q, v):
+        calls.append(tuple(q))
+        return inner(actions, q, v)
+
+    monkeypatch.setattr(coupled, "dpp_linear_select", select)
+    log = run(energy_scheduling_spec(5), v=10.0, horizon=3000, seed=5)
+    decision_slots = sorted({start for _, start, _, _ in log.frame_log})
+    # the five servers share one action kind: one call per decision slot
+    assert len(calls) == len(decision_slots) > 300
+    for q, start in zip(calls, decision_slots):
+        expected = log.queues[start - 1] if start else np.zeros(3)
+        assert np.array_equal(q, expected)
+    # systems with their own action objects each choose
+    calls.clear()
+    log = run(_two_action_spec(3), v=5.0, horizon=500, seed=77)
+    assert len(calls) == len(log.frame_log) > 100
 
 
 def test_run_rejects_a_frame_whose_impulses_leave_it():
