@@ -27,7 +27,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--format", choices=("csv", "json"),
                         help="override the row file format")
     parser.add_argument("--jobs", type=int, metavar="N",
-                        help="worker processes for the replication fan-out")
+                        help="worker processes, at most one per cell and core")
     parser.add_argument("--suite", choices=("acceptance", "invariants"),
                         help="run a built-in check suite instead of an "
                              "experiment (--config feeds the invariants "
@@ -37,21 +37,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _apply_overrides(config: harness.ExperimentConfig,
                      args: argparse.Namespace) -> harness.ExperimentConfig:
-    """``config`` with --seed, --out, --format and --jobs set on it, checked as
+    """``config`` derived with --seed, --out, --format and --jobs, checked as
     the loader checks them; none touches the instance, so its build is kept."""
     overrides = {"seed": args.seed, "out_dir": args.out, "format": args.format,
                  "jobs": args.jobs}
-    for key, value in overrides.items():
-        if value is None:
-            continue
-        if key in harness._COUNT_MINIMUMS:
-            try:
-                harness._as_number(overrides, key, None,
-                                   harness._COUNT_MINIMUMS[key])
-            except harness.ConfigError as err:
-                raise harness._located(err, "<command line>", None) from None
-        setattr(config, key, value)
-    return config
+    try:
+        return config.derive(**{key: value for key, value in overrides.items()
+                                if value is not None})
+    except harness.ConfigError as err:
+        raise harness.ConfigError(f"<command line>: {err}", err.keys) from None
 
 
 def _print_summary(summary: harness.RunSummary, out_dir) -> None:

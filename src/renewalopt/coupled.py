@@ -21,7 +21,7 @@ from renewalopt.core import ActionModel, FrameOutcome, FrameProfile, dpp_linear_
 from renewalopt import lp as lp_mod
 
 
-@dataclass
+@dataclass(frozen=True)
 class CoupledSystemSpec:
     """Systems (one action list each), an external per-slot process, and the
     number of shared constraints. ``external(rng, count)`` must return the
@@ -32,14 +32,15 @@ class CoupledSystemSpec:
     other action of its system has, ``n_constraints`` expected metrics, and a
     probe frame (drawn from a private generator) whose slots add up to its
     totals with ``n_constraints`` metrics. :func:`run` then checks only each
-    frame's layout.
+    frame's layout: the spec is frozen, with its systems held as tuples.
     """
 
-    systems: List[List[ActionModel]]
+    systems: Tuple[Tuple[ActionModel, ...], ...]
     external: Callable[[np.random.Generator, int], np.ndarray]
     n_constraints: int
 
     def __post_init__(self):
+        object.__setattr__(self, "systems", tuple(map(tuple, self.systems)))
         probe = np.random.default_rng(0)
         for actions in self.systems:
             if not actions:

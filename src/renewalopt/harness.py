@@ -2,7 +2,9 @@
 
 A plain JSON mapping describes one experiment: which simulator to drive
 (``kind``, each described by one ``_Kind`` record), its instance, the sweeps,
-horizon, replication count, and master seed. :func:`run_experiment` expands
+horizon, replication count, and master seed. An :class:`ExperimentConfig` is
+frozen and checked when it is made, by :func:`load_config` or directly, so it
+always holds a checked build of its instance. :func:`run_experiment` expands
 the sweep grid, runs every (parameter point, replication) cell, and folds the
 rows into a :class:`RunSummary` whose aggregates recompute the rows exactly.
 
@@ -22,6 +24,7 @@ byte-for-byte reproducible.
 
 from __future__ import annotations
 
+import copy
 import csv
 import filecmp
 import functools
@@ -30,9 +33,10 @@ import json
 import os
 import sys
 import time
+from collections.abc import Mapping
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields, replace
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass, field, fields
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -51,21 +55,24 @@ class ConfigError(ValueError):
         self.keys = keys
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
-    """Validated description of one experiment.
+    """Description of one experiment, checked when it is made: a bad field,
+    instance or oracle request raises :class:`ConfigError` with its key path.
 
     ``horizon`` counts slots for the slotted kinds and frames for
-    online-renewal. Sweep lists not consumed by ``kind`` keep their defaults
-    and may not be set explicitly. ``oracle`` attaches the stationary LP
-    baseline of the instance to every row; oracle-only implies it.
+    online-renewal. A sweep the kind consumes defaults to one point; one it
+    ignores stays ``None`` and may not be set. ``oracle`` attaches the
+    stationary LP baseline of the instance to every row; oracle-only implies
+    it. ``instance`` is held as a read-only deep copy and its build, made
+    once here, as ``built``, which :meth:`derive` keeps.
     """
 
     kind: str
-    instance: dict = field(default_factory=dict)
-    v_values: Tuple[float, ...] = (1.0,)
-    delta_values: Tuple[float, ...] = (0.6,)
-    alpha_values: Tuple[float, ...] = (1.0,)
+    instance: Mapping = field(default_factory=dict)
+    v_values: Optional[Tuple[float, ...]] = None
+    delta_values: Optional[Tuple[float, ...]] = None
+    alpha_values: Optional[Tuple[float, ...]] = None
     horizon: int = 1
     replications: int = 1
     seed: int = 0
@@ -73,11 +80,50 @@ class ExperimentConfig:
     format: str = "csv"
     oracle: bool = False
     jobs: int = 1
+    built: object = field(init=False, compare=False, repr=False)
 
-    @functools.cached_property
-    def built(self) -> object:
-        """The kind's build of the instance, stored by the loader or made once."""
-        return _under("instance", _build, self.kind, self.instance, self.horizon)
+    def __post_init__(self) -> None:
+        kind, put = self.kind, functools.partial(object.__setattr__, self)
+        if not isinstance(kind, str) or kind not in _RECORDS:
+            raise ConfigError(f"unknown experiment kind {kind!r}; expected one "
+                              f"of {', '.join(_RECORDS)}", ("kind",))
+        record = _RECORDS[kind]
+        for key in _COUNT_MINIMUMS:
+            _check_field(key, getattr(self, key))
+        put("instance", _copied(self.instance, readonly=True))
+        put("built", _under("instance", _build, kind, _copied(self.instance),
+                            self.horizon))
+        for short, default in _SWEEP_DEFAULTS.items():
+            key = f"{short}_values"
+            value = getattr(self, key)
+            if short not in record.sweeps:
+                if value is not None:
+                    raise ConfigError(f"{key} does not apply to kind {kind!r}", (key,))
+                continue
+            put(key, _as_sweep(key, (default,) if value is None else value))
+            if short in record.positive and min(getattr(self, key)) <= 0:
+                raise ConfigError(f"{kind} needs strictly positive {short}", (key,))
+        _check_field("format", self.format)
+        if not isinstance(self.oracle, bool):
+            raise ConfigError("oracle must be true or false", ("oracle",))
+        # a kind with nothing to simulate only evaluates its oracle
+        put("oracle", self.oracle or record.simulate is None)
+        if self.oracle:
+            _under("oracle", _oracle, kind, self.built)
+        _check_field("out_dir", self.out_dir)
+
+    def derive(self, **changes) -> ExperimentConfig:
+        """A copy with ``seed``, ``out_dir``, ``format`` or ``jobs`` changed,
+        each checked as when a config is made. None of them reaches the
+        instance, so the copy keeps this config's build."""
+        derived = copy.copy(self)
+        for key, value in changes.items():
+            if key not in _RUN_FIELDS:
+                raise TypeError(f"derive changes only {', '.join(_RUN_FIELDS)}, "
+                                f"not {key}")
+            _check_field(key, value)
+            object.__setattr__(derived, key, value)
+        return derived
 
     @property
     def param_keys(self) -> Tuple[str, ...]:
@@ -91,38 +137,64 @@ class ExperimentConfig:
         return [dict(zip(keys, combo)) for combo in itertools.product(*lists)]
 
     def to_mapping(self) -> dict:
-        """Plain JSON mapping that reconstructs this config exactly.
-
-        Sweep lists the kind ignores are omitted (the schema rejects them
-        when given explicitly), as is an unset output directory.
-        """
-        data: dict = {"kind": self.kind, "instance": dict(self.instance)}
-        for short in self.param_keys:
-            data[f"{short}_values"] = list(getattr(self, f"{short}_values"))
-        data.update(horizon=self.horizon, replications=self.replications,
-                    seed=self.seed, format=self.format, oracle=self.oracle,
-                    jobs=self.jobs)
-        if self.out_dir is not None:
-            data["out_dir"] = self.out_dir
-        return data
-
-    def identity_mapping(self) -> dict:
-        """The part of the config that determines the written bytes: every
-        field except the output location and worker count."""
-        return {key: value for key, value in self.to_mapping().items()
-                if key not in ("out_dir", "jobs")}
+        """Plain JSON mapping that reconstructs this config exactly: every
+        field but ``built``, save those left ``None`` (the sweeps the kind
+        ignores, an unset output directory)."""
+        return {key: _copied(getattr(self, key)) for key in _TOP_KEYS
+                if getattr(self, key) is not None}
 
 
-_TOP_KEYS = tuple(f.name for f in fields(ExperimentConfig))
-# the least value of each integer field, for the loader and the CLI overrides
+_TOP_KEYS = tuple(f.name for f in fields(ExperimentConfig) if f.init)
+# the least value of each integer field, in the order they are checked
 _COUNT_MINIMUMS = {"horizon": 1, "replications": 1, "seed": 0, "jobs": 1}
+# the one point of each consumed sweep that is not given
+_SWEEP_DEFAULTS = {"v": 1.0, "delta": 0.6, "alpha": 1.0}
+# the fields ExperimentConfig.derive may change: none reaches the build
+_RUN_FIELDS = ("seed", "out_dir", "format", "jobs")
 # a finite float's bound: NaN, infinities and integers too large for a float exceed it
 _FLOAT_MAX = sys.float_info.max
+# every integer field is below int64's bound, past which numpy sizes and counts fail
+_INT_BOUND = 2 ** 63
+
+
+class _ReadOnly(dict):
+    """A JSON object that cannot be changed once made; it pickles as itself."""
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError("a config's instance is read-only")
+
+    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = \
+        update = _refuse
+
+    def __reduce__(self):
+        return _ReadOnly, (dict(self),)
+
+
+def _check_field(key: str, value) -> None:
+    """Check a count, ``format`` or ``out_dir``: a field checked on its own."""
+    if key in _COUNT_MINIMUMS:
+        _as_number({key: value}, key, None, _COUNT_MINIMUMS[key])
+    elif key == "format" and value not in ("csv", "json"):
+        raise ConfigError(f"format must be 'csv' or 'json', got {value!r}", (key,))
+    elif key == "out_dir" and not (value is None or isinstance(value, str)):
+        raise ConfigError("out_dir must be a path string", (key,))
+
+
+def _copied(value, readonly: bool = False):
+    """A deep copy of a JSON value as plain dicts and lists, or with
+    ``readonly`` as read-only mappings and tuples."""
+    if isinstance(value, Mapping):
+        items = {key: _copied(item, readonly) for key, item in value.items()}
+        return _ReadOnly(items) if readonly else items
+    if isinstance(value, (list, tuple)):
+        items = [_copied(item, readonly) for item in value]
+        return tuple(items) if readonly else items
+    return value
 
 
 def _as_number(data, key, default, minimum, integer=True):
-    """``data[key]``, or ``default`` when absent: an integer, or with
-    ``integer`` false a finite number made float, at least ``minimum``."""
+    """``data[key]``, or ``default`` when absent: an integer below 2**63, or
+    with ``integer`` false a finite number made float, at least ``minimum``."""
     value = data.get(key, default)
     what = (int, "an integer") if integer else ((int, float), "a finite number")
     if isinstance(value, bool) or not isinstance(value, what[0]) \
@@ -130,13 +202,12 @@ def _as_number(data, key, default, minimum, integer=True):
         raise ConfigError(f"{key} must be {what[1]}", (key,))
     if value < minimum:
         raise ConfigError(f"{key} must be at least {minimum}, got {value}", (key,))
+    if integer and value >= _INT_BOUND:
+        raise ConfigError(f"{key} must be below 2**63", (key,))
     return value if integer else float(value)
 
 
-def _as_sweep(data, key, default):
-    value = data.get(key)
-    if value is None:
-        return default
+def _as_sweep(key, value):
     if not isinstance(value, (list, tuple)) or len(value) == 0:
         raise ConfigError(f"{key} must be a nonempty list of numbers", (key,))
     out = []
@@ -164,64 +235,23 @@ def _located(err: ConfigError, source: str, text: Optional[str]) -> ConfigError:
 
 def config_from_mapping(data: Mapping, source: str = "<config>",
                         text: Optional[str] = None) -> ExperimentConfig:
-    """Validate a plain mapping into an :class:`ExperimentConfig`.
+    """Make an :class:`ExperimentConfig` from a plain mapping.
 
-    The kind builds the instance once and checks an oracle request against
-    it, so every schema error surfaces here, as a :class:`ConfigError` naming
-    the offending key, with its line when the raw config text is given.
+    Beyond the checks the config makes, this refuses keys that are not
+    config fields and a missing kind, and names the offending key's line in
+    each :class:`ConfigError` when the raw config text is given.
     """
     try:
-        return _validated(data)
+        if not isinstance(data, Mapping):
+            raise ConfigError("config must be a JSON object")
+        for key in data:
+            if key not in _TOP_KEYS:
+                raise ConfigError(f"unknown config key {key!r}", (key,))
+        if data.get("kind") is None:
+            raise ConfigError("config needs a 'kind'")
+        return ExperimentConfig(**data)
     except ConfigError as err:
         raise _located(err, source, text) from None
-
-
-def _validated(data: Mapping) -> ExperimentConfig:
-    if not isinstance(data, Mapping):
-        raise ConfigError("config must be a JSON object")
-    for key in data:
-        if key not in _TOP_KEYS:
-            raise ConfigError(f"unknown config key {key!r}", (key,))
-    kind = data.get("kind")
-    if kind is None:
-        raise ConfigError("config needs a 'kind'")
-    if not isinstance(kind, str) or kind not in _RECORDS:
-        raise ConfigError(f"unknown experiment kind {kind!r}; expected one "
-                          f"of {', '.join(_RECORDS)}", ("kind",))
-    record = _RECORDS[kind]
-    instance = data.get("instance", {})
-    defaults = ExperimentConfig(kind=kind)
-    counts = {key: _as_number(data, key, getattr(defaults, key), minimum)
-              for key, minimum in _COUNT_MINIMUMS.items()}
-    built = _under("instance", _build, kind, instance, counts["horizon"])
-
-    sweeps = {}
-    for short in ("v", "delta", "alpha"):
-        key = f"{short}_values"
-        if key in data and short not in record.sweeps:
-            raise ConfigError(f"{key} does not apply to kind {kind!r}", (key,))
-        sweeps[key] = _as_sweep(data, key, getattr(defaults, key))
-        if short in record.positive and min(sweeps[key]) <= 0:
-            raise ConfigError(f"{kind} needs strictly positive {short}", (key,))
-
-    fmt = data.get("format", defaults.format)
-    if fmt not in ("csv", "json"):
-        raise ConfigError(f"format must be 'csv' or 'json', got {fmt!r}", ("format",))
-    oracle = data.get("oracle", defaults.oracle)
-    if not isinstance(oracle, bool):
-        raise ConfigError("oracle must be true or false", ("oracle",))
-    # a kind with nothing to simulate only evaluates its oracle
-    oracle = oracle or record.simulate is None
-    if oracle:
-        _under("oracle", _oracle, kind, built)
-    out_dir = data.get("out_dir")
-    if out_dir is not None and not isinstance(out_dir, str):
-        raise ConfigError("out_dir must be a path string", ("out_dir",))
-
-    config = ExperimentConfig(kind=kind, instance=dict(instance), out_dir=out_dir,
-                              format=fmt, oracle=oracle, **sweeps, **counts)
-    vars(config)["built"] = built
-    return config
 
 
 def load_config(path) -> ExperimentConfig:
@@ -242,15 +272,6 @@ def load_config(path) -> ExperimentConfig:
 # ---------------------------------------------------------------------------
 
 
-def _column_array(name, values):
-    arr = np.asarray(values)
-    if arr.ndim != 1:
-        raise ValueError(f"column {name!r} must be one dimensional")
-    if arr.size and not np.issubdtype(arr.dtype, np.number):
-        raise ValueError(f"column {name!r} must be numeric")
-    return arr
-
-
 def write_metrics(log: Mapping[str, Sequence], path, format: str = "csv") -> None:
     """Write named columns to ``path`` as CSV or JSON.
 
@@ -262,7 +283,12 @@ def write_metrics(log: Mapping[str, Sequence], path, format: str = "csv") -> Non
     columns = list(log)
     if not columns:
         raise ValueError("need at least one column")
-    arrays = {name: _column_array(name, log[name]) for name in columns}
+    arrays = {name: np.asarray(log[name]) for name in columns}
+    for name, arr in arrays.items():
+        if arr.ndim != 1:
+            raise ValueError(f"column {name!r} must be one dimensional")
+        if arr.size and not np.issubdtype(arr.dtype, np.number):
+            raise ValueError(f"column {name!r} must be numeric")
     lengths = {arr.size for arr in arrays.values()}
     if len(lengths) > 1:
         raise ValueError(f"columns differ in length: {sorted(lengths)}")
@@ -656,21 +682,6 @@ class RunSummary:
     def n_rows(self) -> int:
         return len(self.rows)
 
-    def row_table(self) -> Dict[str, np.ndarray]:
-        """Columns as arrays, in summary column order."""
-        out: Dict[str, np.ndarray] = {}
-        for name in self.columns:
-            values = [row[name] for row in self.rows]
-            integral = all(isinstance(v, (int, np.integer))
-                           and not isinstance(v, bool) for v in values)
-            out[name] = np.asarray(values,
-                                   dtype=np.int64 if integral else float)
-        return out
-
-    def summary_mapping(self) -> dict:
-        return {"experiment": self.config_echo, "columns": self.columns,
-                "aggregates": self.aggregates}
-
 
 def aggregate_rows(columns: Sequence[str], rows: Sequence[Mapping],
                    param_keys: Sequence[str],
@@ -701,9 +712,9 @@ def aggregate_rows(columns: Sequence[str], rows: Sequence[Mapping],
 def run_experiment(config: ExperimentConfig) -> RunSummary:
     """Expand the sweep grid, simulate every cell, and fold the summary.
 
-    Cells run serially or across ``config.jobs`` worker processes; the fold
-    is in grid order either way, so the worker count never changes a single
-    written byte. With ``config.out_dir`` set, writes ``rows.csv`` (or
+    Cells run serially or across ``config.jobs`` worker processes, at most
+    one per cell and per core; the fold is in grid order either way, so the
+    worker count never changes a single written byte. With ``config.out_dir`` set, writes ``rows.csv`` (or
     ``rows.json`` per ``config.format``) and the nested ``summary.json``.
     """
     record = _RECORDS[config.kind]
@@ -711,8 +722,7 @@ def run_experiment(config: ExperimentConfig) -> RunSummary:
     oracle = oracle_value(config.kind, config.built) if config.oracle else None
 
     start_all = time.perf_counter()
-    tasks = []
-    cells = []
+    tasks, cells = [], []
     for p_idx, params in enumerate(grid):
         for rep in range(config.replications):
             run_seed, aux_seed = derive_seeds(config.seed, p_idx, rep)
@@ -721,21 +731,19 @@ def run_experiment(config: ExperimentConfig) -> RunSummary:
                 tasks.append((record.simulate, config.built, config.horizon,
                               params, run_seed, aux_seed))
 
+    # a fork pool starts all its workers at once: no more than cells or cores
+    workers = min(config.jobs, len(tasks), os.cpu_count() or 1)
     if not tasks:
         results = [({}, 0.0)] * len(cells)
-    elif config.jobs == 1 or len(tasks) == 1:
+    elif workers == 1:
         results = [_run_cell(task) for task in tasks]
     else:
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_cell, tasks))
 
-    rows = []
-    timings = []
+    rows, timings = [], []
     for (params, rep, run_seed), (result, elapsed) in zip(cells, results):
-        row = dict(params)
-        row["replication"] = rep
-        row["seed"] = run_seed
-        row.update(result)
+        row = dict(params, replication=rep, seed=run_seed, **result)
         if oracle is not None:
             row["oracle_value"] = oracle
             if record.gap is not None:
@@ -751,8 +759,9 @@ def run_experiment(config: ExperimentConfig) -> RunSummary:
     summary = RunSummary(
         kind=config.kind, columns=columns, rows=rows, aggregates=aggregates,
         timings=timings, total_seconds=time.perf_counter() - start_all,
-        config_echo=config.identity_mapping(),
-    )
+        # the fields that determine the written bytes: all but out_dir and jobs
+        config_echo={key: value for key, value in config.to_mapping().items()
+                     if key not in ("out_dir", "jobs")})
     if config.out_dir is not None:
         _write_outputs(summary, config.out_dir, config.format)
     return summary
@@ -761,10 +770,12 @@ def run_experiment(config: ExperimentConfig) -> RunSummary:
 def _write_outputs(summary: RunSummary, out_dir, fmt: str) -> None:
     os.makedirs(out_dir, exist_ok=True)
     rows_name = "rows.csv" if fmt == "csv" else "rows.json"
-    write_metrics(summary.row_table(), os.path.join(out_dir, rows_name), fmt)
+    table = {name: [row[name] for row in summary.rows] for name in summary.columns}
+    write_metrics(table, os.path.join(out_dir, rows_name), fmt)
+    nested = {"experiment": summary.config_echo, "columns": summary.columns,
+              "aggregates": summary.aggregates}
     with open(os.path.join(out_dir, "summary.json"), "w") as handle:
-        handle.write(json.dumps(summary.summary_mapping(), indent=2,
-                                sort_keys=True) + "\n")
+        handle.write(json.dumps(nested, indent=2, sort_keys=True) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -782,21 +793,14 @@ def invariants_report(config: Optional[ExperimentConfig] = None):
     """
     import tempfile
 
-    def variant(**changes):
-        # replace() drops the cached build; each rerun keeps the one made at load
-        rerun = replace(config, **changes)
-        vars(rerun)["built"] = config.built
-        return rerun
-
     if config is None:
-        config = ExperimentConfig(kind="coupled-energy",
-                                  v_values=(1.0, 10.0), horizon=200,
-                                  replications=2, seed=7)
+        config = ExperimentConfig(kind="coupled-energy", v_values=(1.0, 10.0),
+                                  horizon=200, replications=2, seed=7)
     report = []
     with tempfile.TemporaryDirectory() as scratch:
         dir_a, dir_b = (os.path.join(scratch, name) for name in "ab")
-        summary_a = run_experiment(variant(out_dir=dir_a, jobs=1))
-        run_experiment(variant(out_dir=dir_b, jobs=1))
+        summary_a = run_experiment(config.derive(out_dir=dir_a, jobs=1))
+        run_experiment(config.derive(out_dir=dir_b, jobs=1))
         _, differ, missing = filecmp.cmpfiles(
             dir_a, dir_b, sorted(os.listdir(dir_a)), shallow=False)
         differ += missing
@@ -804,7 +808,7 @@ def invariants_report(config: Optional[ExperimentConfig] = None):
                        f"{differ[0]} differs between identical runs" if differ
                        else "reran bit-identically"))
 
-        summary_par = run_experiment(variant(out_dir=None, jobs=2))
+        summary_par = run_experiment(config.derive(out_dir=None, jobs=2))
         agree = summary_par.aggregates == summary_a.aggregates \
             and summary_par.rows == summary_a.rows
         report.append(("parallel-fold", agree,

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 
@@ -64,7 +65,8 @@ def test_run_rejects_bad_arguments():
         run(spec, v=10.0, horizon=0, seed=1)
     with pytest.raises(ValueError):
         run(spec, v=0.0, horizon=10, seed=1)
-    spec.external = lambda rng, count: rng.uniform(0.5, 1.5, size=2)
+    spec = dataclasses.replace(
+        spec, external=lambda rng, count: rng.uniform(0.5, 1.5, size=2))
     with pytest.raises(ValueError, match="wrong shape"):
         run(spec, v=10.0, horizon=10, seed=1)
 
@@ -147,8 +149,8 @@ def test_frames_partition_the_timeline():
 
 
 def test_queue_trajectory_composes_frame_totals_when_external_is_zero():
-    spec = _two_action_spec(n_systems=1)
-    spec.external = lambda rng, count: np.zeros((count, 2))
+    spec = dataclasses.replace(_two_action_spec(n_systems=1),
+                               external=lambda rng, count: np.zeros((count, 2)))
     log = run(spec, v=4.0, horizon=200, seed=5)
     for _, start, length, _ in log.frame_log:
         end = start + length
@@ -231,6 +233,23 @@ def test_spec_build_checks_each_action_once():
                           n_constraints=2)
 
 
+def test_spec_is_frozen_after_its_probe():
+    # an action whose frames do not add up (penalty 99 against 1) cannot be
+    # put in after the build-time probe, only through a build that probes it
+    spec = _spec_with_sampler(lambda rng: FrameOutcome(2, 1.0, [1.0]))
+    liar = ActionModel(action_id=0, exp_penalty=1.0, exp_metrics=np.zeros(1),
+                       exp_frame_len=2.0,
+                       sampler=lambda rng: FrameProfile(2, 99.0, [1.0], ((1, 1.0, [1.0]),), 2))
+    for name, value in (("systems", [[liar]]),
+                        ("external", lambda rng, count: np.ones((count, 1)))):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(spec, name, value)
+    with pytest.raises(TypeError):
+        spec.systems[0][0] = liar
+    with pytest.raises(ValueError, match="add up"):
+        dataclasses.replace(spec, systems=[[liar]])
+
+
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_spec_build_refuses_a_non_finite_probe_frame(bad):
@@ -260,8 +279,7 @@ def test_run_refuses_a_non_finite_external_before_the_first_slot(bad):
         draws[count // 2, 0] = bad
         return draws
 
-    spec = _spec_with_sampler(sampler)
-    spec.external = external
+    spec = dataclasses.replace(_spec_with_sampler(sampler), external=external)
     drawn.clear()  # the probe frame drawn at spec build
     with pytest.raises(ValueError, match="non-finite"):
         run(spec, v=1.0, horizon=50, seed=0)

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import hashlib
 import importlib
 import json
@@ -64,6 +65,7 @@ def test_sweep_validation():
 @pytest.mark.parametrize("key,value", [
     ("horizon", 0), ("replications", 0), ("jobs", 0), ("horizon", 2.5),
     ("seed", "three"), ("seed", -1), ("format", "xml"), ("oracle", "yes"),
+    pytest.param("horizon", 10 ** 400, id="horizon-huge"),
 ])
 def test_bad_field_values_rejected(key, value):
     with pytest.raises(harness.ConfigError):
@@ -259,6 +261,87 @@ def test_bad_instance_rejected_at_load_with_its_line(tmp_path, monkeypatch, name
     assert str(err.value).startswith(f"{path}:{lines[occurrence]}: ")
 
 
+# config fields, and the message when the config is made from them directly
+# or loaded from a file holding them
+_MADE_BAD = {
+    "replications-zero": ({"kind": "coupled-energy", "replications": 0},
+                          "replications must be at least 1"),
+    "format-xml": ({"kind": "coupled-energy", "format": "xml", "out_dir": "out"},
+                   "format must be 'csv' or 'json'"),
+    "delta-on-energy": ({"kind": "coupled-energy", "delta_values": (0.6,)},
+                        "delta_values does not apply"),
+    "v-negative": ({"kind": "coupled-energy", "v_values": (-1.0,)}, "strictly positive v"),
+    "horizon-huge": ({"kind": "coupled-energy", "horizon": _HUGE},
+                     r"horizon must be below 2\*\*63"),
+    "i-max-huge": (_with(_FARM, {"servers": [dict(_SERVER, i_max=_HUGE)]}),
+                   r"servers\[0\]: i_max must be below 2\*\*63"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_MADE_BAD))
+def test_config_is_checked_when_it_is_made(tmp_path, monkeypatch, name):
+    # made without the loader, a bad config is refused before any cell runs
+    data, message = _MADE_BAD[name]
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(harness, "_run_cell", lambda task: pytest.fail("a cell ran"))
+    with pytest.raises(harness.ConfigError, match=message):
+        harness.run_experiment(harness.ExperimentConfig(**data))
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(harness.ConfigError, match=message):
+        harness.load_config(path)
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_echo_cannot_drift(tmp_path):
+    # the config holds its own read-only copy of the instance, so summary.json
+    # echoes the instance the build and the oracle used
+    instance = {"n_servers": 5}
+    config = harness.ExperimentConfig(kind="coupled-energy", instance=instance,
+                                      horizon=20, oracle=True, out_dir=str(tmp_path))
+    instance["n_servers"] = 9
+    with pytest.raises(TypeError):
+        config.instance["n_servers"] = 9
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        config.horizon = 30
+    harness.run_experiment(config)
+    echo = json.loads((tmp_path / "summary.json").read_text())["experiment"]
+    assert echo["instance"] == {"n_servers": 5} and config.built == 5
+    assert pickle.loads(pickle.dumps(config)) == config
+    assert harness.config_from_mapping(config.to_mapping()) == config
+
+
+def test_nested_instance_is_read_only():
+    servers = [dict(_SERVER)]
+    config = harness.config_from_mapping(_with(_FARM, {"servers": servers}))
+    servers[0]["i_max"] = 7
+    with pytest.raises(TypeError):
+        config.instance["servers"][0]["i_max"] = 7
+    with pytest.raises(TypeError):
+        config.instance["servers"][0]["sleep_modes"][0] = (0.0, 1.0, 1.0)
+    assert config.to_mapping()["instance"] == {"servers": [_SERVER]}
+    copy = pickle.loads(pickle.dumps(config))
+    assert copy == config and copy.built[0] == config.built[0]
+    assert harness.config_from_mapping(config.to_mapping()) == config
+
+
+def test_derive_checks_its_fields_and_keeps_the_build():
+    config = harness.config_from_mapping(_small_energy_mapping())
+    derived = config.derive(seed=3, out_dir="elsewhere", format="json", jobs=2)
+    assert derived.built is config.built
+    assert (derived.seed, derived.out_dir, derived.format, derived.jobs) == (
+        3, "elsewhere", "json", 2)
+    assert (config.seed, config.out_dir, config.format, config.jobs) == (11, None, "csv", 1)
+    for change, message in (({"seed": _HUGE}, r"seed must be below 2\*\*63"),
+                            ({"jobs": 0}, "jobs must be at least 1"),
+                            ({"format": "xml"}, "format must be"),
+                            ({"out_dir": 3}, "out_dir must be a path string")):
+        with pytest.raises(harness.ConfigError, match=message):
+            config.derive(**change)
+    with pytest.raises(TypeError, match="not horizon"):
+        config.derive(horizon=5)
+
+
 def test_load_config_reports_line_numbers(tmp_path):
     path = tmp_path / "exp.json"
     path.write_text('{\n  "kind": "coupled-energy",\n'
@@ -362,6 +445,39 @@ def test_parallel_fold_matches_serial(tmp_path, monkeypatch, name):
         harness.config_from_mapping(dict(base, jobs=2)))
     assert parallel.rows == serial.rows
     assert parallel.aggregates == serial.aggregates
+
+
+def test_worker_pool_is_capped_by_cells_and_cores(monkeypatch):
+    # a pool that records its size and maps serially: no process is started
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 3)
+    base = _small_energy_mapping(horizon=20, v_values=[1.0, 2.0], replications=2)
+    serial = harness.run_experiment(harness.config_from_mapping(base)).rows
+    rows = {}
+    for jobs, replications in ((5000, 2), (5000, 1), (2, 2)):
+        data = dict(base, jobs=jobs, replications=replications)
+        rows[jobs, replications] = harness.run_experiment(
+            harness.config_from_mapping(data)).rows
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: None)
+    harness.run_experiment(harness.config_from_mapping(dict(base, jobs=5000)))
+    # 4 cells on 3 cores, then 2 cells, then 2 jobs; no core count runs serially
+    assert sizes == [3, 2, 2]
+    assert rows[5000, 2] == rows[2, 2] == serial
 
 
 def test_master_seed_moves_results():
@@ -763,6 +879,8 @@ def test_invariants_suite_keeps_the_load_time_build(tmp_path, monkeypatch, capsy
 @pytest.mark.parametrize("flag,value,message", [
     ("--jobs", "0", "<command line>: jobs must be at least 1, got 0"),
     ("--seed", "-1", "<command line>: seed must be at least 0, got -1"),
+    pytest.param("--seed", str(_HUGE), "<command line>: seed must be below 2**63",
+                 id="--seed-huge"),
 ])
 def test_cli_override_checks(tmp_path, capsys, flag, value, message):
     assert cli.main(["--config", str(_write_config(tmp_path)), flag, value]) == 1
