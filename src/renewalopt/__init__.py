@@ -2,8 +2,8 @@
 
 The package is organized around flat modules:
 
-- ``core``: frame totals and slot layouts, the frame queue update, and the
-  per-frame drift-plus-penalty selection rule on per-slot rates.
+- ``core``: frame totals and slot layouts, and the per-frame
+  drift-plus-penalty selection rule on per-slot rates.
 - ``coupled``: slot-level simulator for several renewal systems sharing queues.
 - ``lp``: two-phase revised simplex, the stationary benchmark LPs built on it,
   and the composite download chain's optimum through its Lagrangian dual.
@@ -20,7 +20,6 @@ from renewalopt.core import (
     FrameOutcome,
     FrameProfile,
     dpp_linear_select,
-    queue_update_frame,
 )
 from renewalopt.harness import (
     ConfigError,
@@ -42,7 +41,6 @@ __all__ = [
     "RunSummary",
     "dpp_linear_select",
     "load_config",
-    "queue_update_frame",
     "run_experiment",
     "solve_lp",
 ]

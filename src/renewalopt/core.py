@@ -1,4 +1,4 @@
-"""Frame outcomes, virtual queues, and per-frame action selection.
+"""Frame outcomes, slot layouts, and per-frame action selection.
 
 A renewal system runs in frames: at each frame start a controller picks an
 action, the frame plays out for a random number of slots, and the frame yields
@@ -110,17 +110,6 @@ class ActionModel:
         object.__setattr__(self, "exp_metrics", metrics)
         object.__setattr__(self, "exp_frame_len", frame_len)
         object.__setattr__(self, "sparse_metrics", sparse if len(sparse) <= 1 else None)
-
-
-def queue_update_frame(
-    q: np.ndarray, outcome: FrameOutcome, d_rates: np.ndarray
-) -> np.ndarray:
-    """Whole-frame queue update: q' = max(q + z_total - d * T, 0)."""
-    q = np.asarray(q, dtype=float)
-    d_rates = np.asarray(d_rates, dtype=float)
-    if q.shape != outcome.metrics_total.shape or q.shape != d_rates.shape:
-        raise ValueError("queue, metric, and rate vectors must share one length")
-    return np.maximum(q + outcome.metrics_total - d_rates * outcome.frame_len, 0.0)
 
 
 def dpp_linear_select(actions: Sequence[ActionModel], q: Sequence[float], v: float):

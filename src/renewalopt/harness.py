@@ -665,7 +665,8 @@ class RunSummary:
     """Row-per-cell results plus their per-parameter-point aggregates.
 
     ``rows[i]`` holds exactly the keys in ``columns``; ``timings[i]`` is that
-    cell's wall-clock seconds (kept off the files so outputs stay
+    cell's wall-clock seconds and ``workers`` the number of worker processes
+    the cells ran on, 0 when serial (both kept off the files so outputs stay
     reproducible). ``aggregates`` carries, for each parameter point, the mean
     over replications of every result column, folded in row order.
     """
@@ -677,6 +678,7 @@ class RunSummary:
     timings: List[float]
     total_seconds: float
     config_echo: dict
+    workers: int
 
     @property
     def n_rows(self) -> int:
@@ -761,7 +763,8 @@ def run_experiment(config: ExperimentConfig) -> RunSummary:
         timings=timings, total_seconds=time.perf_counter() - start_all,
         # the fields that determine the written bytes: all but out_dir and jobs
         config_echo={key: value for key, value in config.to_mapping().items()
-                     if key not in ("out_dir", "jobs")})
+                     if key not in ("out_dir", "jobs")},
+        workers=workers if workers > 1 else 0)
     if config.out_dir is not None:
         _write_outputs(summary, config.out_dir, config.format)
     return summary
@@ -787,7 +790,9 @@ def invariants_report(config: Optional[ExperimentConfig] = None):
     """Check the harness invariants on a config and report per-check lines.
 
     Runs the experiment twice into scratch directories and compares bytes,
-    then reruns with two worker processes and compares aggregates. Returns
+    then reruns with up to two worker processes and compares aggregates; the
+    detail names the workers that ran, or says that none could start (one
+    cell or one core), so that serial was compared with serial. Returns
     (name, passed, detail) triples. The default config is a small
     coupled-energy sweep.
     """
@@ -811,7 +816,10 @@ def invariants_report(config: Optional[ExperimentConfig] = None):
         summary_par = run_experiment(config.derive(out_dir=None, jobs=2))
         agree = summary_par.aggregates == summary_a.aggregates \
             and summary_par.rows == summary_a.rows
+        workers = summary_par.workers
+        detail = (f"{workers}-worker aggregates match serial" if workers
+                  else f"no worker started for {len(summary_par.rows)} cell(s) "
+                  f"on {os.cpu_count() or 1} core(s); serial matches serial")
         report.append(("parallel-fold", agree,
-                       "2-worker aggregates match serial" if agree
-                       else "parallel aggregates diverged"))
+                       detail if agree else "parallel aggregates diverged"))
     return report

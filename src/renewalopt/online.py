@@ -7,20 +7,24 @@ model's conditional expectations, and plays the argmin. The feedback value
 theta is a truncated pseudo average: raw drift-plus-penalty increments are
 accumulated into a running sum that is divided by (n+1)**delta and clipped to
 [0, theta_max] after every frame. Virtual queues close the loop on the
-per-frame resource constraints. A single-user file downloading instance ships
-as a ready-made model.
+per-frame resource constraints. :func:`run` is one frame loop on Python
+floats over tables built once per run. A single-user file downloading
+instance ships as a ready-made model.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
+import math
 import warnings
-from dataclasses import dataclass, replace
+from array import array
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from renewalopt.core import FrameOutcome, queue_update_frame
+from renewalopt.core import FrameOutcome
 
 
 @dataclass
@@ -29,8 +33,9 @@ class EventModel:
 
     Expectation tables are indexed (event, action): ``exp_penalty`` holds
     yhat, ``exp_frame_len`` holds That (every entry at least 1), and
-    ``exp_metrics`` has one trailing axis per constraint. ``sampler(event,
-    action, rng)`` realizes one frame as a :class:`FrameOutcome`.
+    ``exp_metrics`` has one trailing axis per constraint. Every table is
+    finite. ``sampler(event, action, rng)`` realizes one frame as a
+    :class:`FrameOutcome`.
     """
 
     event_probs: np.ndarray
@@ -41,11 +46,13 @@ class EventModel:
     sampler: Callable[[int, int, np.random.Generator], FrameOutcome]
 
     def __post_init__(self) -> None:
-        self.event_probs = np.asarray(self.event_probs, dtype=float)
-        self.exp_penalty = np.asarray(self.exp_penalty, dtype=float)
-        self.exp_frame_len = np.asarray(self.exp_frame_len, dtype=float)
-        self.exp_metrics = np.asarray(self.exp_metrics, dtype=float)
-        self.budgets = np.asarray(self.budgets, dtype=float)
+        for name in ("event_probs", "exp_penalty", "exp_frame_len",
+                     "exp_metrics", "budgets"):
+            table = np.asarray(getattr(self, name), dtype=float)
+            # a NaN score would lose every comparison, so no argmin is defined
+            if not np.isfinite(table).all():
+                raise ValueError(f"{name} must be finite")
+            setattr(self, name, table)
         n_e, n_a = self.exp_penalty.shape
         if self.event_probs.shape != (n_e,):
             raise ValueError("event_probs must give one probability per event")
@@ -71,49 +78,6 @@ class EventModel:
     @property
     def n_constraints(self) -> int:
         return self.budgets.size
-
-
-@dataclass
-class PseudoAverageState:
-    """Truncated pseudo average: theta is always the clipped value of the
-    running increment sum divided by (frames completed)**delta."""
-
-    v: float
-    delta: float
-    theta_max: float
-    theta: float = 0.0
-    running_sum: float = 0.0
-    frames_done: int = 0
-    last_increment: float = 0.0
-
-
-def select_action(model: EventModel, event: int, queues: np.ndarray,
-                  theta: float, v: float) -> int:
-    """Argmin over actions of V*(yhat - theta*That) + sum_l Q_l*(zhat_l -
-    c_l*That) for the observed event; ties go to the lowest action index."""
-    y = model.exp_penalty[event]
-    t = model.exp_frame_len[event]
-    z = model.exp_metrics[event]
-    scores = v * (y - theta * t) + (np.asarray(queues) * (z - model.budgets * t[:, None])).sum(axis=1)
-    return int(np.argmin(scores))
-
-
-def theta_update(state: PseudoAverageState, outcome: FrameOutcome,
-                 queues: np.ndarray, budgets: np.ndarray) -> PseudoAverageState:
-    """Fold one realized frame into the pseudo average.
-
-    The increment is y - theta*T + (1/V)*sum_l Q_l*(z_l - c_l*T), evaluated at
-    the theta and the queue values the frame was played with; the new theta is
-    the clipped running sum over (n+1)**delta.
-    """
-    drift = float(np.dot(queues, outcome.metrics_total - budgets * outcome.frame_len))
-    increment = (outcome.penalty_total - state.theta * outcome.frame_len
-                 + drift / state.v)
-    running = state.running_sum + increment
-    raw = running / (state.frames_done + 1) ** state.delta
-    theta = min(max(raw, 0.0), state.theta_max)
-    return replace(state, theta=theta, running_sum=running,
-                   frames_done=state.frames_done + 1, last_increment=increment)
 
 
 def default_theta_max(model: EventModel) -> float:
@@ -158,59 +122,95 @@ def run(model: EventModel, v: float, delta: float, n_frames: int,
         seed: int = 0, theta_max: Optional[float] = None) -> OnlineLog:
     """Simulate ``n_frames`` renewal frames.
 
-    Per frame: draw the event, select the action against the current queues
-    and theta, sample the outcome, then update theta (against the pre-update
-    queues) and finally the queues. The optimality guarantee behind the
-    pseudo average needs delta strictly inside (1/3, 1); anything else still
-    runs but emits a warning.
+    Per frame: draw the event, play the argmin score (ties go to the lowest
+    action index) and sample the outcome. Then add the increment
+    y - theta*T + (1/V)*sum_l Q_l*(z_l - c_l*T), at the theta and queues the
+    frame was played with, to the running sum, and finally set
+    Q_l = max(Q_l + z_l - c_l*T, 0). ``v`` must be positive and finite,
+    ``delta`` finite and ``theta_max`` finite and nonnegative. The guarantee
+    behind the pseudo average needs delta strictly inside (1/3, 1); anything
+    else still runs but emits a warning. A sampler's non-finite penalty or
+    metric is refused after the last frame.
     """
-    if not v > 0:
-        raise ValueError("v must be positive")
+    if not 0.0 < v < math.inf:
+        raise ValueError("v must be positive and finite")
     if n_frames < 1:
         raise ValueError("need at least one frame")
+    if not math.isfinite(delta):
+        raise ValueError("delta must be finite")
     if not 1.0 / 3.0 < delta < 1.0:
         warnings.warn(
             f"delta={delta} sits outside (1/3, 1); the run proceeds but the "
             "pseudo average has no convergence guarantee there", stacklevel=2)
     if theta_max is None:
         theta_max = default_theta_max(model)
-    rng = np.random.default_rng(seed)
-    state = PseudoAverageState(v=float(v), delta=float(delta),
-                               theta_max=float(theta_max))
-    queues = np.zeros(model.n_constraints)
+    if not 0.0 <= theta_max < math.inf:
+        raise ValueError("theta_max must be finite and nonnegative")
+    v, delta, theta_max = float(v), float(delta), float(theta_max)
     ell = model.n_constraints
-
-    events = np.zeros(n_frames, dtype=int)
-    actions = np.zeros(n_frames, dtype=int)
-    penalty = np.zeros(n_frames)
-    frame_len = np.zeros(n_frames)
-    metrics = np.zeros((n_frames, ell))
-    increments = np.zeros(n_frames)
-    thetas = np.zeros(n_frames + 1)
-    queue_log = np.zeros((n_frames, ell))
-
-    event_cdf = np.cumsum(model.event_probs)
+    budgets = model.budgets.tolist()
+    # per event, per action: (yhat, That, [zhat_l - c_l*That for each l])
+    rows = [[(y, t, [z_l - c_l * t for z_l, c_l in zip(z, budgets)])
+             for y, t, z in zip(*tables)]
+            for tables in zip(model.exp_penalty.tolist(),
+                              model.exp_frame_len.tolist(),
+                              model.exp_metrics.tolist())]
+    event_cdf = np.cumsum(model.event_probs).tolist()
     event_cdf[-1] = 1.0
+    rng = np.random.default_rng(seed)
+
+    q = [0.0] * ell
+    theta = running = 0.0
+    # packed doubles that numpy takes without a copy; a list holds objects
+    events, actions = [], []
+    penalty, frame_len, metrics, increments, thetas, queues = (
+        array("d") for _ in range(6))
+    thetas.append(0.0)
     for n in range(n_frames):
-        event = int(np.searchsorted(event_cdf, rng.random(), side="right"))
-        action = select_action(model, event, queues, state.theta, state.v)
+        event = bisect.bisect_right(event_cdf, rng.random())
+        action = best = None
+        for a, (y, t, d) in enumerate(rows[event]):
+            # a left fold, as numpy sums a row of under 8 terms
+            drift = 0.0
+            for q_l, d_l in zip(q, d):
+                drift += q_l * d_l
+            score = v * (y - theta * t) + drift
+            if best is None or score < best:
+                action, best = a, score
         outcome = model.sampler(event, action, rng)
-        state = theta_update(state, outcome, queues, model.budgets)
-        queues = queue_update_frame(queues, outcome, model.budgets)
+        length, z = outcome.frame_len, outcome.metrics_total
+        if z.shape != (ell,):
+            raise ValueError("queue, metric, and rate vectors must share one length")
+        z = z.tolist()
+        # np.dot, not a Python fold: BLAS ddot may round two or more terms
+        # differently, and every seeded trajectory follows its rounding
+        drift = float(np.dot(q, [z_l - c_l * length for z_l, c_l in zip(z, budgets)]))
+        increment = outcome.penalty_total - theta * length + drift / v
+        running += increment
+        theta = min(max(running / (n + 1) ** delta, 0.0), theta_max)
+        q = [max(q_l + z_l - c_l * length, 0.0)
+             for q_l, z_l, c_l in zip(q, z, budgets)]
 
-        events[n] = event
-        actions[n] = action
-        penalty[n] = outcome.penalty_total
-        frame_len[n] = outcome.frame_len
-        metrics[n] = outcome.metrics_total
-        increments[n] = state.last_increment
-        thetas[n + 1] = state.theta
-        queue_log[n] = queues
+        events.append(event)
+        actions.append(action)
+        penalty.append(outcome.penalty_total)
+        frame_len.append(length)
+        metrics.extend(z)
+        increments.append(increment)
+        thetas.append(theta)
+        queues.extend(q)
 
-    return OnlineLog(theta_max=float(theta_max),
-                     events=events, actions=actions, penalty=penalty,
-                     frame_len=frame_len, metrics=metrics, increments=increments,
-                     theta=thetas, queues=queue_log)
+    penalty, frame_len, metrics, increments, thetas, queues = (
+        np.frombuffer(log) for log in (penalty, frame_len, metrics,
+                                       increments, thetas, queues))
+    metrics, queues = metrics.reshape(n_frames, ell), queues.reshape(n_frames, ell)
+    if not all(np.isfinite(a).all() for a in (penalty, metrics, queues, thetas)):
+        raise ValueError("run emitted a non-finite penalty, metric, queue or theta")
+    return OnlineLog(theta_max=theta_max,
+                     events=np.array(events, dtype=int),
+                     actions=np.array(actions, dtype=int), penalty=penalty,
+                     frame_len=frame_len, metrics=metrics,
+                     increments=increments, theta=thetas, queues=queues)
 
 
 # ---------------------------------------------------------------------------

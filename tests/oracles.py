@@ -646,7 +646,8 @@ def maxlambda_step(file_states, lambdas, m_servers, rng, prefer_small=False):
 
 
 # ---------------------------------------------------------------------------
-# coupled reference version: one slot at a time, from dense frame profiles
+# queue updates, and the coupled reference version: one slot at a time, from
+# dense frame profiles
 # ---------------------------------------------------------------------------
 
 def queue_update_slot(q: np.ndarray, z_sum: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -657,6 +658,17 @@ def queue_update_slot(q: np.ndarray, z_sum: np.ndarray, d: np.ndarray) -> np.nda
     if q.shape != z_sum.shape or q.shape != d.shape:
         raise ValueError("queue, metric, and rate vectors must share one length")
     return np.maximum(q + z_sum - d, 0.0)
+
+
+def queue_update_frame(
+    q: np.ndarray, outcome: FrameOutcome, d_rates: np.ndarray
+) -> np.ndarray:
+    """Whole-frame queue update: q' = max(q + z_total - d * T, 0)."""
+    q = np.asarray(q, dtype=float)
+    d_rates = np.asarray(d_rates, dtype=float)
+    if q.shape != outcome.metrics_total.shape or q.shape != d_rates.shape:
+        raise ValueError("queue, metric, and rate vectors must share one length")
+    return np.maximum(q + outcome.metrics_total - d_rates * outcome.frame_len, 0.0)
 
 
 def dense_slots(frame, n_metrics: int) -> Tuple[np.ndarray, np.ndarray]:

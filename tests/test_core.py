@@ -13,7 +13,6 @@ from renewalopt.core import (
     FrameOutcome,
     FrameProfile,
     dpp_linear_select,
-    queue_update_frame,
 )
 from renewalopt.coupled import CoupledSystemSpec
 from oracles import (
@@ -24,6 +23,7 @@ from oracles import (
     dpp_ratio_select,
     geometric_min1,
     outcome_sampler,
+    queue_update_frame,
     queue_update_slot,
     uniform_int,
 )

@@ -447,24 +447,28 @@ def test_parallel_fold_matches_serial(tmp_path, monkeypatch, name):
     assert parallel.aggregates == serial.aggregates
 
 
-def test_worker_pool_is_capped_by_cells_and_cores(monkeypatch):
-    # a pool that records its size and maps serially: no process is started
+class _SerialPool:
+    """A pool that records its size and maps serially: no process is started."""
+
     sizes = []
 
-    class SerialPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
 
-        def __enter__(self):
-            return self
+    def __enter__(self):
+        return self
 
-        def __exit__(self, *exc):
-            return False
+    def __exit__(self, *exc):
+        return False
 
-        def map(self, fn, tasks):
-            return map(fn, tasks)
+    def map(self, fn, tasks):
+        return map(fn, tasks)
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+
+def test_worker_pool_is_capped_by_cells_and_cores(monkeypatch):
+    sizes = []
+    monkeypatch.setattr(_SerialPool, "sizes", sizes)
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", _SerialPool)
     monkeypatch.setattr(harness.os, "cpu_count", lambda: 3)
     base = _small_energy_mapping(horizon=20, v_values=[1.0, 2.0], replications=2)
     serial = harness.run_experiment(harness.config_from_mapping(base)).rows
@@ -491,6 +495,27 @@ def test_master_seed_moves_results():
 def test_invariants_report_passes():
     for name, passed, detail in harness.invariants_report():
         assert passed, f"{name}: {detail}"
+
+
+def test_parallel_fold_detail_names_the_workers_that_ran(monkeypatch):
+    def fold_detail(**extra):
+        config = harness.config_from_mapping(_small_energy_mapping(horizon=20, **extra))
+        return dict((name, (passed, detail)) for name, passed, detail
+                    in harness.invariants_report(config))["parallel-fold"]
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor",
+                        lambda max_workers: pytest.fail("a worker was started"))
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 4)
+    assert fold_detail() == (True, "no worker started for 1 cell(s) on 4 core(s); "
+                                   "serial matches serial")
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 1)
+    assert fold_detail(v_values=[1.0, 2.0], replications=2) == (
+        True, "no worker started for 4 cell(s) on 1 core(s); serial matches serial")
+    monkeypatch.setattr(_SerialPool, "sizes", [])
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", _SerialPool)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 4)
+    assert fold_detail(v_values=[1.0, 2.0]) == (True, "2-worker aggregates match serial")
+    assert _SerialPool.sizes == [2]
 
 
 # ---------------------------------------------------------------------------

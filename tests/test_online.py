@@ -7,16 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from renewalopt.core import FrameOutcome, queue_update_frame
+from renewalopt.core import FrameOutcome
 from renewalopt.lp import conditional_ratio_optimal
 from renewalopt.online import (
     EventModel,
-    PseudoAverageState,
     default_theta_max,
     file_download_example,
     run,
-    select_action,
-    theta_update,
 )
 
 
@@ -69,6 +66,18 @@ def _floor_model():
                       budgets=np.array([1.0, -0.15]), sampler=sampler)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("name", ["event_probs", "exp_penalty", "exp_frame_len",
+                                  "exp_metrics", "budgets"])
+def test_event_model_refuses_non_finite_tables(name, bad):
+    good = _toy_model()
+    fields = {key: getattr(good, key).copy() for key in (
+        "event_probs", "exp_penalty", "exp_frame_len", "exp_metrics", "budgets")}
+    fields[name].flat[0] = bad
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        EventModel(sampler=good.sampler, **fields)
+
+
 def test_event_model_validation():
     good = _toy_model()
     with pytest.raises(ValueError):
@@ -110,51 +119,105 @@ def test_file_download_sampler_mean_frame_length():
     assert np.mean(draws) == pytest.approx(model.exp_frame_len[event, 3], rel=0.02)
 
 
+def _scripted_model(outcomes, budget=0.0):
+    """One event, one action, one constraint; the frames are ``outcomes``
+    as (frame_len, penalty, metric) triples, played in order."""
+    frames = iter(outcomes)
+
+    def sampler(event, action, rng):
+        frame_len, penalty, metric = next(frames)
+        return FrameOutcome(frame_len=frame_len, penalty_total=penalty,
+                            metrics_total=np.array([metric]))
+
+    return EventModel(event_probs=np.ones(1), exp_penalty=np.zeros((1, 1)),
+                      exp_frame_len=np.ones((1, 1)),
+                      exp_metrics=np.zeros((1, 1, 1)),
+                      budgets=np.array([budget]), sampler=sampler)
+
+
 def test_select_action_prefers_doing_nothing_without_pressure():
+    # a run's first frame is played at theta = 0 and Q = 0, where the zero
+    # action is the unique argmin of every event's V*yhat
     model = file_download_example()
-    for event in range(model.n_events):
-        assert select_action(model, event, np.zeros(1), theta=0.0, v=300.0) == 0
+    first = [run(model, v=300.0, delta=0.6, n_frames=1, seed=seed)
+             for seed in range(60)]
+    assert {int(log.events[0]) for log in first} == set(range(model.n_events))
+    assert not any(log.actions.any() for log in first)
 
 
 @given(
+    n_events=st.integers(1, 3),
     n_actions=st.integers(1, 5),
-    n_constraints=st.integers(1, 3),
-    theta=st.floats(0.0, 5.0),
+    n_constraints=st.integers(0, 3),
     v=st.floats(0.1, 500.0),
     seed=st.integers(0, 10_000),
 )
-@settings(max_examples=150, deadline=None)
-def test_select_action_matches_bruteforce(n_actions, n_constraints, theta, v, seed):
+@settings(max_examples=100, deadline=None)
+def test_select_action_matches_bruteforce(n_events, n_actions, n_constraints, v, seed):
     rng = np.random.default_rng(seed)
-    y = rng.uniform(-3.0, 3.0, size=(1, n_actions))
-    t = rng.uniform(1.0, 6.0, size=(1, n_actions))
-    z = rng.uniform(-2.0, 2.0, size=(1, n_actions, n_constraints))
+    y = rng.uniform(-3.0, 3.0, size=(n_events, n_actions))
+    t = rng.uniform(1.0, 6.0, size=(n_events, n_actions))
+    z = rng.uniform(-2.0, 2.0, size=(n_events, n_actions, n_constraints))
     budgets = rng.uniform(-1.0, 1.0, size=n_constraints)
-    queues = rng.uniform(0.0, 30.0, size=n_constraints)
-    model = EventModel(event_probs=np.ones(1), exp_penalty=y, exp_frame_len=t,
-                       exp_metrics=z, budgets=budgets,
-                       sampler=lambda e, a, r: None)
-    expected = oracles.online_select_bruteforce(
-        y[0], t[0], z[0], budgets, queues, theta, v)
-    assert select_action(model, 0, queues, theta, v) == expected
+
+    def sampler(event, action, rng_):
+        frame_len = 1 + int(rng_.integers(0, 2 * t[event, action]))
+        return FrameOutcome(
+            frame_len=frame_len,
+            penalty_total=y[event, action] * frame_len * rng_.uniform(0.5, 1.5),
+            metrics_total=z[event, action] * frame_len * rng_.uniform(0.5, 1.5))
+
+    model = EventModel(event_probs=rng.dirichlet(np.ones(n_events)),
+                       exp_penalty=y, exp_frame_len=t, exp_metrics=z,
+                       budgets=budgets, sampler=sampler)
+    log = run(model, v=v, delta=0.6, n_frames=60, seed=seed)
+    before = np.vstack([np.zeros((1, n_constraints)), log.queues[:-1]])
+    for n, event in enumerate(log.events):
+        expected = oracles.online_select_bruteforce(
+            y[event], t[event], z[event], budgets, before[n], log.theta[n], v)
+        assert log.actions[n] == expected
+
+
+def test_exact_ties_go_to_the_lowest_action():
+    # three copies of one action score equally at every theta and queue
+    good = _toy_model(n_events=2, n_actions=1)
+    model = EventModel(event_probs=good.event_probs,
+                       exp_penalty=np.repeat(good.exp_penalty, 3, axis=1),
+                       exp_frame_len=np.repeat(good.exp_frame_len, 3, axis=1),
+                       exp_metrics=np.repeat(good.exp_metrics, 3, axis=1),
+                       budgets=good.budgets, sampler=good.sampler)
+    log = run(model, v=10.0, delta=0.6, n_frames=200, seed=3)
+    assert log.theta.max() > 0.0 and log.queues.max() > 0.0
+    assert not log.actions.any()
 
 
 def test_frame_queue_update_examples():
-    budgets = np.array([2.0])
-    out = FrameOutcome(frame_len=3, penalty_total=0.0, metrics_total=np.array([6.0]))
-    assert queue_update_frame(np.array([4.0]), out, budgets).tolist() == [4.0]
-    drain = FrameOutcome(frame_len=3, penalty_total=0.0, metrics_total=np.array([0.0]))
-    assert queue_update_frame(np.array([4.0]), drain, budgets).tolist() == [0.0]
+    # budget 2 per slot: 5 in one slot leaves 3, 6 over three slots holds
+    # it, and nothing over three slots drains it and clamps at zero
+    model = _scripted_model([(1, 0.0, 5.0), (3, 0.0, 6.0), (3, 0.0, 0.0)],
+                            budget=2.0)
+    log = run(model, v=10.0, delta=0.6, n_frames=3, theta_max=1.0)
+    assert log.queues[:, 0].tolist() == [3.0, 3.0, 0.0]
 
 
 def test_theta_update_fixed_points_and_clamp():
-    state = PseudoAverageState(v=10.0, delta=0.6, theta_max=2.0)
-    zero = FrameOutcome(frame_len=1, penalty_total=0.0, metrics_total=np.zeros(1))
-    state = theta_update(state, zero, np.zeros(1), np.zeros(1))
-    assert state.theta == 0.0 and state.frames_done == 1
-    spike = FrameOutcome(frame_len=1, penalty_total=1e9, metrics_total=np.zeros(1))
-    state = theta_update(state, spike, np.zeros(1), np.zeros(1))
-    assert state.theta == 2.0
+    # zero frames hold theta at 0; a spike clamps it at theta_max and a
+    # deeper negative spike clamps it back at 0
+    model = _scripted_model([(1, 0.0, 0.0), (1, 0.0, 0.0), (1, 1e9, 0.0),
+                             (1, 0.0, 0.0), (1, -1e12, 0.0)])
+    log = run(model, v=10.0, delta=0.6, n_frames=5, theta_max=2.0)
+    assert log.theta.tolist() == [0.0, 0.0, 0.0, 2.0, 2.0, 0.0]
+    assert log.increments[3] == -2.0
+
+
+def test_queue_trajectory_replays_bit_exactly():
+    model = _floor_model()
+    log = run(model, v=40.0, delta=0.6, n_frames=3000, seed=9)
+    q = np.zeros(model.n_constraints)
+    for n in range(log.n_frames):
+        q = np.maximum(q + log.metrics[n] - model.budgets * log.frame_len[n], 0.0)
+        assert log.queues[n].tolist() == q.tolist()
+    assert log.queues.max() > 0.0
 
 
 def test_download_example_locks_at_the_zero_fixed_point():
@@ -222,6 +285,40 @@ def test_run_rejects_bad_arguments():
         run(model, v=0.0, delta=0.6, n_frames=10)
     with pytest.raises(ValueError):
         run(model, v=10.0, delta=0.6, n_frames=0)
+
+
+def _unplayable(event, action, rng):
+    raise AssertionError("a frame was played")
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"v": np.inf}, {"v": np.nan}, {"delta": np.nan}, {"delta": np.inf},
+    {"theta_max": np.nan}, {"theta_max": np.inf}, {"theta_max": -1.0},
+], ids=lambda kwargs: "-".join(f"{k}={v}" for k, v in kwargs.items()))
+def test_run_refuses_bad_arguments_before_the_first_frame(kwargs):
+    model = file_download_example()
+    model.sampler = _unplayable
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError):
+            run(model, **dict({"v": 10.0, "delta": 0.6, "n_frames": 10}, **kwargs))
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("frame", [(1, np.nan, 0.0), (1, np.inf, 0.0),
+                                   (1, 0.0, np.nan), (1, 0.0, -np.inf)])
+def test_run_refuses_a_non_finite_sampler_output(frame):
+    model = _scripted_model([(1, 0.0, 0.0), frame, (1, 0.0, 0.0)])
+    with pytest.raises(ValueError, match="non-finite"):
+        run(model, v=10.0, delta=0.6, n_frames=3, theta_max=1.0)
+
+
+def test_run_refuses_a_metric_vector_of_the_wrong_length():
+    model = _toy_model(n_constraints=2)
+    model.sampler = lambda event, action, rng: FrameOutcome(
+        frame_len=1, penalty_total=0.0, metrics_total=np.zeros(1))
+    with pytest.raises(ValueError, match="share one length"):
+        run(model, v=10.0, delta=0.6, n_frames=3)
 
 
 _PIN_RUNS = {
