@@ -6,9 +6,11 @@ and spends its power; a shared virtual queue tracks the average power budget
 and the scheduler serves the users with the largest ratio indices. One
 multi-user loop runs it under either file model the users carry: memoryless
 files, or files with integer lengths from a sampler (the robustness test).
-Includes the single-user frame algorithm, the fixed-rate special case where
-the highest-arrival-rate policy is optimal, and its two-queue Markov chain
-oracle.
+Includes the single-user frame algorithm, one loop that prices each action
+once and takes its own argmax and queue step every frame, the fixed-rate
+special case where the highest-arrival-rate policy is optimal, and its
+two-queue Markov chain oracle. Both index runs check their deterministic
+power-queue bound, which scales with each user's weight, on every step.
 
 Timing convention: a file that completes in a slot can be replaced by a new
 arrival at the end of that same slot, so an active user served with success
@@ -88,29 +90,10 @@ def _index_terms(user: UserSpec, v: float):
     return gain, cost
 
 
-def single_user_select(user: UserSpec, q: float, v: float) -> int:
-    """Best action index at a frame start; ties go to the lowest index."""
-    if not v > 0:
-        raise ValueError("penalty weight must be positive")
-    gain, cost = _index_terms(user, v)
-    best, best_val = 0, -np.inf
-    for a in range(len(user.actions)):
-        val = gain[a] - q * cost[a]
-        if val > best_val:
-            best, best_val = a, val
-    return best
-
-
-def single_user_queue_update(
-    q: float, power: float, frame_len: int, beta: float
-) -> float:
-    if frame_len < 1:
-        raise ValueError("frame length must be at least 1")
-    return max(q + power - beta * frame_len, 0.0)
-
-
 def single_user_queue_bound(user: UserSpec, v: float, beta: float) -> float:
-    return max(v * user.mean_file / user.p_min + user.p_max - beta, 0.0)
+    """The index takes a costly action only while q < v * weight * mean_file
+    * phi / p, and a frame adds at most p_max - beta to the queue."""
+    return max(v * user.weight * user.mean_file / user.p_min + user.p_max - beta, 0.0)
 
 
 def _check_v_beta(v: float, beta: float) -> None:
@@ -128,26 +111,34 @@ def single_user_run(
     """Simulate frames of the single-user algorithm from an empty queue.
 
     A frame is one service slot plus, when the file completes, the idle slots
-    until the next arrival. The power-queue bound is enforced as a hard check
-    on every frame.
+    until the next arrival. Each frame plays the action of greatest index
+    ``gain - q * cost`` (ties go to the lowest action), then steps the power
+    queue to ``max(q + p - beta * frame_len, 0)``. The power-queue bound is
+    enforced as a hard check on every frame.
     """
     if n_frames < 1:
         raise ValueError("need at least one frame")
     _check_v_beta(v, beta)
     rng = np.random.default_rng(seed)
     bound = single_user_queue_bound(user, v, beta) + 1e-9
+    gain, cost = _index_terms(user, v)
+    options = list(zip(gain, cost))
     actions = np.empty(n_frames, dtype=int)
     frame_lens = np.empty(n_frames, dtype=int)
     powers = np.empty(n_frames)
     queues = np.empty(n_frames)
     q = 0.0
     for k in range(n_frames):
-        a = single_user_select(user, q, v)
+        a, best_val = 0, _NEG_INF
+        for i, (g, c) in enumerate(options):
+            val = g - q * c
+            if val > best_val:
+                a, best_val = i, val
         phi, p = user.actions[a]
         t_k = 1
         if rng.random() < phi:
             t_k += int(rng.geometric(user.lam))
-        q = single_user_queue_update(q, p, t_k, beta)
+        q = max(q + p - beta * t_k, 0.0)
         if q > bound:
             raise RuntimeError(
                 f"power queue {q:.6f} exceeded its deterministic bound {bound:.6f}"

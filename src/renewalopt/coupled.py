@@ -12,6 +12,7 @@ oracle.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 from typing import Callable, List, Tuple
 
@@ -125,8 +126,8 @@ def run(spec: CoupledSystemSpec, v: float, horizon: int, seed: int) -> MetricsLo
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
-    if not v > 0:
-        raise ValueError("penalty weight must be positive")
+    if not 0.0 < v < math.inf:
+        raise ValueError(f"penalty weight v must be finite and positive, got {v!r}")
     frames_rng, external_rng = [
         np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(2)
     ]

@@ -16,6 +16,13 @@ constants are fixed, so a server's frame decision is a pure function of its
 queue value: the run memoises it per server, keyed by that value, and asks
 ``server_frame_decide`` only about values it has not seen, so the memo
 returns exactly the decision the call would.
+
+Each run loop takes its own queue steps, ``max(q + in - out, 0)``, and the
+reactive baseline its own server target. The two decision rules,
+``admission_decide`` and ``server_frame_decide``, stay public, and the
+algorithm loop looks both up in this module on every call, so they can be
+wrapped from outside. A run refuses a ``v`` that is not finite and positive
+before its first slot, in every mode.
 """
 
 from __future__ import annotations
@@ -223,10 +230,11 @@ def admission_decide(arrivals, cost, queues, v, r_max):
 
     If some queue sits at or below v*cost, send min(arrivals, r_max) to the
     shortest such queue (lowest index on ties) and reject the overflow;
-    otherwise reject everything. Returns ``(rejected, routed)`` with
-    ``rejected + routed.sum() == arrivals``.
+    otherwise reject everything. Returns ``(rejected, routed)``, ``routed``
+    a list of one float per queue, with ``rejected + sum(routed) ==
+    arrivals``.
     """
-    routed = np.zeros(len(queues))
+    routed = [0.0] * len(queues)
     threshold = v * cost
     target = -1
     for n, q in enumerate(queues):
@@ -283,25 +291,6 @@ def server_frame_decide(cfg: ServerConfig, queue: float, v: float) -> Decision:
     return best
 
 
-def reactive_target(recent_arrivals: Sequence[float], extra: float,
-                    mu_mean: float) -> int:
-    """Server count the reactive baseline wants on: ceil((lambda_bar + extra)
-    / mu_mean), with lambda_bar the mean of the supplied window (the caller
-    passes the latest at-most-10 slots)."""
-    lam_bar = float(np.mean(recent_arrivals)) if len(recent_arrivals) else 0.0
-    return int(math.ceil((lam_bar + extra) / mu_mean))
-
-
-# ---------------------------------------------------------------------------
-# queue recursions
-# ---------------------------------------------------------------------------
-
-def actual_queue_update(backlog: float, admitted: float, drained: float) -> float:
-    """Single physical queue: admitted work in, the active servers' total
-    service out, floored at zero."""
-    return max(backlog + admitted - drained, 0.0)
-
-
 # ---------------------------------------------------------------------------
 # runs
 # ---------------------------------------------------------------------------
@@ -348,13 +337,6 @@ class DatacenterLog:
 _BOUND_SLACK = 1e-9
 
 
-def _shared_r_max(cfgs: Sequence[ServerConfig]) -> float:
-    caps = {float(cfg.r_max) for cfg in cfgs}
-    if len(caps) != 1:
-        raise ValueError("all servers must share one router cap r_max")
-    return caps.pop()
-
-
 def run_datacenter(cfgs: Sequence[ServerConfig], trace: Trace,
                    v: float, mode="n-queue", seed: int = 0,
                    horizon: Optional[int] = None, min_active: int = 0,
@@ -393,6 +375,8 @@ def run_datacenter(cfgs: Sequence[ServerConfig], trace: Trace,
         raise ValueError(f"trace has {len(trace)} slots, horizon wants {horizon}")
     if not cfgs:
         raise ValueError("need at least one server")
+    if not 0.0 < v < math.inf:
+        raise ValueError(f"penalty weight v must be finite and positive, got {v!r}")
 
     if mode in ("n-queue", "virtualized"):
         return _run_algorithm(list(cfgs), trace, horizon, float(v), mode, seed,
@@ -407,7 +391,10 @@ def _run_algorithm(cfgs, trace, horizon, v, mode, seed, min_active, initial_queu
     virtualized = mode == "virtualized"
     rng = np.random.default_rng(seed)
     samplers = [_service_sampler(cfg.mu_dist) for cfg in cfgs]
-    r_max = _shared_r_max(cfgs)
+    r_maxes = {float(cfg.r_max) for cfg in cfgs}
+    if len(r_maxes) != 1:
+        raise ValueError("all servers must share one router cap r_max")
+    r_max = r_maxes.pop()
     cost_max = max(itertools.islice(trace.costs, horizon))
     per_queue_bound = v * cost_max + r_max
     limit = per_queue_bound + _BOUND_SLACK
@@ -437,7 +424,6 @@ def _run_algorithm(cfgs, trace, horizon, v, mode, seed, min_active, initial_queu
 
     for t, arrivals, cost in zip(range(horizon), trace.arrivals, trace.costs):
         rejected, routed = admission_decide(arrivals, cost, queues, v, r_max)
-        routed = routed.tolist()
         slot_power = 0.0
         drained = [0.0] * n
         drained_total = 0.0
@@ -490,7 +476,7 @@ def _run_algorithm(cfgs, trace, horizon, v, mode, seed, min_active, initial_queu
                 f"queue bound violated at slot {t}: Q_{worst}={queues[worst]:.6g} "
                 f"> {per_queue_bound:.6g}")
         if virtualized:
-            backlog = actual_queue_update(backlog, arrivals - rejected, drained_total)
+            backlog = max(backlog + (arrivals - rejected) - drained_total, 0.0)
             if backlog > total + _BOUND_SLACK:
                 raise RuntimeError(
                     f"physical backlog {backlog:.6g} exceeded the virtual total "
@@ -541,7 +527,8 @@ def _run_baseline(cfgs, arrival_column, horizon, mode, seed):
             window.append(arrivals)
             if len(window) > 10:
                 window.pop(0)
-            target = min(max(reactive_target(window, param, mu_bar), 0), n)
+            target = math.ceil((sum(window) / len(window) + param) / mu_bar)
+            target = min(max(target, 0), n)
             committed = [s for s in range(n) if status[s] != "off"]
             if len(committed) < target:
                 for s in range(n):
@@ -578,7 +565,7 @@ def _run_baseline(cfgs, arrival_column, horizon, mode, seed):
             else:
                 slot_power += cfg.sleep_modes[0].idle_power
 
-        backlog = actual_queue_update(backlog, float(arrivals), drained_total)
+        backlog = max(backlog + float(arrivals) - drained_total, 0.0)
         power[t] = slot_power
         backlog_log[t] = backlog
         active_servers[t] = n_active

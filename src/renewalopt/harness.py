@@ -543,7 +543,11 @@ def _bandit_oracle(built):
     if file_dist != "geometric" and any(
             u.file_length_sampler is not None for u in users):
         raise ConfigError("the bandit oracle covers memoryless users only")
-    return lambda: lp.coupled_mdp_optimal(
+    return functools.partial(_bandit_optimum, users, m_servers, beta)
+
+
+def _bandit_optimum(users, m_servers, beta) -> float:
+    return lp.coupled_mdp_optimal(
         [u.lam for u in users], [u.weight for u in users],
         [u.mean_file for u in users], [u.actions for u in users],
         served_limit=m_servers, power_budget=beta).value
@@ -574,9 +578,13 @@ def _online_simulate(built, horizon, params, run_seed, aux_seed):
 
 def _online_oracle(built):
     model = built[0]
-    return lambda: lp.conditional_ratio_optimal(
-        model.event_probs, model.exp_penalty, model.exp_frame_len,
-        model.exp_metrics, model.budgets)
+    return functools.partial(
+        lp.conditional_ratio_optimal, model.event_probs, model.exp_penalty,
+        model.exp_frame_len, model.exp_metrics, model.budgets)
+
+
+def _ocmdp_optimum(instance) -> float:
+    return ocmdp.solve_baseline(instance).value
 
 
 def _ocmdp_build(instance: Mapping, horizon: int):
@@ -627,7 +635,7 @@ _RECORDS: Dict[str, _Kind] = {
         _energy_oracle,
         ("penalty_avg", 1)),
     "datacenter": _Kind(
-        ("v",), (), ("servers", "mode", "min_active", "trace"),
+        ("v",), ("v",), ("servers", "mode", "min_active", "trace"),
         _datacenter_build, _datacenter_simulate),
     "bandit": _Kind(
         ("v",), ("v",), ("users", "file_dist", "m_servers", "beta"),
@@ -638,7 +646,7 @@ _RECORDS: Dict[str, _Kind] = {
     "ocmdp": _Kind(
         ("v", "alpha"), ("alpha",), ("path", "example", "noise"),
         _ocmdp_build, _ocmdp_simulate,
-        lambda instance: lambda: ocmdp.solve_baseline(instance).value,
+        lambda instance: functools.partial(_ocmdp_optimum, instance),
         ("penalty_avg", 1)),
     # builds to its target's oracle solve, which is then its own oracle
     "oracle-only": _Kind((), (), ("target", "instance"), _oracle_only_build,

@@ -382,7 +382,7 @@ def replay_truncated_average(increments, decay, cap):
 
 
 # ---------------------------------------------------------------------------
-# datacenter frame decision and queue step
+# datacenter frame decision, queue steps and the reactive target
 # ---------------------------------------------------------------------------
 
 def datacenter_decide_bruteforce(active_power, mu_mean, mu_max, r_max,
@@ -415,6 +415,19 @@ def queue_update(queues, routed, drained) -> np.ndarray:
     """Per-queue backlog recursion max(q + in - out, 0), elementwise: the
     numpy form of the step ``datacenter.run_datacenter`` takes on floats."""
     return np.maximum(np.asarray(queues, dtype=float) + routed - drained, 0.0)
+
+
+def actual_queue_update(backlog: float, admitted: float, drained: float) -> float:
+    """Single physical queue: admitted work in, the active servers' total
+    service out, floored at zero."""
+    return max(backlog + admitted - drained, 0.0)
+
+
+def reactive_target(recent_arrivals, extra: float, mu_mean: float) -> int:
+    """Server count the reactive baseline wants on: ceil((lambda_bar + extra)
+    / mu_mean), with lambda_bar numpy's mean of the supplied window."""
+    lam_bar = float(np.mean(recent_arrivals)) if len(recent_arrivals) else 0.0
+    return int(math.ceil((lam_bar + extra) / mu_mean))
 
 
 def zipf_draw_searchsorted(cdf, rng) -> float:
@@ -534,7 +547,8 @@ def run_fixed_policy(instance, thetas, horizon, seed=0):
 
 
 # ---------------------------------------------------------------------------
-# bandit reference versions: one slot at a time, with the plain scheduler
+# bandit reference versions: the single-user frame rule and queue step, and
+# the multi-user scheduler one slot at a time
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -580,6 +594,26 @@ def bandit_schedule(users, gains, costs, file_states, q, m_servers):
         power += p
         tput += users[n].weight * users[n].mean_file * phi
     return served, power, tput
+
+
+def single_user_select(user, q, v):
+    """Best action index at a frame start: the greatest gain - q * cost, with
+    gain = v * weight * mean_file * phi / d and cost = p / d for
+    d = 1 + phi / lambda; ties go to the lowest index."""
+    best, best_val = 0, -np.inf
+    for a, (phi, p) in enumerate(user.actions):
+        denom = 1.0 + phi / user.lam
+        val = v * user.weight * user.mean_file * phi / denom - q * (p / denom)
+        if val > best_val:
+            best, best_val = a, val
+    return best
+
+
+def single_user_queue_update(q, power, frame_len, beta):
+    """Power queue over one frame: max(q + power - beta * frame_len, 0)."""
+    if frame_len < 1:
+        raise ValueError("frame length must be at least 1")
+    return max(q + power - beta * frame_len, 0.0)
 
 
 def multi_user_step(users, state, v, m_servers, beta, rng):

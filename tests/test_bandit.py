@@ -19,9 +19,7 @@ from renewalopt.bandit import (
     multi_user_run,
     poisson_file_sampler,
     single_user_queue_bound,
-    single_user_queue_update,
     single_user_run,
-    single_user_select,
     table_one_users,
     table_two_users,
     two_queue_markov_throughput,
@@ -82,21 +80,38 @@ class TestUserSpec:
         assert u.p_max == 3.5
 
 
+def _decision_queues(out):
+    """The queue each frame of a single-user run decided against: empty at
+    the first frame, then the queue the frame before left."""
+    return [0.0] + out["queues"][:-1].tolist()
+
+
 class TestSingleUser:
     def test_huge_queue_selects_zero_action(self):
+        # with no budget the queue only grows, so once it passes the costly
+        # action's threshold v*weight*mean_file*phi/p = 7.5 the run idles
         u = _user()
-        assert single_user_select(u, q=1e9, v=10.0) == 0
+        out = single_user_run(u, v=10.0, beta=0.0, n_frames=200, seed=0)
+        assert out["actions"].tolist() == [1] * 4 + [0] * 196
+        assert _decision_queues(out)[4] == 8.0 > 7.5
+        assert oracles.single_user_select(u, q=1e9, v=10.0) == 0
 
     def test_zero_queue_selects_highest_phi(self):
         u = _user(actions=((0.0, 0.0), (0.3, 1.0), (0.8, 5.0), (0.5, 2.0)))
-        assert single_user_select(u, q=0.0, v=7.0) == 2
+        out = single_user_run(u, v=7.0, beta=1.0, n_frames=50, seed=0)
+        assert out["actions"][0] == 2
+        assert oracles.single_user_select(u, q=0.0, v=7.0) == 2
 
     def test_exact_tie_prefers_lowest_index(self):
-        # two copies of the same nonzero action tie exactly
+        # two copies of the same nonzero action tie exactly at every queue
         u = _user(actions=((0.0, 0.0), (0.6, 2.0), (0.6, 2.0)))
-        assert single_user_select(u, q=3.0, v=5.0) == 1
+        out = single_user_run(u, v=5.0, beta=0.8, n_frames=3000, seed=1)
+        assert set(out["actions"].tolist()) == {0, 1}
+        assert oracles.single_user_select(u, q=3.0, v=5.0) == 1
 
     def test_matches_bruteforce_argmax(self):
+        # every frame of a run plays the reference's action at the queue it
+        # decided against, and that is the brute-force argmax of the index
         rng = np.random.default_rng(42)
         for _ in range(300):
             n_actions = int(rng.integers(2, 6))
@@ -109,27 +124,40 @@ class TestSingleUser:
                 mean_file=float(rng.uniform(1.0, 6.0)),
                 actions=tuple(actions),
             )
-            q = float(rng.uniform(0.0, 30.0))
             v = float(rng.uniform(0.5, 50.0))
-            vals = [_index_value(u, a, q, v) for a in range(n_actions)]
-            best = max(range(n_actions), key=lambda a: (vals[a], -a))
-            assert single_user_select(u, q, v) == best
+            beta = float(rng.uniform(0.0, 2.0))
+            out = single_user_run(u, v, beta, n_frames=40, seed=int(rng.integers(1000)))
+            for q, a in zip(_decision_queues(out), out["actions"].tolist()):
+                assert a == oracles.single_user_select(u, q, v)
+                vals = [_index_value(u, b, q, v) for b in range(n_actions)]
+                assert a == max(range(n_actions), key=lambda b: (vals[b], -b))
 
     def test_weight_equals_rescaled_v(self):
         base = _user(actions=((0.0, 0.0), (0.3, 1.0), (0.7, 2.5)))
         weighted = _user(
             actions=((0.0, 0.0), (0.3, 1.0), (0.7, 2.5)), weight=3.0
         )
-        for q in (0.0, 2.0, 11.0):
-            assert single_user_select(weighted, q, v=4.0) == single_user_select(
-                base, q, v=12.0
-            )
+        a = single_user_run(weighted, v=4.0, beta=1.0, n_frames=3000, seed=9)
+        b = single_user_run(base, v=12.0, beta=1.0, n_frames=3000, seed=9)
+        for key in ("actions", "frame_lens", "powers", "queues"):
+            assert np.array_equal(a[key], b[key])
+        assert len(set(a["actions"].tolist())) >= 2
+        assert single_user_queue_bound(weighted, 4.0, 1.0) == \
+            single_user_queue_bound(base, 12.0, 1.0)
 
     def test_queue_update_trivia(self):
-        assert single_user_queue_update(5.0, power=2.0, frame_len=1, beta=2.0) == 5.0
-        assert single_user_queue_update(5.0, power=0.0, frame_len=3, beta=2.0) == 0.0
-        with pytest.raises(ValueError):
-            single_user_queue_update(5.0, power=1.0, frame_len=0, beta=2.0)
+        assert oracles.single_user_queue_update(5.0, power=2.0, frame_len=1, beta=2.0) == 5.0
+        assert oracles.single_user_queue_update(5.0, power=0.0, frame_len=3, beta=2.0) == 0.0
+        # a run's queues replay through the reference step bit for bit
+        u = _user(lam=0.4, mean_file=3.0, actions=((0.0, 0.0), (0.4, 1.5), (0.7, 4.0)))
+        out = single_user_run(u, v=25.0, beta=1.0, n_frames=4000, seed=7)
+        q, replay = 0.0, []
+        for p, t in zip(out["powers"].tolist(), out["frame_lens"].tolist()):
+            q = oracles.single_user_queue_update(q, p, t, 1.0)
+            replay.append(q)
+        assert out["queues"].tolist() == replay
+        assert out["frame_lens"].min() >= 1
+        assert 0.0 in replay and max(replay) > 0.0
 
     def test_run_respects_queue_bound(self):
         u = _user(lam=0.4, mean_file=3.0, actions=((0.0, 0.0), (0.7, 4.0)))
@@ -139,6 +167,18 @@ class TestSingleUser:
         assert np.all(out["frame_lens"] >= 1)
         again = single_user_run(u, v=25.0, beta=1.0, n_frames=4000, seed=7)
         assert np.array_equal(out["queues"], again["queues"])
+
+    def test_queue_bound_counts_the_weight(self):
+        u = _user(mean_file=2.0, actions=((0.0, 0.0), (0.5, 1.0)), weight=3.0)
+        # v * weight * mean_file / p_min + p_max - beta
+        assert single_user_queue_bound(u, v=10.0, beta=2.0) == 10.0 * 6.0 + 1.0 - 2.0
+        # the first table-one user (weight 4.75) goes past the bound that
+        # leaves the weight out, v * mean_file / p_min + p_max - beta
+        user = table_one_users()[0]
+        out = single_user_run(user, 5.0, beta=1.0, n_frames=3000, seed=0)
+        peak = out["queues"].max()
+        assert peak <= single_user_queue_bound(user, 5.0, beta=1.0)
+        assert peak > 5.0 * user.mean_file / user.p_min + user.p_max - 1.0
 
 
 def _served_pairs(users, file_states, q, v, m_servers):
@@ -467,6 +507,43 @@ _PINNED_DIGESTS = {
     "table-one-seed-1": "fd1efe71e9f70a6f3c153454458c565e3ced0d07f24d28ff6b312a12f92662df",
     "tied-three-users": "73b5cbb092a01896e4e322825ea655f60241c8690004cc428ba461a5f51b8cd0",
 }
+
+
+# (user, v, beta, n_frames, seed)
+_SINGLE_PIN_RUNS = {
+    "two-actions": (lambda: _user(lam=0.4, mean_file=3.0,
+                                  actions=((0.0, 0.0), (0.7, 4.0))), 25.0, 1.0, 4000, 7),
+    "four-actions": (lambda: _user(actions=((0.0, 0.0), (0.3, 1.0), (0.8, 5.0), (0.5, 2.0))),
+                     7.0, 1.2, 5000, 3),
+    "tied-actions": (lambda: _user(actions=((0.0, 0.0), (0.6, 2.0), (0.6, 2.0))),
+                     5.0, 0.8, 5000, 4),
+    "light-weight": (lambda: _user(lam=0.2, mean_file=4.0,
+                                   actions=((0.0, 0.0), (0.5, 1.5), (0.9, 3.0)), weight=0.5),
+                     20.0, 1.0, 5000, 5),
+    "table-one-budget-5": (lambda: table_one_users()[0], 70.0, 5.0, 3000, 0),
+}
+
+# sha256 over the actions, frame_lens, powers and queues arrays (name, dtype,
+# shape, bytes), recorded before the per-frame helpers were folded into the run
+_SINGLE_PINNED_DIGESTS = {
+    "four-actions": "fc7b0b70f66307088bab9f3fe6b5d609ba83db38873d86ad8021b92704505207",
+    "light-weight": "549db26ffc8107f888091ed22b46babbccff877aaca69ef28f53c392d76bbaa9",
+    "table-one-budget-5": "3c8886c66e8b8a54eeb78a9273069f38336e45d55f8766c5e63c33e2e3401d3d",
+    "tied-actions": "c5eea54a9a63eb420bd96ffbf21b9499386b48a0c422d443418656487b64f61b",
+    "two-actions": "82e22e1e472b64d8d49e358637204426f73d9efaafc742bf6ba3ffcf8548245a",
+}
+
+
+@pytest.mark.parametrize("case", sorted(_SINGLE_PIN_RUNS))
+def test_single_user_output_is_pinned(case):
+    user, v, beta, n_frames, seed = _SINGLE_PIN_RUNS[case]
+    out = single_user_run(user(), v, beta, n_frames, seed)
+    digest = hashlib.sha256()
+    for name in ("actions", "frame_lens", "powers", "queues"):
+        arr = out[name]
+        digest.update(f"{name}:{arr.dtype.str}:{arr.shape}:".encode())
+        digest.update(arr.tobytes())
+    assert digest.hexdigest() == _SINGLE_PINNED_DIGESTS[case]
 
 
 @pytest.mark.parametrize("case", sorted(_PIN_RUNS))

@@ -286,6 +286,22 @@ def test_run_refuses_a_non_finite_external_before_the_first_slot(bad):
     assert drawn == []
 
 
+@pytest.mark.parametrize("v", [math.inf, math.nan, 0.0, -5.0])
+def test_run_refuses_a_bad_v_before_the_first_slot(v):
+    # at v = inf every decision took action 0 and the queues ran away silently
+    drawn = []
+
+    def sampler(rng):
+        drawn.append(rng)
+        return FrameOutcome(2, 1.0, [1.0])
+
+    spec = _spec_with_sampler(sampler)
+    drawn.clear()  # the probe frame drawn at spec build
+    with pytest.raises(ValueError, match="v must be finite and positive"):
+        run(spec, v=v, horizon=50, seed=0)
+    assert drawn == []
+
+
 @pytest.mark.parametrize("emit", [
     lambda k: FrameProfile(2, 1.0, [1.0], ((1, 1.0, [1.0]),), 2) if k < 5 else
     FrameProfile(2, 1.0, [math.nan], ((1, 1.0, [math.nan]),), 2),

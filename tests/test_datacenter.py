@@ -14,11 +14,9 @@ from renewalopt.datacenter import (
     ServerConfig,
     SleepMode,
     Trace,
-    actual_queue_update,
     admission_decide,
     load_trace,
     ramp_trace,
-    reactive_target,
     run_datacenter,
     server_frame_decide,
     uniform_trace,
@@ -138,21 +136,21 @@ def test_zipf_sampler_matches_searchsorted(k, p):
 # ---------------------------------------------------------------------------
 
 def test_admission_rejects_all_when_no_queue_eligible():
-    rejected, routed = admission_decide(12, 2.0, np.array([50.0, 60.0]), v=3.0, r_max=40.0)
+    rejected, routed = admission_decide(12, 2.0, [50.0, 60.0], v=3.0, r_max=40.0)
     assert rejected == 12
-    assert not routed.any()
+    assert routed == [0.0, 0.0]
 
 
 def test_admission_routes_to_shortest_eligible():
-    rejected, routed = admission_decide(5, 2.0, np.array([9.0, 4.0, 4.0]), v=10.0, r_max=40.0)
+    rejected, routed = admission_decide(5, 2.0, [9.0, 4.0, 4.0], v=10.0, r_max=40.0)
     assert rejected == 0
-    assert routed.tolist() == [0.0, 5.0, 0.0]
+    assert routed == [0.0, 5.0, 0.0]
 
 
 def test_admission_caps_at_router_limit():
-    rejected, routed = admission_decide(50, 2.0, np.array([1.0, 0.0]), v=10.0, r_max=40.0)
+    rejected, routed = admission_decide(50, 2.0, [1.0, 0.0], v=10.0, r_max=40.0)
     assert rejected == 10
-    assert routed.tolist() == [0.0, 40.0]
+    assert routed == [0.0, 40.0]
 
 
 @given(
@@ -164,8 +162,9 @@ def test_admission_caps_at_router_limit():
 )
 @settings(max_examples=200, deadline=None)
 def test_admission_identity_and_feasibility(arrivals, cost, queues, v, r_max):
-    q = np.array(queues)
-    rejected, routed = admission_decide(arrivals, cost, q, v, r_max)
+    rejected, routed = admission_decide(arrivals, cost, queues, v, r_max)
+    assert type(routed) is list and len(routed) == len(queues)
+    q, routed = np.array(queues), np.array(routed)
     assert rejected >= 0 and (routed >= 0).all()
     assert routed.sum() <= r_max + 1e-9
     assert rejected + routed.sum() == pytest.approx(arrivals, abs=1e-9)
@@ -235,9 +234,25 @@ def test_frame_decide_matches_bruteforce(active_power, mode_params, i_max,
 
 
 def test_reactive_target_examples():
-    assert reactive_target([10, 11] * 5, 0.0, 2.0) == 6
-    assert reactive_target([4], 3.0, 2.0) == 4
-    assert reactive_target([0, 0, 0], 0.0, 2.0) == 0
+    # setup_mean 1 makes a switched-on server commit within its slot, and
+    # unit setup and active power with free idling make each slot's power the
+    # number of committed servers: the reference target clipped to [0, n]
+    assert oracles.reactive_target([10, 11] * 5, 0.0, 2.0) == 6
+    assert oracles.reactive_target([4], 3.0, 2.0) == 4
+    assert oracles.reactive_target([0, 0, 0], 0.0, 2.0) == 0
+    cfgs = [ServerConfig(active_power=1.0, mu_dist=("constant", mu),
+                         sleep_modes=[SleepMode(0.0, 1.0, 1.0)], i_max=10, r_max=50.0)
+            for mu in (2.0, 3.0, 2.0, 3.0, 2.0, 3.0)]
+    mu_bar = float(np.mean([cfg.mu_mean for cfg in cfgs]))
+    trace = ramp_trace(400, 0.5, 17.0, ramp_start=100, ramp_end=300, seed=8)
+    for extra in (0.0, 3.0, 0.7):
+        log = run_datacenter(cfgs, trace, v=1.0, mode=("reactive", extra), seed=2)
+        targets = [min(max(oracles.reactive_target(trace.arrivals[max(t - 9, 0):t + 1],
+                                                   extra, mu_bar), 0), len(cfgs))
+                   for t in range(len(trace))]
+        assert log.power.tolist() == [float(k) for k in targets]
+        # the clip binds at the top, and the target moves through the ramp
+        assert len(cfgs) in targets and len(set(targets)) >= 5
 
 
 # ---------------------------------------------------------------------------
@@ -247,8 +262,19 @@ def test_reactive_target_examples():
 def test_queue_update_clamps_at_zero():
     out = queue_update(np.array([0.0, 2.0]), np.array([3.0, 0.0]), np.array([5.0, 0.0]))
     assert out.tolist() == [0.0, 2.0]
-    assert actual_queue_update(2.0, 3.0, 10.0) == 0.0
-    assert actual_queue_update(2.0, 3.0, 1.0) == 4.0
+    assert oracles.actual_queue_update(2.0, 3.0, 10.0) == 0.0
+    assert oracles.actual_queue_update(2.0, 3.0, 1.0) == 4.0
+    # constant service: the always-on servers drain 4 + 3 + 3 a slot, and the
+    # physical backlog replays through the reference step bit for bit
+    cfgs = _table_like_farm()
+    trace = uniform_trace(2000, arrival_range=(0, 13), seed=2)
+    log = run_datacenter(cfgs, trace, v=1.0, mode=("always-on", 3), seed=0)
+    backlog, replay = 0.0, []
+    for arrivals in trace.arrivals:
+        backlog = oracles.actual_queue_update(backlog, float(arrivals), 4.0 + 3.0 + 3.0)
+        replay.append(backlog)
+    assert log.backlog.tolist() == replay
+    assert 0.0 in replay and max(replay) > 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -405,9 +431,7 @@ def test_run_deterministic_per_seed():
 
 def test_run_bound_check_fires_on_runaway_admission(monkeypatch):
     def accept_everything(arrivals, cost, queues, v, r_max):
-        routed = np.zeros(len(queues))
-        routed[0] = arrivals
-        return 0.0, routed
+        return 0.0, [float(arrivals)] + [0.0] * (len(queues) - 1)
 
     monkeypatch.setattr(dc, "admission_decide", accept_everything)
     cfgs = [_cfg(mu=("constant", 1.0), r_max=3.0)]
@@ -429,7 +453,7 @@ def test_run_virtual_total_check_fires_on_unrouted_admission(monkeypatch):
     # admitted work that reaches no virtual queue leaves the physical backlog
     # above the virtual total while every virtual queue stays at zero
     def admit_without_routing(arrivals, cost, queues, v, r_max):
-        return 0.0, np.zeros(len(queues))
+        return 0.0, [0.0] * len(queues)
 
     monkeypatch.setattr(dc, "admission_decide", admit_without_routing)
     trace = Trace([10] * 5, [1.0] * 5)
@@ -443,12 +467,23 @@ def test_run_backlog_bound_check_fires_inside_the_slack(monkeypatch):
     # above its bound 2, the backlog 2**-29 above N*bound = 4
     def overshoot_by_ulps(arrivals, cost, queues, v, r_max):
         admitted = 4.0 + 2.0 ** -29
-        return arrivals - admitted, np.full(len(queues), 2.0 + 2.0 ** -30)
+        return arrivals - admitted, [2.0 + 2.0 ** -30] * len(queues)
 
     monkeypatch.setattr(dc, "admission_decide", overshoot_by_ulps)
     trace = Trace([8] * 5, [1.0] * 5)
     with pytest.raises(RuntimeError, match="physical backlog bound violated at slot 0"):
         run_datacenter(_sleepy_pair(), trace, v=1.0, mode="virtualized")
+
+
+@pytest.mark.parametrize("v", [math.inf, math.nan, -5.0, 0.0])
+@pytest.mark.parametrize("mode", ["n-queue", "virtualized", ("always-on", 1),
+                                  ("reactive", 0.0)])
+def test_run_refuses_a_bad_v_before_the_first_slot(monkeypatch, mode, v):
+    # at v = inf the bound was inf and the queues ran away; at NaN or below 0
+    # every arrival was refused, in both cases without a word
+    monkeypatch.setattr(dc, "_service_sampler", lambda mu_dist: pytest.fail("a run began"))
+    with pytest.raises(ValueError, match="v must be finite and positive"):
+        run_datacenter([_cfg()], uniform_trace(10, seed=0), v=v, mode=mode)
 
 
 def test_run_rejects_nan_initial_queue():
@@ -583,10 +618,19 @@ _PIN_CASES = {
     "nqueue-zipf-sleep-min-active": (_zipf_farm, "ramp", "n-queue", 500.0, 2, None, False),
     "virtualized-zipf-sleep-min-active": (_zipf_farm, "ramp", "virtualized", 500.0, 1,
                                           [9.0, 0.0, 4.5, 7.0], False),
+    "always-on-zipf-two-of-four": (_zipf_farm, "ramp", ("always-on", 2), 5.0, 0, None,
+                                   False),
+    "always-on-const-three-of-five": (_table_like_farm, "light", ("always-on", 3), 5.0, 0,
+                                      None, False),
+    "reactive-zipf": (_zipf_farm, "ramp", ("reactive", 0.0), 5.0, 0, None, False),
+    "reactive-const-extra": (_table_like_farm, "light", ("reactive", 2.5), 5.0, 0, None,
+                             False),
 }
 
 # sha256 over every DatacenterLog array (name, dtype, shape, bytes) of
-# run_datacenter(..., seed=3), recorded before the slot loop moved to floats
+# run_datacenter(..., seed=3), recorded before the slot loop moved to floats;
+# the always-on and reactive ones before the baselines' per-slot helpers were
+# folded into their loop
 _PINNED_DIGESTS = {
     "nqueue-const-on": "ae9bd194df29799e39471ccc78fce039fc7fa5e7c91785f096a50e6f72b83a9f",
     "nqueue-const-sleep": "227bfe0a58b5a1a857d249266e8870efff82087aa813d215ccac185108ec129d",
@@ -596,6 +640,12 @@ _PINNED_DIGESTS = {
         "5775f392f4a02e16d0371b3ba10e9e40154e7a3f801cc8d863e033f0c19a409c",
     "virtualized-zipf-sleep-min-active":
         "fad218cc6f846020f8e1595ecf091093687145952d6d4b1e62ab42fb9ea68d11",
+    "always-on-zipf-two-of-four":
+        "d449efab03e270f24a49ee82beee6dad8324f530a7bcdd2a25ba40919c803b12",
+    "always-on-const-three-of-five":
+        "bb0c874abb073925962795bf6725539c2fb2c6e7fd236202804db4e73e210b8a",
+    "reactive-zipf": "298a949060e488465d1789b1d6dfa8a63cf07674f35a5ebe956d81cdc1ac7fb7",
+    "reactive-const-extra": "8ab72b744ca7274863940cd351cce63ace55c187964e8b0e22091ebf11bda107",
 }
 
 _LOG_ARRAYS = ("power", "reject_cost", "backlog", "queue_total", "active_servers",

@@ -123,6 +123,7 @@ _BAD_CONFIGS = {
                                     oracle=True), "oracle", 0, "memoryless"),
     "farm-no-servers": (_with(_FARM, {"servers": []}), "servers", 0, "nonempty list"),
     "farm-mode": (_with(_FARM, {"mode": "sideways"}), "mode", 0, "unknown datacenter mode"),
+    "farm-v-zero": (_with(_FARM, v_values=[0.0]), "v_values", 0, "strictly positive v"),
     **{f"farm-ramp-without-{key}": (
         _with(_FARM, {"trace": {k: v for k, v in _RAMP.items() if k != key}}),
         "trace", 0, f"ramp trace needs key '{key}'")
@@ -542,6 +543,28 @@ def test_oracle_only_rows():
     expected = coupled.energy_oracle_value(6)
     assert all(row["oracle_value"] == pytest.approx(expected)
                for row in summary.rows)
+
+
+_ORACLE_TARGETS = {
+    "coupled-energy": {"n_servers": 6},
+    "bandit": {"users": [
+        {"lam": 0.3, "mean_file": 2.0, "actions": [[0, 0], [0.4, 1.5]]},
+        {"lam": 0.5, "mean_file": 1.5, "actions": [[0, 0], [0.6, 2.0]]},
+    ], "m_servers": 1, "beta": 1.0},
+    "online-renewal": {},
+    "ocmdp": {},
+}
+
+
+@pytest.mark.parametrize("target", sorted(_ORACLE_TARGETS))
+def test_oracle_only_config_pickles_with_its_oracle(target):
+    # an oracle solve that closes over a lambda cannot be pickled
+    config = harness.ExperimentConfig(kind="oracle-only", instance={
+        "target": target, "instance": _ORACLE_TARGETS[target]})
+    copy = pickle.loads(pickle.dumps(config))
+    assert copy == config
+    assert harness.oracle_value("oracle-only", copy.built) == \
+        harness.oracle_value("oracle-only", config.built)
 
 
 def test_oracle_only_needs_simulated_target():
