@@ -81,8 +81,9 @@ class ActionModel:
     ``exp_frame_len`` the expected frame length (at least 1), all finite.
     ``sampler`` draws a realized frame from a seeded generator: its totals as
     a :class:`FrameOutcome`, or its slot layout as a :class:`FrameProfile`.
-    ``sparse_metrics`` holds the nonzero metrics as ``(index, value)`` pairs
-    if there is at most one, else None.
+    ``exp_metrics`` is kept as a read-only copy, so ``sparse_metrics``, the
+    nonzero metrics as ``(index, value)`` pairs if there is at most one, else
+    None, cannot fall out of step with it.
     """
 
     action_id: object
@@ -95,7 +96,8 @@ class ActionModel:
     sparse_metrics: Optional[tuple] = field(init=False, repr=False)
 
     def __post_init__(self):
-        metrics = np.asarray(self.exp_metrics, dtype=float)
+        metrics = np.array(self.exp_metrics, dtype=float)
+        metrics.flags.writeable = False
         if metrics.ndim != 1:
             raise ValueError("exp_metrics must be a vector")
         penalty, frame_len = float(self.exp_penalty), float(self.exp_frame_len)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from array import array
 from dataclasses import dataclass
 from typing import Callable, List, Tuple
 
@@ -121,6 +122,8 @@ def run(spec: CoupledSystemSpec, v: float, horizon: int, seed: int) -> MetricsLo
     previous slot and writes its whole frame's emissions ahead, so each
     slot's metrics add up in frame-start order; the queues then step slot by
     slot, ``max((q + metrics) - external, 0)``, up to the next decision.
+    Every per-slot log is a packed ``array("d")`` column until the horizon
+    is done, when the columns become the log's C-ordered float64 arrays.
     A non-finite external draw is refused before the first slot, and a
     non-finite penalty, metric or queue once the horizon is done.
     """
@@ -143,11 +146,11 @@ def run(spec: CoupledSystemSpec, v: float, horizon: int, seed: int) -> MetricsLo
     # systems holding the same action objects choose alike within a slot
     kinds = [tuple(map(id, actions)) for actions in systems]
     kind = [kinds.index(k) for k in kinds]
-    # one Python float list per system / constraint, indexed by slot
-    penalty = [[0.0] * horizon for _ in range(n_sys)]
-    metrics = [[0.0] * horizon for _ in range(ell)]
-    external_cols = external.T.tolist()
-    queues: List[List[float]] = [[] for _ in range(ell)]
+    # one packed-double array per system / constraint, indexed by slot
+    penalty = [array("d", bytes(8 * horizon)) for _ in range(n_sys)]
+    metrics = [array("d", bytes(8 * horizon)) for _ in range(ell)]
+    external_cols = [array("d", col.tobytes()) for col in external.T]
+    queues = [array("d") for _ in range(ell)]
     frame_log: List[Tuple[int, int, int, object]] = []
     # (next frame start, system): pops at one slot come in system order
     starts = [(0, n) for n in range(n_sys)]
@@ -173,7 +176,7 @@ def run(spec: CoupledSystemSpec, v: float, horizon: int, seed: int) -> MetricsLo
                 for m_l, z_l in zip(metrics, z):
                     m_l[s] += z_l
             start, end = t + frame.tail_start, min(t + length, horizon)
-            emitted[start:end] = [frame.tail_penalty] * (end - start)
+            emitted[start:end] = array("d", (frame.tail_penalty,)) * (end - start)
             frame_log.append((n, t, length, model.action_id))
             heapq.heappush(starts, (t + length, n))
         stop = starts[0][0] if starts else horizon
@@ -188,9 +191,9 @@ def run(spec: CoupledSystemSpec, v: float, horizon: int, seed: int) -> MetricsLo
                 q_l.append(x)
             q[l] = x
         t = stop
-    # (horizon, len(cols)) C-ordered arrays whose column k is cols[k]
+    # (horizon, len(cols)) C-ordered arrays whose column k is cols[k], even for none
     penalty, metrics, queues = (
-        np.ascontiguousarray(np.array(cols, dtype=float).reshape(-1, horizon).T)
+        np.column_stack([np.frombuffer(c) for c in cols] or [np.empty((horizon, 0))])
         for cols in (penalty, metrics, queues))
     # a non-finite queue stays so to the horizon, so this also covers every
     # decision taken against one

@@ -365,7 +365,8 @@ def run_datacenter(cfgs: Sequence[ServerConfig], trace: Trace,
     ``min_active`` pins servers 0..min_active-1 to the active choice at their
     frame starts in the algorithm modes and is ignored by the baselines.
     ``initial_queues`` seeds the decision queues; the physical backlog always
-    starts empty.
+    starts empty. A non-finite power, cost or queue in the log is refused
+    with ValueError once the run ends.
     """
     if not isinstance(trace, Trace):
         raise TypeError(f"trace must be a datacenter.Trace, got {type(trace).__name__}")
@@ -379,11 +380,16 @@ def run_datacenter(cfgs: Sequence[ServerConfig], trace: Trace,
         raise ValueError(f"penalty weight v must be finite and positive, got {v!r}")
 
     if mode in ("n-queue", "virtualized"):
-        return _run_algorithm(list(cfgs), trace, horizon, float(v), mode, seed,
-                              min_active, initial_queues)
-    if isinstance(mode, tuple) and len(mode) == 2 and mode[0] in ("always-on", "reactive"):
-        return _run_baseline(list(cfgs), trace.arrivals, horizon, mode, seed)
-    raise ValueError(f"unknown mode {mode!r}")
+        log = _run_algorithm(list(cfgs), trace, horizon, float(v), mode, seed,
+                             min_active, initial_queues)
+    elif isinstance(mode, tuple) and len(mode) == 2 and mode[0] in ("always-on", "reactive"):
+        log = _run_baseline(list(cfgs), trace.arrivals, horizon, mode, seed)
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
+    if not all(np.isfinite(a).all() for a in (log.power, log.reject_cost, log.backlog,
+                                               log.queue_total, log.max_queue)):
+        raise ValueError("run emitted a non-finite power, cost or queue")
+    return log
 
 
 def _run_algorithm(cfgs, trace, horizon, v, mode, seed, min_active, initial_queues):

@@ -454,12 +454,19 @@ def _trace_maker(spec, horizon: int):
     return functools.partial(datacenter.ramp_trace, horizon, *shape, cost=cost)
 
 
-def _parse_mode(raw):
+def _parse_mode(raw, n_servers: int):
     if raw is None or raw == "n-queue" or raw == "virtualized":
         return raw or "n-queue"
     if isinstance(raw, (list, tuple)) and len(raw) == 2 \
             and raw[0] in ("always-on", "reactive"):
-        return (raw[0], raw[1])
+        # an always-on server count, or the reactive target's finite extra
+        always_on = raw[0] == "always-on"
+        count = _as_number({"mode": raw[1]}, "mode", None,
+                           0 if always_on else -_FLOAT_MAX, always_on)
+        if always_on and count > n_servers:
+            raise ConfigError(f"always-on count must lie in [0, {n_servers}], "
+                              f"got {count}", ("mode",))
+        return (raw[0], count)
     raise ConfigError(f"unknown datacenter mode {raw!r}", ("mode",))
 
 
@@ -478,7 +485,7 @@ def _datacenter_build(instance: Mapping, horizon: int):
                 r_max=float(entry["r_max"])))
         except (KeyError, TypeError, ValueError, OverflowError) as err:
             raise ConfigError(f"servers[{pos}]: {err}", ("servers",)) from None
-    return (cfgs, _parse_mode(instance.get("mode")),
+    return (cfgs, _parse_mode(instance.get("mode"), len(cfgs)),
             _as_number(instance, "min_active", 0, 0),
             _trace_maker(instance.get("trace"), horizon))
 

@@ -144,6 +144,19 @@ def test_action_model_needs_a_metric_vector(z):
         _mk_action(0, 1.0, z, 1.0)
 
 
+def test_action_model_keeps_a_read_only_copy_of_its_metrics():
+    src = np.array([0.0, -1.0])
+    a = ActionModel(action_id="a", exp_penalty=1.0, exp_metrics=src, exp_frame_len=1.0)
+    b = _mk_action("b", 1.5, [0.0, 0.0], 1.0)
+    assert a.exp_metrics is not src and a.exp_metrics.dtype == float
+    with pytest.raises(ValueError, match="read-only"):
+        a.exp_metrics[1] = 5.0
+    # the caller's array changes, the action and its selection do not
+    src[1] = 5.0
+    assert a.exp_metrics.tolist() == [0.0, -1.0] and a.sparse_metrics == ((1, -1.0),)
+    assert dpp_linear_select([a, b], [0.0, 1.0], 1.0) == "a"
+
+
 # Dyadic grid values: every product and sum below is exact, so the selector,
 # ndarray.dot and an fsum all score alike and exact ties stay ties.
 _grid = st.integers(-64, 64).map(lambda k: k / 8)

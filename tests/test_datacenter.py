@@ -486,6 +486,16 @@ def test_run_refuses_a_bad_v_before_the_first_slot(monkeypatch, mode, v):
         run_datacenter([_cfg()], uniform_trace(10, seed=0), v=v, mode=mode)
 
 
+@pytest.mark.parametrize("mode", ["n-queue", "virtualized", ("always-on", 1),
+                                  ("reactive", 0.0)])
+def test_run_refuses_a_non_finite_log_once_it_ends(mode):
+    # a NaN set after the config was checked used to end as a NaN power average
+    cfg = _cfg()
+    cfg.active_power = math.nan
+    with pytest.raises(ValueError, match="non-finite power, cost or queue"):
+        run_datacenter([cfg], uniform_trace(50, seed=0), v=1.0, mode=mode)
+
+
 def test_run_rejects_nan_initial_queue():
     # a NaN queue is never admitted to, never read as long and never trips
     # the bound, so it would run silently

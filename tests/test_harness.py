@@ -123,6 +123,14 @@ _BAD_CONFIGS = {
                                     oracle=True), "oracle", 0, "memoryless"),
     "farm-no-servers": (_with(_FARM, {"servers": []}), "servers", 0, "nonempty list"),
     "farm-mode": (_with(_FARM, {"mode": "sideways"}), "mode", 0, "unknown datacenter mode"),
+    **{f"farm-mode-{name}": (
+        _with(_FARM, {"servers": [_SERVER, _SERVER], "mode": mode}), "mode", 0, message)
+       for name, mode, message in (
+           ("always-on-too-many", ["always-on", 7],
+            r"always-on count must lie in \[0, 2\], got 7"),
+           ("always-on-fractional", ["always-on", 2.7], "mode must be an integer"),
+           ("reactive-nan", ["reactive", _NAN], "mode must be a finite number"),
+           ("reactive-text", ["reactive", "x"], "mode must be a finite number"))},
     "farm-v-zero": (_with(_FARM, v_values=[0.0]), "v_values", 0, "strictly positive v"),
     **{f"farm-ramp-without-{key}": (
         _with(_FARM, {"trace": {k: v for k, v in _RAMP.items() if k != key}}),
@@ -310,6 +318,19 @@ def test_config_echo_cannot_drift(tmp_path):
     assert echo["instance"] == {"n_servers": 5} and config.built == 5
     assert pickle.loads(pickle.dumps(config)) == config
     assert harness.config_from_mapping(config.to_mapping()) == config
+
+
+@pytest.mark.parametrize("mode,count", [(["always-on", 0], 0), (["always-on", 2], 2),
+                                        (["reactive", -1], -1.0), (["reactive", 2.5], 2.5)],
+                         ids=["always-on-0", "always-on-2", "reactive-minus-1",
+                              "reactive-2.5"])
+def test_baseline_mode_count_is_checked_and_runs(tmp_path, mode, count):
+    # in range at load, the count reaches the run as an int, or a float extra
+    config = harness.config_from_mapping(
+        _with(_FARM, {"servers": [_SERVER, _SERVER], "mode": mode}, out_dir=str(tmp_path)))
+    assert config.built[1] == (mode[0], count)
+    assert type(config.built[1][1]) is type(count)
+    assert harness.run_experiment(config).n_rows == 1
 
 
 def test_nested_instance_is_read_only():
